@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clustering import estimate_ct
-from .consensus import bank_init, bank_update, local_targets, loss_local
+from .consensus import bank_init, bank_update, local_targets
 from .contrastive import loss_contrastive, mine_pairs
 from .datagen import FeatureSet
 from .model import (

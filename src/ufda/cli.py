@@ -3,20 +3,20 @@
 Human-readable output goes to stdout; machine-readable blocks go to files in
 the --out directory, alongside the fully resolved config of the run. Exit
 codes: 0 success, 1 runtime failure (missing/invalid files, dimension
-mismatch), 2 bad configuration (unknown keys, regime violations, bad flags).
+mismatch), 2 bad configuration (unknown keys, out-of-range values, regime
+violations, bad flags).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .adaptation import AdaptTrace, adapt, pretrain_source
-from .config import ConfigError, load_run_config
+from .adaptation import adapt, pretrain_source
+from .config import SCENARIO_KEYS, ConfigError, load_run_config
 from .datagen import (
     FeatureFileError,
     ScenarioError,
@@ -34,19 +34,6 @@ class CliError(RuntimeError):
     def __init__(self, message: str, code: int = 1):
         super().__init__(message)
         self.code = code
-
-
-def _read_thread_cap() -> int:
-    """UFD_THREADS caps worker parallelism (0 = serial). The engine currently
-    runs serially, which satisfies any cap; the value is still validated."""
-    raw = os.environ.get("UFD_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise CliError(f"UFD_THREADS must be an integer, got {raw!r}", code=2) from None
-    if cap < 0:
-        raise CliError("UFD_THREADS must be non-negative", code=2)
-    return cap
 
 
 def _out_dir(path_text: str) -> Path:
@@ -98,12 +85,7 @@ def cmd_gen(args) -> int:
             ps = preset(args.preset)
         except KeyError as exc:
             raise CliError(str(exc.args[0]), code=2) from None
-        base = {
-            name: getattr(ps, name)
-            for name in ("regime", "n_shared", "n_source_private", "n_target_private",
-                         "d_in", "source_per_class", "target_per_class", "separation",
-                         "shift_rotation", "shift_translation", "noise_sigma")
-        }
+        base = {name: getattr(ps, name) for name in SCENARIO_KEYS}
     cfg = load_run_config(args.config, _overrides(args), base=base)
     spec = cfg.scenario()
     out = _out_dir(cfg.out_dir)
@@ -181,17 +163,24 @@ def cmd_report(args) -> int:
         path = Path(path_text)
         if not path.exists():
             raise CliError(f"report file not found: {path}")
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        if not any(line.strip() for line in lines):
+            raise CliError(f"{path}: file has no metrics")
+        for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             parts = line.split("\t")
             if len(parts) != 2:
                 raise CliError(f"{path}:{lineno}: expected 'metric<TAB>value'")
             name, value = parts
+            try:
+                number = float(value)
+            except ValueError:
+                raise CliError(f"{path}:{lineno}: non-numeric value {value!r} for {name}") from None
             if name not in metrics:
                 metrics[name] = []
                 order.append(name)
-            metrics[name].append(float(value))
+            metrics[name].append(number)
 
     width = max(len(name) for name in order)
     human = ["metric".ljust(width) + "  mean      std       n"]
@@ -259,7 +248,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _read_thread_cap()
         return args.fn(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

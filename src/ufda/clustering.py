@@ -72,9 +72,9 @@ def kmeans(points: np.ndarray, k: int, rng: Rng, max_iter: int = 100, tol: float
     """Best of n_init k-means++ restarts, deterministic given the rng.
 
     Assignment ties go to the smaller cluster index; empty clusters are
-    repaired by farthest-point re-seeding. Inertia is asserted non-increasing
-    across each run's iterations; the restart with the lowest final inertia
-    wins (first on ties).
+    repaired by farthest-point re-seeding. Inertia must not increase across a
+    run's iterations (RuntimeError otherwise); the restart with the lowest
+    final inertia wins (first on ties).
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -108,7 +108,8 @@ def _lloyd_run(points: np.ndarray, k: int, rng: Rng, max_iter: int, tol: float) 
             d2 = _sq_dists(points, centroids)
 
         inertia = float(d2[np.arange(n), assignment].sum())
-        assert inertia <= prev_inertia * (1.0 + 1e-12) + 1e-12, "k-means inertia increased"
+        if inertia > prev_inertia * (1.0 + 1e-12) + 1e-12:
+            raise RuntimeError(f"k-means inertia increased: {prev_inertia!r} -> {inertia!r}")
         prev_inertia = inertia
 
         new_centroids = np.empty_like(centroids)

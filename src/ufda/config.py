@@ -7,10 +7,10 @@ config next to its outputs so runs are self-documenting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import field, fields, make_dataclass
 
 from .adaptation import AdaptConfig
-from .datagen import ScenarioSpec
+from .datagen import PRESETS, ScenarioSpec
 from .model import ModelDims
 
 
@@ -18,84 +18,20 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
+# Scenario keys are the ScenarioSpec fields (its seed is the shared training
+# seed), training keys the AdaptConfig fields.
+_SCENARIO_FIELDS = [f for f in fields(ScenarioSpec) if f.name != "seed"]
+SCENARIO_KEYS = tuple(f.name for f in _SCENARIO_FIELDS)
+_ADAPT_KEYS = tuple(f.name for f in fields(AdaptConfig))
+_PATH_KEYS = ("source_path", "target_path", "model_path", "out_dir")
 
 
-@dataclass
-class RunConfig:
-    # scenario
-    regime: str = "OPDA"
-    n_shared: int = 3
-    n_source_private: int = 3
-    n_target_private: int = 3
-    d_in: int = 16
-    source_per_class: int = 100
-    target_per_class: int = 100
-    separation: float = 8.0
-    shift_rotation: float = 0.8
-    shift_translation: float = 2.0
-    noise_sigma: float = 1.0
-    # model
-    d_hidden: int = 64
-    d_feat: int = 32
-    # training / adaptation
-    eta: float = 0.3
-    rho: float = 0.75
-    k_neighbors: int = 4
-    n_pairs: int = 4
-    batch_size: int = 64
-    epochs: int = 20
-    lr: float = 0.001
-    momentum: float = 0.9
-    seed: int = 0
-    variant: str = "glcpp"
-    omega: float = 0.55
-    alpha: float = 0.1
-    con_weight: float = 1.0
-    # optional file paths (commands may also take these as CLI arguments)
-    source_path: str = ""
-    target_path: str = ""
-    model_path: str = ""
-    out_dir: str = ""
-
+class _RunConfigMethods:
     def scenario(self) -> ScenarioSpec:
-        return ScenarioSpec(
-            regime=self.regime,
-            n_shared=self.n_shared,
-            n_source_private=self.n_source_private,
-            n_target_private=self.n_target_private,
-            d_in=self.d_in,
-            source_per_class=self.source_per_class,
-            target_per_class=self.target_per_class,
-            separation=self.separation,
-            shift_rotation=self.shift_rotation,
-            shift_translation=self.shift_translation,
-            noise_sigma=self.noise_sigma,
-            seed=self.seed,
-        )
+        return ScenarioSpec(seed=self.seed, **{k: getattr(self, k) for k in SCENARIO_KEYS})
 
     def adapt_config(self) -> AdaptConfig:
-        return AdaptConfig(
-            eta=self.eta,
-            rho=self.rho,
-            k_neighbors=self.k_neighbors,
-            n_pairs=self.n_pairs,
-            batch_size=self.batch_size,
-            epochs=self.epochs,
-            lr=self.lr,
-            momentum=self.momentum,
-            seed=self.seed,
-            variant=self.variant,
-            omega=self.omega,
-            alpha=self.alpha,
-            con_weight=self.con_weight,
-        )
+        return AdaptConfig(**{k: getattr(self, k) for k in _ADAPT_KEYS})
 
     def model_dims(self, d_in: int, n_classes: int) -> ModelDims:
         return ModelDims(d_in=d_in, d_hidden=self.d_hidden, d_feat=self.d_feat, n_classes=n_classes)
@@ -112,8 +48,24 @@ class RunConfig:
             f.write("\n".join(self.resolved_lines()) + "\n")
 
 
+_DEFAULT_SCENARIO = PRESETS["opda-toy"]
+
+# Flat keys in resolved-file order: scenario (opda-toy preset defaults), model,
+# training (AdaptConfig defaults), then optional file paths (commands may also
+# take these as CLI arguments).
+RunConfig = make_dataclass(
+    "RunConfig",
+    [(f.name, f.type, field(default=getattr(_DEFAULT_SCENARIO, f.name))) for f in _SCENARIO_FIELDS]
+    + [("d_hidden", "int", field(default=64)), ("d_feat", "int", field(default=32))]
+    + [(f.name, f.type, field(default=f.default)) for f in fields(AdaptConfig)]
+    + [(k, "str", field(default="")) for k in _PATH_KEYS],
+    bases=(_RunConfigMethods,),
+    namespace={"__module__": __name__},
+)
+
+
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool}
+_PARSERS = {"int": int, "float": float, "str": str}
 
 
 def parse_config_text(text: str, path: str = "<config>") -> dict:
@@ -157,4 +109,11 @@ def load_run_config(path: str | None, overrides: dict | None = None, base: dict 
         if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
         values[key] = value
-    return RunConfig(**values)
+    cfg = RunConfig(**values)
+    # Building the AdaptConfig here validates the training keys up front, so a
+    # bad value is a configuration error whichever command reads the config.
+    try:
+        cfg.adapt_config()
+    except ValueError as exc:
+        raise ConfigError(f"bad config value: {exc}") from None
+    return cfg

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AdaptModel, BatchForward, cross_entropy_rows, forward_batch
+from .model import AdaptModel, BatchForward, forward_batch
 from .numerics import l2_normalize_rows
 
 
@@ -20,7 +20,6 @@ from .numerics import l2_normalize_rows
 class MemoryBank:
     features: np.ndarray  # (N_t, d_feat), unit rows
     probs: np.ndarray     # (N_t, C_s)
-    version: int = 0
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -36,14 +35,13 @@ def bank_init(model: AdaptModel, target_inputs: np.ndarray) -> MemoryBank:
 
 
 def bank_update(bank: MemoryBank, batch_indices: np.ndarray, fresh: BatchForward) -> None:
-    """Overwrite the given slots with fresh features/probs; bumps version."""
+    """Overwrite the given slots with fresh features/probs."""
     idx = np.asarray(batch_indices)
     if idx.size and (idx.min() < 0 or idx.max() >= len(bank)):
         raise IndexError("bank index out of range")
     if idx.size:
         bank.features[idx] = l2_normalize_rows(fresh.features)
         bank.probs[idx] = fresh.probs
-    bank.version += 1
 
 
 def nearest_bank_indices(
@@ -76,9 +74,3 @@ def local_targets(
     """Consensus rows l^i: mean probability row of each query's k neighbors."""
     neighbors = nearest_bank_indices(bank, query_features, k, self_indices)
     return bank.probs[neighbors].mean(axis=1)
-
-
-def loss_local(probs_batch: np.ndarray, targets_batch: np.ndarray) -> float:
-    """Batch-mean cross entropy against the consensus rows."""
-    loss, _ = cross_entropy_rows(probs_batch, targets_batch)
-    return loss

@@ -73,15 +73,6 @@ def init_model(dims: ModelDims, rng: Rng) -> AdaptModel:
 
 
 @dataclass
-class ForwardRecord:
-    """Single-sample forward pass: pre-classifier feature, logits, probs."""
-
-    feature: np.ndarray
-    logits: np.ndarray
-    probs: np.ndarray
-
-
-@dataclass
 class BatchForward:
     """Batched forward pass with the caches backprop needs."""
 
@@ -91,9 +82,6 @@ class BatchForward:
     features: np.ndarray  # (B, d_feat)
     logits: np.ndarray   # (B, n_classes)
     probs: np.ndarray    # (B, n_classes)
-
-    def record(self, i: int) -> ForwardRecord:
-        return ForwardRecord(self.features[i], self.logits[i], self.probs[i])
 
 
 def forward_batch(model: AdaptModel, x: np.ndarray) -> BatchForward:
@@ -106,31 +94,6 @@ def forward_batch(model: AdaptModel, x: np.ndarray) -> BatchForward:
     logits = features @ model.wc + model.bc
     probs = softmax_rows(logits)
     return BatchForward(x, z1, a1, features, logits, probs)
-
-
-def forward(model: AdaptModel, x: np.ndarray) -> ForwardRecord:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError("forward expects a single sample vector")
-    return forward_batch(model, arr[None, :]).record(0)
-
-
-def smoothed_target(label: int, n_classes: int, alpha: float) -> np.ndarray:
-    q = np.full(n_classes, alpha / n_classes)
-    q[label] += 1.0 - alpha
-    return q
-
-
-def loss_source(probs: np.ndarray, label: int, alpha: float) -> float:
-    """Cross-entropy against the label-smoothed one-hot target."""
-    probs = np.asarray(probs, dtype=np.float64)
-    n_classes = probs.shape[0]
-    if not 0 <= label < n_classes:
-        raise ValueError("label out of range")
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError("smoothing must be in [0, 1)")
-    q = smoothed_target(label, n_classes, alpha)
-    return float(-(q * np.log(np.maximum(probs, LOG_CLAMP))).sum())
 
 
 def cross_entropy_rows(probs: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
@@ -147,6 +110,8 @@ def cross_entropy_rows(probs: np.ndarray, targets: np.ndarray) -> tuple[float, n
 
 
 def loss_source_batch(probs: np.ndarray, labels: np.ndarray, alpha: float) -> tuple[float, np.ndarray]:
+    """Cross entropy against label-smoothed one-hot targets: each row puts
+    alpha/C on every class plus 1 - alpha on its label."""
     n_classes = probs.shape[1]
     labels = np.asarray(labels)
     if labels.min() < 0 or labels.max() >= n_classes:

@@ -1,4 +1,4 @@
-"""Dense vector primitives, similarity measures, entropy, and the seeded PRNG.
+"""Row-wise normalization, softmax and entropy, and the seeded PRNG.
 
 Everything here is float64 and deterministic: the PRNG is a pure-Python
 xoshiro256** whose output stream depends only on the seed, so runs are
@@ -12,9 +12,6 @@ import math
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-
-# xoshiro256** jump polynomial (advances the stream by 2^128 draws).
-_JUMP = (0x180EC6D33CFD0ABA, 0xD5A61266F0C9392C, 0xA9582618E03FC9AA, 0x39ABDC4529B1661C)
 
 
 def _splitmix64(x: int) -> tuple[int, int]:
@@ -34,9 +31,8 @@ class Rng:
     """Deterministic xoshiro256** stream, seeded by splitmix64 expansion.
 
     Sub-streams: ``split()`` derives an independent child generator from the
-    parent stream (one parent draw per child), and ``jump()`` advances this
-    generator by 2^128 draws in place. Instances are single-owner mutable
-    state and must not be shared across threads.
+    parent stream (one parent draw per child). Instances are single-owner
+    mutable state and must not be shared across threads.
     """
 
     __slots__ = ("_s", "_spare_normal")
@@ -62,20 +58,6 @@ class Rng:
         s3 = _rotl(s3, 45)
         self._s = [s0, s1, s2, s3]
         return result
-
-    def jump(self) -> None:
-        """Advance by 2^128 draws (non-overlapping sub-stream carve-out)."""
-        s0 = s1 = s2 = s3 = 0
-        for word in _JUMP:
-            for b in range(64):
-                if word & (1 << b):
-                    s0 ^= self._s[0]
-                    s1 ^= self._s[1]
-                    s2 ^= self._s[2]
-                    s3 ^= self._s[3]
-                self.next_u64()
-        self._s = [s0, s1, s2, s3]
-        self._spare_normal = None
 
     def split(self) -> "Rng":
         """Derive an independent child stream; consumes one parent draw."""
@@ -150,24 +132,6 @@ class Rng:
         return picked
 
 
-def _as_vector(v) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1 or arr.shape[0] == 0:
-        raise ValueError("expected a non-empty 1-D vector")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("vector entries must be finite")
-    return arr
-
-
-def l2_normalize(v) -> np.ndarray:
-    """Scale v to unit Euclidean norm; rejects zero vectors."""
-    arr = _as_vector(v)
-    norm = float(np.linalg.norm(arr))
-    if norm == 0.0:
-        raise ValueError("degenerate feature")
-    return arr / norm
-
-
 def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
     """Row-wise unit normalization of an (n, d) matrix."""
     arr = np.asarray(m, dtype=np.float64)
@@ -177,15 +141,8 @@ def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
     return arr / norms[:, None]
 
 
-def softmax(logits) -> np.ndarray:
-    """Stable softmax (max-subtracted); rows sum to 1 within 1e-12."""
-    arr = _as_vector(logits)
-    shifted = arr - arr.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """Stable row-wise softmax (max-subtracted); rows sum to 1 within 1e-12."""
     arr = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValueError("logits must be finite")
@@ -194,35 +151,10 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def cosine_similarity(a, b) -> float:
-    """Cosine of the angle between a and b, clamped to [-1, 1]."""
-    va = _as_vector(a)
-    vb = _as_vector(b)
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("degenerate feature")
-    return float(np.clip(float(va @ vb) / (na * nb), -1.0, 1.0))
-
-
-def normalized_entropy(p, n_classes: int) -> float:
-    """Shannon entropy of p divided by log(n_classes); 0*log(0) is 0."""
-    if n_classes < 2:
-        raise ValueError("entropy normalizer undefined for fewer than 2 classes")
-    arr = _as_vector(p)
-    if arr.shape[0] != n_classes:
-        raise ValueError("probability vector length must equal the class count")
-    if np.any(arr < -1e-9) or abs(float(arr.sum()) - 1.0) > 1e-9:
-        raise ValueError("probabilities must lie on the simplex")
-    if np.all(arr == arr[0]):
-        return 1.0  # exactly uniform; avoids 1-ulp drift from rounded 1/C
-    pos = arr[arr > 0.0]
-    h = -float(np.sum(pos * np.log(pos)))
-    return h / math.log(n_classes)
-
-
 def normalized_entropy_rows(p: np.ndarray, n_classes: int) -> np.ndarray:
-    """Row-wise normalized entropy of an (n, C) probability matrix."""
+    """Row-wise Shannon entropy of an (n, C) probability matrix divided by
+    log(n_classes); 0*log(0) is 0, and an exactly uniform row gives 1.0
+    (avoiding 1-ulp drift from a rounded 1/C)."""
     if n_classes < 2:
         raise ValueError("entropy normalizer undefined for fewer than 2 classes")
     arr = np.asarray(p, dtype=np.float64)

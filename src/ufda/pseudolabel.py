@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import kmeans
-from .model import cross_entropy_rows
 from .numerics import Rng, l2_normalize_rows
 
 
@@ -34,16 +33,6 @@ class PseudoLabels:
     rows: np.ndarray         # (N, C_s), each row exactly one-hot or uniform
     labels: np.ndarray       # (N,), class index or -1 for a uniform row
     fired: np.ndarray        # (N, C_s) bool, classes that passed the firing rule
-    max_scores: np.ndarray   # (N,) max over classes of eps_c * S(g, p_c)
-
-    @property
-    def fired_counts(self) -> np.ndarray:
-        return self.fired.sum(axis=1)
-
-    def dump_debug(self, fh) -> None:
-        """One line per sample: idx pseudo_class fired_count max_score."""
-        for i in range(self.labels.shape[0]):
-            fh.write(f"{i} {int(self.labels[i])} {int(self.fired_counts[i])} {float(self.max_scores[i])!r}\n")
 
 
 def topk_count(n_target: int, ct: int) -> int:
@@ -153,10 +142,4 @@ def assign_pseudo_labels(features: np.ndarray, prototypes: list[ClassPrototypes]
     rows[hit] = 0.0
     rows[hit, winners[hit]] = 1.0
     labels[hit] = winners[hit]
-    return PseudoLabels(rows=rows, labels=labels, fired=fired, max_scores=pos_scores.max(axis=1))
-
-
-def loss_global(probs_batch: np.ndarray, pseudo_rows_batch: np.ndarray) -> float:
-    """Batch-mean cross entropy against the pseudo-label rows."""
-    loss, _ = cross_entropy_rows(probs_batch, pseudo_rows_batch)
-    return loss
+    return PseudoLabels(rows=rows, labels=labels, fired=fired)

@@ -28,7 +28,7 @@ from ufda.datagen import generate, preset
 from ufda.evaluation import evaluate, hungarian
 from ufda.model import ModelDims, backward, forward_batch, loss_source_batch
 from ufda.model import cross_entropy_rows
-from ufda.numerics import Rng, l2_normalize_rows, normalized_entropy
+from ufda.numerics import Rng, l2_normalize_rows, normalized_entropy_rows
 from ufda.pseudolabel import ClassPrototypes, assign_pseudo_labels, build_all_prototypes
 
 
@@ -246,10 +246,10 @@ def test_criterion_5_degeneracy_identities():
     # normalized entropy is exactly 0 / 1 at one-hot / uniform
     entropy_ok = True
     for c in range(2, 13):
-        one_hot = np.zeros(c)
-        one_hot[c // 2] = 1.0
-        entropy_ok &= normalized_entropy(one_hot, c) == 0.0
-        entropy_ok &= normalized_entropy(np.full(c, 1.0 / c), c) == 1.0
+        one_hot = np.zeros((1, c))
+        one_hot[0, c // 2] = 1.0
+        entropy_ok &= normalized_entropy_rows(one_hot, c)[0] == 0.0
+        entropy_ok &= normalized_entropy_rows(np.full((1, c), 1.0 / c), c)[0] == 1.0
 
     ok = rho_ok and trace_ok and entropy_ok
     report(

@@ -157,6 +157,29 @@ class TestPipeline:
         assert code == 1
         assert "does not match" in err
 
+    def test_pretrain_bad_config_value_exits_2(self, tmp_path, capsys):
+        data = gen_small(tmp_path, capsys)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("variant = nope\n")
+        code, _, err = run(
+            capsys, "pretrain", str(data / "source.ufd"), "--config", str(cfg), "--out", str(tmp_path / "pre"),
+        )
+        assert code == 2
+        assert "variant" in err
+
+    def test_adapt_bad_config_value_exits_2(self, tmp_path, capsys):
+        cfg = pipeline_cfg(tmp_path)
+        data = gen_small(tmp_path, capsys)
+        run(capsys, "pretrain", str(data / "source.ufd"), "--config", str(cfg), "--out", str(tmp_path / "pre"))
+        for flag, value in (("--eta", "-1"), ("--omega", "1.0")):
+            code, _, err = run(
+                capsys, "adapt", str(tmp_path / "pre" / "model.ufdmodel"), str(data / "target.ufd"),
+                "--config", str(cfg), flag, value, "--out", str(tmp_path / "ad"),
+            )
+            assert code == 2
+            assert flag[2:] in err
+        assert not (tmp_path / "ad").exists()
+
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code, _, err = run(capsys, "pretrain", str(tmp_path / "missing.ufd"), "--out", str(tmp_path / "o"))
         assert code == 1
@@ -181,21 +204,19 @@ class TestReport:
         assert float(summary["h_score"][1]) == pytest.approx(np.std([0.5, 0.7], ddof=1))
         assert summary["ncd_acc"][2] == "2"
 
+    def test_empty_report_exits_1(self, tmp_path, capsys):
+        (tmp_path / "empty.tsv").write_text("")
+        code, _, err = run(capsys, "report", str(tmp_path / "empty.tsv"))
+        assert code == 1
+        assert "empty.tsv: file has no metrics" in err
+
+    def test_non_numeric_value_names_the_line(self, tmp_path, capsys):
+        (tmp_path / "rep.tsv").write_text("h_score\t0.5\nncd_acc\tabc\n")
+        code, _, err = run(capsys, "report", str(tmp_path / "rep.tsv"))
+        assert code == 1
+        assert "rep.tsv:2:" in err
+        assert "'abc'" in err
+
     def test_no_inputs_exits_2(self, capsys):
         code, _, _ = run(capsys, "report")
         assert code == 2
-
-
-class TestThreadCap:
-    def test_invalid_thread_cap_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("UFD_THREADS", "lots")
-        code, _, err = run(capsys, "gen", "--preset", "clda-toy", "--out", str(tmp_path / "o"))
-        assert code == 2
-        assert "UFD_THREADS" in err
-
-    def test_serial_cap_accepted(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("UFD_THREADS", "0")
-        cfg = tmp_path / "gen.cfg"
-        cfg.write_text("source_per_class = 2\ntarget_per_class = 2\n")
-        code, _, _ = run(capsys, "gen", "--preset", "clda-toy", "--config", str(cfg), "--out", str(tmp_path / "o"))
-        assert code == 0

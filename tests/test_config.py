@@ -1,6 +1,7 @@
 import pytest
 
-from ufda.config import ConfigError, RunConfig, load_run_config, parse_config_text
+from ufda.config import SCENARIO_KEYS, ConfigError, RunConfig, load_run_config, parse_config_text
+from ufda.datagen import preset
 
 
 class TestParse:
@@ -41,6 +42,15 @@ class TestLoad:
         assert cfg.eta == 1.5
         assert cfg.seed == 9       # CLI override wins
         assert cfg.omega == 0.55   # None override ignored
+
+    def test_scenario_defaults_are_opda_toy(self):
+        cfg = RunConfig()
+        spec = preset("opda-toy")
+        assert all(getattr(cfg, key) == getattr(spec, key) for key in SCENARIO_KEYS)
+
+    def test_bad_training_value_rejected_with_key(self):
+        with pytest.raises(ConfigError, match="eta"):
+            load_run_config(None, {"eta": -1.0})
 
     def test_missing_file_rejected(self):
         with pytest.raises(ConfigError, match="cannot read"):

@@ -10,11 +10,9 @@ from ufda.model import (
     ModelDims,
     Optimizer,
     backward,
-    forward,
     forward_batch,
     init_model,
     load_model,
-    loss_source,
     loss_source_batch,
     save_model,
     sgd_step,
@@ -26,6 +24,15 @@ def small_model(frozen=False):
     return random_model(np.random.default_rng(0), frozen=frozen)
 
 
+def forward_one(model, x):
+    return forward_batch(model, np.array([x], dtype=np.float64))
+
+
+def source_loss_one(probs, label, alpha):
+    loss, _ = loss_source_batch(np.array([probs], dtype=np.float64), np.array([label]), alpha)
+    return loss
+
+
 class TestForward:
     def test_constant_network_gives_uniform(self):
         dims = ModelDims(3, 4, 2, 5)
@@ -34,50 +41,50 @@ class TestForward:
             w2=np.zeros((4, 2)), b2=np.array([1.0, -2.0]),
             wc=np.zeros((2, 5)), bc=np.zeros(5),
         )
-        rec = forward(model, np.array([9.0, -3.0, 2.0]))
-        assert np.allclose(rec.feature, [1.0, -2.0])
-        assert np.allclose(rec.probs, 0.2)
+        fwd = forward_one(model, [9.0, -3.0, 2.0])
+        assert np.allclose(fwd.features[0], [1.0, -2.0])
+        assert np.allclose(fwd.probs[0], 0.2)
 
     def test_identical_inputs_identical_records(self):
         model = small_model()
-        x = np.array([0.3, -1.2, 0.7, 2.0])
-        a = forward(model, x)
-        b = forward(model, x)
+        x = [0.3, -1.2, 0.7, 2.0]
+        a = forward_one(model, x)
+        b = forward_one(model, x)
         assert np.array_equal(a.probs, b.probs)
-        assert np.array_equal(a.feature, b.feature)
+        assert np.array_equal(a.features, b.features)
 
     def test_purity_no_hidden_state(self):
         model = small_model()
-        x = np.array([1.0, 2.0, 3.0, 4.0])
-        before = forward(model, x).probs.copy()
-        forward(model, np.array([5.0, 6.0, 7.0, 8.0]))
-        assert np.array_equal(forward(model, x).probs, before)
+        x = [1.0, 2.0, 3.0, 4.0]
+        before = forward_one(model, x).probs.copy()
+        forward_one(model, [5.0, 6.0, 7.0, 8.0])
+        assert np.array_equal(forward_one(model, x).probs, before)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
-            forward(small_model(), np.array([1.0, 2.0]))
+            forward_one(small_model(), [1.0, 2.0])
 
 
 class TestLossSource:
     def test_perfect_prediction_zero(self):
-        assert loss_source(np.array([0.0, 1.0, 0.0]), 1, 0.0) == pytest.approx(0.0, abs=1e-10)
+        assert source_loss_one([0.0, 1.0, 0.0], 1, 0.0) == pytest.approx(0.0, abs=1e-10)
 
     def test_uniform_prediction(self):
-        assert loss_source(np.full(4, 0.25), 2, 0.0) == pytest.approx(math.log(4.0), abs=1e-12)
+        assert source_loss_one(np.full(4, 0.25), 2, 0.0) == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_smoothed_value(self):
         # 0.95*(-log 0.8) + 0.05*(-log 0.2), evaluated at 40 digits
-        got = loss_source(np.array([0.8, 0.2]), 0, 0.1)
+        got = source_loss_one([0.8, 0.2], 0, 0.1)
         assert got == pytest.approx(0.2924582693702043, abs=1e-6)
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
-            loss_source(np.array([0.5, 0.5]), 2, 0.0)
+            source_loss_one([0.5, 0.5], 2, 0.0)
 
     def test_batch_matches_single(self):
         probs = np.array([[0.8, 0.2], [0.3, 0.7]])
         loss, _ = loss_source_batch(probs, np.array([0, 1]), 0.1)
-        singles = (loss_source(probs[0], 0, 0.1) + loss_source(probs[1], 1, 0.1)) / 2
+        singles = (source_loss_one(probs[0], 0, 0.1) + source_loss_one(probs[1], 1, 0.1)) / 2
         assert loss == pytest.approx(singles, abs=1e-12)
 
 

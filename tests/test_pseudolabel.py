@@ -1,4 +1,3 @@
-import io
 import math
 import warnings
 
@@ -8,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import pseudo_label_direct
+from ufda.model import cross_entropy_rows
 from ufda.numerics import Rng, l2_normalize_rows
 from ufda.pseudolabel import (
     ClassPrototypes,
     assign_pseudo_labels,
     build_all_prototypes,
     build_prototypes,
-    loss_global,
     select_topk,
     topk_count,
 )
@@ -111,7 +110,7 @@ class TestAssign:
         )
         out = assign_pseudo_labels(feats, same)
         assert np.all(out.labels == 0)
-        assert np.all(out.fired_counts == 3)
+        assert np.all(out.fired.sum(axis=1) == 3)
 
     def test_strict_rejection_gives_uniform(self):
         # sample orthogonal to every positive, close to a negative in every class
@@ -209,30 +208,18 @@ class TestAssign:
         b = assign_pseudo_labels(feats, protos)
         assert np.array_equal(a.rows, b.rows)
 
-    def test_debug_dump_format(self):
-        feats = np.array([[1.0, 0.0], [0.0, 1.0]])
-        protos = protos_from([[1.0, 0.0]], [[[0.0, 1.0]]], [0.9])
-        out = assign_pseudo_labels(feats, protos)
-        buf = io.StringIO()
-        out.dump_debug(buf)
-        lines = buf.getvalue().splitlines()
-        assert len(lines) == 2
-        idx, cls, fired, score = lines[0].split()
-        assert (idx, cls, fired) == ("0", "0", "1")
-        float(score)
-
 
 class TestLossGlobal:
     def test_perfect_match_is_zero(self):
         rows = np.array([[1.0, 0.0]])
         probs = np.array([[1.0, 0.0]])
-        assert loss_global(probs, rows) == pytest.approx(0.0, abs=1e-10)
+        assert cross_entropy_rows(probs, rows)[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_uniform_against_uniform(self):
         rows = np.full((3, 4), 0.25)
         probs = np.full((3, 4), 0.25)
-        assert loss_global(probs, rows) == pytest.approx(math.log(4.0), abs=1e-12)
+        assert cross_entropy_rows(probs, rows)[0] == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_frozen_value(self):
-        got = loss_global(np.array([[0.8, 0.2]]), np.array([[1.0, 0.0]]))
+        got, _ = cross_entropy_rows(np.array([[0.8, 0.2]]), np.array([[1.0, 0.0]]))
         assert got == pytest.approx(0.22314355131420976, abs=1e-6)
