@@ -59,8 +59,8 @@ class AdaptConfig:
             raise ValueError("eta must be positive")
         if not 0.0 < self.rho <= 1.0:
             raise ValueError("rho must be in (0, 1]")
-        if not 0.0 < self.omega < 1.0:
-            raise ValueError("omega must be in (0, 1)")
+        if not 0.0 < self.omega <= 1.0:
+            raise ValueError("omega must be in (0, 1]")
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError("alpha must be in [0, 1)")
         if self.variant not in VARIANTS:

@@ -2,6 +2,14 @@
 
 Distances are plain Euclidean; pipeline callers pass L2-normalized features so
 this is monotone with cosine distance.
+
+K-means runs all restarts of a call as one batched Lloyd loop. Points are
+ranked against centroids by the Gram form of the squared distance,
+|x|^2 - 2 x.c + |c|^2, from one matmul. A row whose best two Gram values lie
+within a rounding bound is re-ranked with the exact difference formula
+|x - c|^2, so every assignment, ties included, is the one that formula gives.
+Inertia uses the difference formula on the assigned pairs only, and centroid
+updates sum each cluster in row order, bit for bit as a per-cluster mean does.
 """
 
 from __future__ import annotations
@@ -15,6 +23,11 @@ from .numerics import Rng, l2_normalize_rows
 
 SILHOUETTE_SUBSAMPLE = 2048
 
+# Gram values whose gap is at most this times (|x|^2 + max |c|^2) are re-ranked
+# exactly. Either formula's rounding error is a few d * 1e-16 of that scale, so
+# the bound holds with a wide margin for any d below 10^5.
+_TIE_RTOL = 1e-9
+
 
 @dataclass
 class KMeansResult:
@@ -24,8 +37,53 @@ class KMeansResult:
 
 
 def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Exact squared distances from the differences; (n, k, d) work."""
     diff = points[:, None, :] - centroids[None, :, :]
     return np.einsum("nkd,nkd->nk", diff, diff)
+
+
+def _flat_clusters(assignment: np.ndarray, k: int) -> np.ndarray:
+    """(r, n) per-restart cluster indices as one flat index into r * k clusters."""
+    return (assignment + k * np.arange(assignment.shape[0])[:, None]).ravel()
+
+
+def _own_sq_dists(points: np.ndarray, centroids: np.ndarray, assignment: np.ndarray) -> np.ndarray:
+    """Squared distance of each point to its assigned centroid, for every
+    restart: (r, k, d) centroids and (r, n) assignment give (r, n). The bits
+    equal those of _sq_dists at the assigned column."""
+    r, k, d = centroids.shape
+    n = points.shape[0]
+    # One (r * n, d) buffer, reused in place: fresh large temporaries cost
+    # more in page faults than the arithmetic on them.
+    diff = np.take(centroids.reshape(r * k, d), _flat_clusters(assignment, k), axis=0).reshape(r, n, d)
+    np.subtract(points, diff, out=diff)
+    diff = diff.reshape(r * n, d)
+    return np.einsum("nd,nd->n", diff, diff).reshape(r, n)
+
+
+def _nearest(points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Index of the nearest centroid, ties to the smaller index, for every
+    restart: (r, k, d) centroids give an (r, n) assignment.
+
+    Rows are ranked by |c|^2 - 2 x.c, the Gram form without |x|^2, which is
+    common to a row. A row with a second value within the rounding bound of
+    its best, or with a NaN, is re-ranked with the exact difference formula.
+    """
+    r, k, d = centroids.shape
+    n = points.shape[0]
+    if k == 1:
+        return np.zeros((r, n), dtype=np.int64)
+    c_sq = np.einsum("rkd,rkd->rk", centroids, centroids)
+    gram = ((-2.0 * centroids).reshape(r * k, d) @ points.T).reshape(r, k, n)
+    gram += c_sq[:, :, None]
+    best = gram.min(axis=1)
+    assignment = np.argmax(gram == best[:, None, :], axis=1)
+    best += _TIE_RTOL * (sq_norms + c_sq.max(axis=1)[:, None])
+    near = np.count_nonzero(gram <= best[:, None, :], axis=1) != 1  # NaN rows count 0
+    for ri in np.flatnonzero(near.any(axis=1)):
+        rows = np.flatnonzero(near[ri])
+        assignment[ri, rows] = np.argmin(_sq_dists(points[rows], centroids[ri]), axis=1)
+    return assignment
 
 
 def _pp_seed(points: np.ndarray, k: int, rng: Rng) -> np.ndarray:
@@ -57,7 +115,7 @@ def _repair_empty(points: np.ndarray, centroids: np.ndarray, assignment: np.ndar
         empties = np.flatnonzero(counts == 0)
         if empties.size == 0:
             return
-        own = _sq_dists(points, centroids)[np.arange(n), assignment]
+        own = _own_sq_dists(points, centroids[None], assignment[None])[0]
         own[used] = -np.inf
         for empty in empties:
             far = int(np.argmax(own))
@@ -65,6 +123,36 @@ def _repair_empty(points: np.ndarray, centroids: np.ndarray, assignment: np.ndar
             assignment[far] = empty
             used[far] = True
             own[far] = -np.inf
+
+
+def _assign(points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Assign every restart's points, repair its empty clusters (centroids are
+    updated in place) and return the (r, n) assignment and (r,) inertia."""
+    r, k, _ = centroids.shape
+    assignment = _nearest(points, sq_norms, centroids)
+    counts = np.bincount(_flat_clusters(assignment, k), minlength=r * k).reshape(r, k)
+    for ri in np.flatnonzero((counts == 0).any(axis=1)):
+        _repair_empty(points, centroids[ri], assignment[ri])
+    return assignment, _own_sq_dists(points, centroids, assignment).sum(axis=1)
+
+
+def _cluster_means(points: np.ndarray, columns: np.ndarray, assignment: np.ndarray, k: int) -> np.ndarray:
+    """Every restart's centroid update: (r, n) assignment gives (r, k, d) means
+    with the bits of points[assignment[ri] == c].mean(axis=0). columns holds
+    points.T repeated once per restart.
+
+    NumPy sums the rows of an (m, d > 1) block in order from 0.0, as bincount
+    sums each bin; a single column it sums pairwise, so d = 1 sums per cluster.
+    """
+    r, n = assignment.shape
+    d = points.shape[1]
+    flat = _flat_clusters(assignment, k)
+    counts = np.bincount(flat, minlength=r * k)
+    if d == 1:
+        sums = np.array([points[assignment[ri] == c].sum(axis=0) for ri in range(r) for c in range(k)])
+    else:
+        sums = np.stack([np.bincount(flat, weights=col[: r * n], minlength=r * k) for col in columns], axis=1)
+    return (sums / counts[:, None]).reshape(r, k, d)
 
 
 def kmeans(points: np.ndarray, k: int, rng: Rng, max_iter: int = 100, tol: float = 1e-6,
@@ -75,6 +163,13 @@ def kmeans(points: np.ndarray, k: int, rng: Rng, max_iter: int = 100, tol: float
     repaired by farthest-point re-seeding. Inertia must not increase across a
     run's iterations (RuntimeError otherwise); the restart with the lowest
     final inertia wins (first on ties).
+
+    All seeds are drawn first; Lloyd steps draw nothing, so the rng stream is
+    that of running the restarts one after another. The restarts then run as
+    one batch, each leaving it once its largest centroid shift is below tol.
+    Assignments use the Gram ranking with an exact re-rank of near-ties (see
+    the module docstring), so results are bit for bit those of running each
+    restart alone with exact distances.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -86,45 +181,37 @@ def kmeans(points: np.ndarray, k: int, rng: Rng, max_iter: int = 100, tol: float
         raise ValueError(f"k={k} exceeds the number of points n={n}")
     if n_init < 1:
         raise ValueError("n_init must be positive")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("points must be finite")
 
-    best: KMeansResult | None = None
-    for _ in range(n_init):
-        result = _lloyd_run(points, k, rng, max_iter, tol)
-        if best is None or result.inertia < best.inertia:
-            best = result
-    return best
-
-
-def _lloyd_run(points: np.ndarray, k: int, rng: Rng, max_iter: int, tol: float) -> KMeansResult:
-    n = points.shape[0]
-    centroids = _pp_seed(points, k, rng)
-    assignment = np.zeros(n, dtype=np.int64)
-    prev_inertia = np.inf
+    centroids = np.stack([_pp_seed(points, k, rng) for _ in range(n_init)])
+    sq_norms = np.einsum("nd,nd->n", points, points)
+    columns = np.tile(points.T, (1, n_init))
+    prev_inertia = np.full(n_init, np.inf)
+    active = np.arange(n_init)
     for _ in range(max_iter):
-        d2 = _sq_dists(points, centroids)
-        assignment = np.argmin(d2, axis=1)
-        if np.any(np.bincount(assignment, minlength=k) == 0):
-            _repair_empty(points, centroids, assignment)
-            d2 = _sq_dists(points, centroids)
+        current = centroids[active]
+        assignment, inertia = _assign(points, sq_norms, current)
+        grew = np.flatnonzero(inertia > prev_inertia[active] * (1.0 + 1e-12) + 1e-12)
+        if grew.size:
+            ri = grew[0]
+            raise RuntimeError(
+                f"k-means inertia increased: {float(prev_inertia[active[ri]])!r} -> {float(inertia[ri])!r}"
+            )
+        prev_inertia[active] = inertia
 
-        inertia = float(d2[np.arange(n), assignment].sum())
-        if inertia > prev_inertia * (1.0 + 1e-12) + 1e-12:
-            raise RuntimeError(f"k-means inertia increased: {prev_inertia!r} -> {inertia!r}")
-        prev_inertia = inertia
-
-        new_centroids = np.empty_like(centroids)
-        for ci in range(k):
-            new_centroids[ci] = points[assignment == ci].mean(axis=0)
-        shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
-        centroids = new_centroids
-        if shift < tol:
+        updated = _cluster_means(points, columns, assignment, k)
+        shift = np.max(np.linalg.norm(updated - current, axis=2), axis=1)
+        centroids[active] = updated
+        active = active[~(shift < tol)]
+        if active.size == 0:
             break
 
-    assignment = np.argmin(_sq_dists(points, centroids), axis=1)
-    if np.any(np.bincount(assignment, minlength=k) == 0):
-        _repair_empty(points, centroids, assignment)
-    inertia = float(_sq_dists(points, centroids)[np.arange(n), assignment].sum())
-    return KMeansResult(centroids=centroids, assignment=assignment, inertia=inertia)
+    assignment, inertia = _assign(points, sq_norms, centroids)
+    best = int(np.argmin(inertia))  # first restart on ties
+    return KMeansResult(
+        centroids=centroids[best].copy(), assignment=assignment[best].copy(), inertia=float(inertia[best])
+    )
 
 
 def silhouette(points: np.ndarray, assignment: np.ndarray) -> np.ndarray:
@@ -146,17 +233,15 @@ def silhouette(points: np.ndarray, assignment: np.ndarray) -> np.ndarray:
     counts = np.array([(assignment == lab).sum() for lab in labels])
     own_col = np.searchsorted(labels, assignment)
 
-    scores = np.zeros(n)
-    for i in range(n):
-        c = own_col[i]
-        if counts[c] == 1:
-            continue
-        a = sums[i, c] / (counts[c] - 1)  # self distance is 0, excluded by the divisor
-        other = np.delete(sums[i] / counts, c)
-        b = float(other.min())
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
-    return scores
+    rows = np.arange(n)
+    own_counts = counts[own_col]
+    # Self distance is 0, excluded by the divisor; singletons score 0 below.
+    a = sums[rows, own_col] / np.maximum(own_counts - 1, 1)
+    means = sums / counts
+    means[rows, own_col] = np.inf
+    b = means.min(axis=1)
+    denom = np.maximum(a, b)
+    return np.divide(b - a, denom, out=np.zeros(n), where=(own_counts > 1) & (denom != 0.0))
 
 
 def _round_half_up(x: float) -> int:

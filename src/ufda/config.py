@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import field, fields, make_dataclass
 
 from .adaptation import AdaptConfig
-from .datagen import PRESETS, ScenarioSpec
+from .datagen import PRESETS, ScenarioError, ScenarioSpec
 from .model import ModelDims
 
 
@@ -110,8 +110,12 @@ def load_run_config(path: str | None, overrides: dict | None = None, base: dict 
             raise ConfigError(f"unknown config key {key!r}")
         values[key] = value
     cfg = RunConfig(**values)
-    # Building the AdaptConfig here validates the training keys up front, so a
-    # bad value is a configuration error whichever command reads the config.
+    # Validating the scenario and training keys here makes a bad value a
+    # configuration error whichever command reads the config.
+    try:
+        cfg.scenario().validate()
+    except ScenarioError as exc:
+        raise ConfigError(f"bad scenario: {exc}") from None
     try:
         cfg.adapt_config()
     except ValueError as exc:

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from ufda.clustering import KMeansResult
 from ufda.model import AdaptModel, forward_batch
 
 
@@ -50,6 +51,93 @@ def exhaustive_kmeans_optimum(points: np.ndarray, k: int) -> float:
             centroid = members.mean(axis=0)
             cost += float(((members - centroid) ** 2).sum())
         best = min(best, cost)
+    return best
+
+
+def _reference_sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    diff = points[:, None, :] - centroids[None, :, :]
+    return np.einsum("nkd,nkd->nk", diff, diff)
+
+
+def _reference_pp_seed(points: np.ndarray, k: int, rng) -> np.ndarray:
+    n = points.shape[0]
+    chosen = [rng.randint(n)]
+    d2 = np.sum((points - points[chosen[0]]) ** 2, axis=1)
+    for _ in range(1, k):
+        total = float(d2.sum())
+        if total <= 0.0:
+            idx = rng.randint(n)
+        else:
+            r = rng.random() * total
+            idx = int(np.searchsorted(np.cumsum(d2), r, side="right"))
+            idx = min(idx, n - 1)
+        chosen.append(idx)
+        d2 = np.minimum(d2, np.sum((points - points[idx]) ** 2, axis=1))
+    return points[chosen].copy()
+
+
+def _reference_repair_empty(points: np.ndarray, centroids: np.ndarray, assignment: np.ndarray) -> None:
+    n, k = points.shape[0], centroids.shape[0]
+    used = np.zeros(n, dtype=bool)
+    while True:
+        counts = np.bincount(assignment, minlength=k)
+        empties = np.flatnonzero(counts == 0)
+        if empties.size == 0:
+            return
+        own = _reference_sq_dists(points, centroids)[np.arange(n), assignment]
+        own[used] = -np.inf
+        for empty in empties:
+            far = int(np.argmax(own))
+            centroids[empty] = points[far]
+            assignment[far] = empty
+            used[far] = True
+            own[far] = -np.inf
+
+
+def _reference_lloyd_run(points: np.ndarray, k: int, rng, max_iter: int, tol: float) -> KMeansResult:
+    n = points.shape[0]
+    centroids = _reference_pp_seed(points, k, rng)
+    assignment = np.zeros(n, dtype=np.int64)
+    prev_inertia = np.inf
+    for _ in range(max_iter):
+        d2 = _reference_sq_dists(points, centroids)
+        assignment = np.argmin(d2, axis=1)
+        if np.any(np.bincount(assignment, minlength=k) == 0):
+            _reference_repair_empty(points, centroids, assignment)
+            d2 = _reference_sq_dists(points, centroids)
+
+        inertia = float(d2[np.arange(n), assignment].sum())
+        if inertia > prev_inertia * (1.0 + 1e-12) + 1e-12:
+            raise RuntimeError(f"k-means inertia increased: {prev_inertia!r} -> {inertia!r}")
+        prev_inertia = inertia
+
+        new_centroids = np.empty_like(centroids)
+        for ci in range(k):
+            new_centroids[ci] = points[assignment == ci].mean(axis=0)
+        shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
+        centroids = new_centroids
+        if shift < tol:
+            break
+
+    assignment = np.argmin(_reference_sq_dists(points, centroids), axis=1)
+    if np.any(np.bincount(assignment, minlength=k) == 0):
+        _reference_repair_empty(points, centroids, assignment)
+    inertia = float(_reference_sq_dists(points, centroids)[np.arange(n), assignment].sum())
+    return KMeansResult(centroids=centroids, assignment=assignment, inertia=inertia)
+
+
+def reference_kmeans(points: np.ndarray, k: int, rng, max_iter: int = 100, tol: float = 1e-6,
+                     n_init: int = 10) -> KMeansResult:
+    """The per-restart k-means that clustering.kmeans must reproduce: each
+    restart seeds with k-means++ and runs its own Lloyd loop over the full
+    (n, k, d) difference tensor, with one mean per cluster; the first restart
+    with the lowest final inertia wins."""
+    points = np.asarray(points, dtype=np.float64)
+    best = None
+    for _ in range(n_init):
+        result = _reference_lloyd_run(points, k, rng, max_iter, tol)
+        if best is None or result.inertia < best.inertia:
+            best = result
     return best
 
 

@@ -171,7 +171,7 @@ class TestPipeline:
         cfg = pipeline_cfg(tmp_path)
         data = gen_small(tmp_path, capsys)
         run(capsys, "pretrain", str(data / "source.ufd"), "--config", str(cfg), "--out", str(tmp_path / "pre"))
-        for flag, value in (("--eta", "-1"), ("--omega", "1.0")):
+        for flag, value in (("--eta", "-1"), ("--omega", "1.5")):
             code, _, err = run(
                 capsys, "adapt", str(tmp_path / "pre" / "model.ufdmodel"), str(data / "target.ufd"),
                 "--config", str(cfg), flag, value, "--out", str(tmp_path / "ad"),
@@ -179,6 +179,30 @@ class TestPipeline:
             assert code == 2
             assert flag[2:] in err
         assert not (tmp_path / "ad").exists()
+
+    def test_eval_omega_range_matches_predict(self, tmp_path, capsys):
+        cfg = pipeline_cfg(tmp_path)
+        data = gen_small(tmp_path, capsys)
+        run(capsys, "pretrain", str(data / "source.ufd"), "--config", str(cfg), "--out", str(tmp_path / "pre"))
+        for omega, want in (("1.0", 0), ("0", 2), ("1.5", 2)):
+            code, _, err = run(
+                capsys, "eval", str(tmp_path / "pre" / "model.ufdmodel"), str(data / "target.ufd"),
+                "--config", str(cfg), "--omega", omega, "--out", str(tmp_path / f"ev{omega}"),
+            )
+            assert code == want, err
+            if want == 2:
+                assert "omega" in err
+
+    def test_pretrain_invalid_scenario_exits_2(self, tmp_path, capsys):
+        data = gen_small(tmp_path, capsys)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("regime = OSDA\nn_source_private = 2\n")
+        code, _, err = run(
+            capsys, "pretrain", str(data / "source.ufd"), "--config", str(cfg), "--out", str(tmp_path / "pre"),
+        )
+        assert code == 2
+        assert "OSDA" in err
+        assert not (tmp_path / "pre").exists()
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code, _, err = run(capsys, "pretrain", str(tmp_path / "missing.ufd"), "--out", str(tmp_path / "o"))

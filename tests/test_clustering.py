@@ -3,13 +3,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import exhaustive_kmeans_optimum, silhouette_direct
+from helpers import exhaustive_kmeans_optimum, reference_kmeans, silhouette_direct
+from ufda import clustering
 from ufda.clustering import CtEstimate, candidate_counts, estimate_ct, kmeans, silhouette
 from ufda.numerics import Rng, l2_normalize_rows
 
 
 def line_points(values):
     return np.array([[v] for v in values], dtype=float)
+
+
+def assert_matches_reference(points, k, seed, **kwargs):
+    """Same assignment and centroids, inertia within 1e-12 relative, and the
+    rng left at the same place as the per-restart reference k-means."""
+    want_rng, got_rng = Rng(seed), Rng(seed)
+    want = reference_kmeans(points, k, want_rng, **kwargs)
+    got = kmeans(points, k, got_rng, **kwargs)
+    assert np.array_equal(got.assignment, want.assignment)
+    assert np.array_equal(got.centroids, want.centroids)
+    assert abs(got.inertia - want.inertia) <= 1e-12 * abs(want.inertia)
+    assert got_rng.random() == want_rng.random()
+
+
+@pytest.fixture()
+def calls(monkeypatch):
+    """Count the calls of clustering's exact re-rank and empty-cluster repair."""
+    counts = {"_sq_dists": 0, "_repair_empty": 0}
+    for name in counts:
+        original = getattr(clustering, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(clustering, name, counted)
+    return counts
 
 
 class TestKMeans:
@@ -56,6 +84,74 @@ class TestKMeans:
         b = kmeans(pts, 4, Rng(77))
         assert np.array_equal(a.assignment, b.assignment)
         assert np.array_equal(a.centroids, b.centroids)
+
+
+class TestKMeansMatchesReference:
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_inputs(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        d = int(rng.choice([1, 2, 3, 8, 32]))
+        k = int(rng.integers(1, min(n, 8) + 1))
+        points = rng.normal(size=(n, d)) * float(rng.choice([1e-3, 1.0, 1e3]))
+        assert_matches_reference(
+            points, k, seed, n_init=int(rng.integers(1, 5)), max_iter=int(rng.choice([1, 2, 100])),
+        )
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_small_integer_lattices(self, data):
+        # Few distinct coordinates give duplicates and exact distance ties.
+        n = data.draw(st.integers(1, 16))
+        d = data.draw(st.integers(1, 3))
+        rows = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d), min_size=n, max_size=n))
+        k = data.draw(st.integers(1, n))
+        assert_matches_reference(np.array(rows, dtype=float), k, data.draw(st.integers(0, 2**32 - 1)))
+
+    def test_duplicated_points_force_repair_and_rerank(self, calls):
+        points = np.repeat(np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 0.0]]), 4, axis=0)
+        for seed in range(10):
+            assert_matches_reference(points, 4, seed)
+        assert calls["_repair_empty"] > 0
+        assert calls["_sq_dists"] > 0
+
+    def test_lattice_points_equidistant_from_two_centroids(self, calls):
+        grid = np.array([[x, y] for x in range(5) for y in range(5)], dtype=float)
+        for k in (2, 3, 4, 5):
+            for seed in range(5):
+                assert_matches_reference(grid, k, seed)
+        line = line_points(range(9))
+        for seed in range(10):
+            assert_matches_reference(line, 2, seed)
+        assert calls["_sq_dists"] > 0
+
+    def test_k_equals_n(self):
+        rng = np.random.default_rng(2)
+        for n in (1, 2, 7):
+            assert_matches_reference(rng.normal(size=(n, 3)), n, n)
+
+    def test_unit_rows_as_in_the_pipeline(self):
+        rng = np.random.default_rng(4)
+        centers = rng.normal(size=(6, 32))
+        points = l2_normalize_rows(centers[rng.integers(0, 6, size=300)] + 0.3 * rng.normal(size=(300, 32)))
+        for k in (2, 6, 18):
+            assert_matches_reference(points, k, k)
+
+    def test_points_far_from_the_origin(self, calls):
+        # |x|^2 ~ 3e12 swamps distances ~1e-4 in the Gram form, so the ranking
+        # only holds because the rounding bound scales with |x|^2.
+        points = 1e6 + 1e-2 * np.random.default_rng(6).normal(size=(200, 3))
+        for seed in range(3):
+            assert_matches_reference(points, 5, seed)
+        assert calls["_sq_dists"] > 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        points = np.random.default_rng(0).normal(size=(6, 2))
+        points[3, 1] = bad
+        with pytest.raises(ValueError, match="points must be finite"):
+            kmeans(points, 2, Rng(0))
 
 
 class TestSilhouette:

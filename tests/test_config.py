@@ -52,6 +52,10 @@ class TestLoad:
         with pytest.raises(ConfigError, match="eta"):
             load_run_config(None, {"eta": -1.0})
 
+    def test_invalid_scenario_rejected(self):
+        with pytest.raises(ConfigError, match="OSDA"):
+            load_run_config(None, {"regime": "OSDA", "n_source_private": 2})
+
     def test_missing_file_rejected(self):
         with pytest.raises(ConfigError, match="cannot read"):
             load_run_config("/nonexistent/path.cfg")
