@@ -20,6 +20,7 @@ import time
 import numpy as np
 
 from ufda.adaptation import AdaptConfig, adapt, pretrain_source
+from ufda.config import RunConfig
 from ufda.datagen import PRESETS, generate, preset
 from ufda.evaluation import evaluate
 from ufda.model import ModelDims
@@ -55,15 +56,15 @@ def main():
     parser.add_argument("--preset", choices=sorted(PRESETS), help="run one preset instead of all")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
     parser.add_argument("--variants", nargs="+", default=["glc", "glcpp"], choices=["glc", "glcpp"])
-    parser.add_argument("--epochs", type=int, default=20)
-    parser.add_argument("--lr", type=float, default=0.001)
-    parser.add_argument("--eta", type=float, default=0.3)
-    parser.add_argument("--rho", type=float, default=0.75)
-    parser.add_argument("--omega", type=float, default=0.55)
-    parser.add_argument("--pretrain-epochs", type=int, default=20)
-    parser.add_argument("--pretrain-lr", type=float, default=0.001)
-    parser.add_argument("--d-hidden", type=int, default=64)
-    parser.add_argument("--d-feat", type=int, default=32)
+    parser.add_argument("--epochs", type=int, default=AdaptConfig.epochs)
+    parser.add_argument("--lr", type=float, default=AdaptConfig.lr)
+    parser.add_argument("--eta", type=float, default=AdaptConfig.eta)
+    parser.add_argument("--rho", type=float, default=AdaptConfig.rho)
+    parser.add_argument("--omega", type=float, default=AdaptConfig.omega)
+    parser.add_argument("--pretrain-epochs", type=int, default=AdaptConfig.epochs)
+    parser.add_argument("--pretrain-lr", type=float, default=AdaptConfig.lr)
+    parser.add_argument("--d-hidden", type=int, default=RunConfig.d_hidden)
+    parser.add_argument("--d-feat", type=int, default=RunConfig.d_feat)
     parser.add_argument("--out", help="optional TSV file for the raw rows")
     args = parser.parse_args()
 

@@ -52,15 +52,21 @@ def nearest_bank_indices(
 ) -> np.ndarray:
     """(B, k) bank indices of each query's cosine nearest neighbors.
 
-    self_indices[i] is query i's own bank slot, always excluded. Similarity
-    ties break toward the smaller bank index.
+    self_indices[i] is query i's own bank slot, always excluded; it must be a
+    (B,) integer array of valid slots. Similarity ties break toward the
+    smaller bank index.
     """
     if not 1 <= k < len(bank):
         raise ValueError(f"neighbor count {k} out of range [1, {len(bank) - 1}]")
     q_unit = l2_normalize_rows(np.asarray(query_features, dtype=np.float64))
-    sims = q_unit @ bank.features.T
     self_indices = np.asarray(self_indices)
-    sims[np.arange(sims.shape[0]), self_indices] = -np.inf
+    b = q_unit.shape[0]
+    if self_indices.shape != (b,) or not np.issubdtype(self_indices.dtype, np.integer):
+        raise ValueError(f"self_indices must be a ({b},) integer array")
+    if b and (self_indices.min() < 0 or self_indices.max() >= len(bank)):
+        raise ValueError(f"self_indices out of range [0, {len(bank) - 1}]")
+    sims = q_unit @ bank.features.T
+    sims[np.arange(b), self_indices] = -np.inf
     order = np.argsort(-sims, axis=1, kind="stable")
     return order[:, :k]
 

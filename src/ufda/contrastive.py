@@ -2,6 +2,10 @@
 bank, batch-level hard negatives, and the pair loss with a stop-gradient on
 the pair side.
 
+The pairs of a batch are two (B, P) index arrays whose row i belongs to the
+anchor at batch position i: P bank indices of positives and P batch positions
+of negatives.
+
 Hard negatives skip the e-1 most similar in-batch samples, where
 e = ceil(B / Ct) estimates how many same-class samples a batch holds besides
 the anchor; the next n_pairs samples down the ranking are the negatives.
@@ -20,9 +24,11 @@ from .numerics import l2_normalize_rows
 
 @dataclass
 class PairSet:
-    anchor_index: int     # position within the batch
-    positives: np.ndarray  # bank indices (dataset level)
-    negatives: np.ndarray  # in-batch positions (batch level)
+    positives: np.ndarray  # (B, P) bank indices (dataset level)
+    negatives: np.ndarray  # (B, P) in-batch positions (batch level)
+
+    def __len__(self) -> int:
+        return self.positives.shape[0]
 
 
 def mine_pairs(
@@ -31,8 +37,9 @@ def mine_pairs(
     batch_indices: np.ndarray,
     n_pairs: int,
     ct: int,
-) -> list[PairSet]:
-    """One PairSet per batch element.
+) -> PairSet:
+    """Positives and negatives of every anchor in the batch, row i for the
+    anchor at batch position i.
 
     Positives are the anchor's n_pairs nearest bank entries (self slot
     excluded), identical to the local-consensus neighbor rule. Negatives rank
@@ -58,46 +65,29 @@ def mine_pairs(
 
     skip = math.ceil(b / ct) - 1
     picks = (skip + np.arange(n_pairs)) % (b - 1)
-    return [
-        PairSet(anchor_index=i, positives=positives[i], negatives=ranking[i, picks])
-        for i in range(b)
-    ]
-
-
-def _cosine_terms(anchor: np.ndarray, others: np.ndarray) -> tuple[float, np.ndarray]:
-    """Sum of cosines S(anchor, o) over rows o, and its gradient w.r.t. the
-    anchor. The rows are constants: no gradient is produced for them."""
-    a_norm = float(np.linalg.norm(anchor))
-    o_norms = np.linalg.norm(others, axis=1)
-    if a_norm == 0.0 or np.any(o_norms == 0.0):
-        raise ValueError("degenerate feature")
-    a_unit = anchor / a_norm
-    o_units = others / o_norms[:, None]
-    coss = o_units @ a_unit
-    total = float(coss.sum())
-    grad = (o_units.sum(axis=0) - total * a_unit) / a_norm
-    return total, grad
+    return PairSet(positives=positives, negatives=ranking[:, picks])
 
 
 def loss_contrastive(
     batch_features: np.ndarray,
-    pairs: list[PairSet],
+    pairs: PairSet,
     bank: MemoryBank,
 ) -> tuple[float, np.ndarray]:
     """Mean over anchors of sum(neg cosines) - sum(pos cosines).
 
-    Positive features come from the bank snapshot, negative features from the
-    live batch; both sides are stop-gradient constants, so the returned
+    Positive features are bank rows (stored unit-norm), negative features
+    live batch rows; both sides are stop-gradient constants, so the returned
     per-anchor gradient (w.r.t. the anchor's live feature, not divided by the
     batch size) is the only gradient path.
     """
     batch_features = np.asarray(batch_features, dtype=np.float64)
-    d_anchor = np.zeros_like(batch_features)
-    total = 0.0
-    for pair in pairs:
-        anchor = batch_features[pair.anchor_index]
-        neg_sum, neg_grad = _cosine_terms(anchor, batch_features[pair.negatives])
-        pos_sum, pos_grad = _cosine_terms(anchor, bank.features[pair.positives])
-        total += neg_sum - pos_sum
-        d_anchor[pair.anchor_index] += neg_grad - pos_grad
-    return total / len(pairs), d_anchor
+    unit = l2_normalize_rows(batch_features)
+    norms = np.linalg.norm(batch_features, axis=1)
+    neg = unit[pairs.negatives]               # (B, P, d)
+    pos = bank.features[pairs.positives]      # (B, P, d)
+    neg_cos = np.einsum("bpd,bd->bp", neg, unit)
+    pos_cos = np.einsum("bpd,bd->bp", pos, unit)
+    per_anchor = neg_cos.sum(axis=1) - pos_cos.sum(axis=1)
+    # d cos(a, o) / d a = (o_unit - cos * a_unit) / |a|, summed over pairs
+    d_anchor = (neg.sum(axis=1) - pos.sum(axis=1) - per_anchor[:, None] * unit) / norms[:, None]
+    return float(per_anchor.sum()) / len(pairs), d_anchor

@@ -235,20 +235,20 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b))) / denom
 
 
-def contrastive_frozen_pairs(live_features, pairs, bank, frozen_features):
-    """Contrastive loss with the stop-gradient made explicit for finite
-    differencing: anchors use live features, pair sides use frozen copies."""
-    from ufda.contrastive import _cosine_terms
+def contrastive_frozen_pairs(live_features, pairs, bank, frozen_features) -> float:
+    """Contrastive loss restated per anchor with explicit cosines, the
+    stop-gradient made explicit for finite differencing: anchor i (row i of
+    the pair arrays) uses its live feature, its negatives the frozen batch
+    copies and its positives the bank rows."""
+    def cos(a, b):
+        return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
 
-    d_anchor = np.zeros_like(live_features)
     total = 0.0
-    for p in pairs:
-        anchor = live_features[p.anchor_index]
-        neg_sum, neg_grad = _cosine_terms(anchor, frozen_features[p.negatives])
-        pos_sum, pos_grad = _cosine_terms(anchor, bank.features[p.positives])
-        total += neg_sum - pos_sum
-        d_anchor[p.anchor_index] += neg_grad - pos_grad
-    return total / len(pairs), d_anchor
+    for i, (positives, negatives) in enumerate(zip(pairs.positives, pairs.negatives)):
+        anchor = live_features[i]
+        total += sum(cos(anchor, frozen_features[j]) for j in negatives)
+        total -= sum(cos(anchor, bank.features[j]) for j in positives)
+    return total / len(pairs.positives)
 
 
 def random_model(rng: np.random.Generator, d_in=4, d_hidden=5, d_feat=3, n_classes=3, frozen=False) -> AdaptModel:

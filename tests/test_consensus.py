@@ -156,6 +156,24 @@ class TestLocalTargets:
         with pytest.raises(ValueError):
             nearest_bank_indices(bank, bank.features, 4, np.arange(4))
 
+    def test_short_self_indices_rejected(self):
+        # a length-1 array would broadcast one slot to every query
+        bank = toy_bank(n=6)
+        with pytest.raises(ValueError, match="self_indices"):
+            nearest_bank_indices(bank, bank.features[:3], 2, np.array([0]))
+
+    def test_negative_self_index_rejected(self):
+        # -1 would wrap to the last slot and leave the query's own slot in
+        bank = toy_bank(n=6)
+        with pytest.raises(ValueError, match="self_indices"):
+            nearest_bank_indices(bank, bank.features[:3], 2, np.array([0, 1, -1]))
+
+    def test_out_of_range_or_float_self_indices_rejected(self):
+        bank = toy_bank(n=6)
+        for bad in (np.array([0, 1, 6]), np.array([0.0, 1.0, 2.0]), np.arange(3)[:, None]):
+            with pytest.raises(ValueError, match="self_indices"):
+                nearest_bank_indices(bank, bank.features[:3], 2, bad)
+
 
 class TestLossLocal:
     def test_one_hot_match_is_zero(self):

@@ -28,12 +28,10 @@ class TestMinePairs:
         pairs = mine_pairs(bank, feats, np.arange(4), 2, 4)
         unit = l2_normalize_rows(feats)
         sims = unit @ unit.T
-        for p in pairs:
-            order = sorted(
-                (j for j in range(4) if j != p.anchor_index),
-                key=lambda j: (-sims[p.anchor_index, j], j),
-            )
-            assert p.negatives.tolist() == order[:2]
+        assert pairs.negatives.shape == (4, 2)
+        for i, negatives in enumerate(pairs.negatives):
+            order = sorted((j for j in range(4) if j != i), key=lambda j: (-sims[i, j], j))
+            assert negatives.tolist() == order[:2]
 
     def test_skips_most_similar_when_batch_doubles(self):
         # B=8, Ct=4 -> e=2: the single most similar sample is skipped
@@ -42,13 +40,10 @@ class TestMinePairs:
         pairs = mine_pairs(bank, feats, np.arange(8), 3, 4)
         unit = l2_normalize_rows(feats)
         sims = unit @ unit.T
-        for p in pairs:
-            order = sorted(
-                (j for j in range(8) if j != p.anchor_index),
-                key=lambda j: (-sims[p.anchor_index, j], j),
-            )
-            assert order[0] not in p.negatives.tolist()
-            assert p.negatives.tolist() == order[1:4]
+        for i, negatives in enumerate(pairs.negatives):
+            order = sorted((j for j in range(8) if j != i), key=lambda j: (-sims[i, j], j))
+            assert order[0] not in negatives.tolist()
+            assert negatives.tolist() == order[1:4]
 
     def test_hand_set_similarities_match_oracle(self):
         angles = [0.0, 0.1, 0.25, 1.2, 2.0, 2.7]
@@ -58,9 +53,8 @@ class TestMinePairs:
             pairs = mine_pairs(bank, feats, np.arange(6), 2, ct)
             unit = l2_normalize_rows(feats)
             sims = unit @ unit.T
-            for p in pairs:
-                want = hard_negative_direct(sims[p.anchor_index], p.anchor_index, 6, ct, 2)
-                assert p.negatives.tolist() == want
+            for i, negatives in enumerate(pairs.negatives):
+                assert negatives.tolist() == hard_negative_direct(sims[i], i, 6, ct, 2)
 
     def test_wraps_down_the_ranking(self):
         # B=4, Ct=1 -> e=4, skip 3 of only 3 others: wraps to the top
@@ -69,19 +63,18 @@ class TestMinePairs:
         pairs = mine_pairs(bank, feats, np.arange(4), 3, 1)
         unit = l2_normalize_rows(feats)
         sims = unit @ unit.T
-        for p in pairs:
-            order = sorted(
-                (j for j in range(4) if j != p.anchor_index),
-                key=lambda j: (-sims[p.anchor_index, j], j),
-            )
-            assert p.negatives.tolist() == order  # 3 picks over 3 others, rotated to start
-            assert p.anchor_index not in p.negatives.tolist()
+        for i, negatives in enumerate(pairs.negatives):
+            order = sorted((j for j in range(4) if j != i), key=lambda j: (-sims[i, j], j))
+            assert negatives.tolist() == order  # 3 picks over 3 others, rotated to start
+            assert i not in negatives.tolist()
 
     def test_anchor_never_in_negatives(self):
         bank = make_bank(7)
         feats = np.random.default_rng(8).normal(size=(10, 3))
-        for p in mine_pairs(bank, feats, np.arange(10), 4, 3):
-            assert p.anchor_index not in p.negatives.tolist()
+        pairs = mine_pairs(bank, feats, np.arange(10), 4, 3)
+        assert len(pairs) == 10
+        for i, negatives in enumerate(pairs.negatives):
+            assert i not in negatives.tolist()
 
     def test_positives_match_consensus_neighbors(self):
         model = random_model(np.random.default_rng(9))
@@ -91,9 +84,9 @@ class TestMinePairs:
         fwd = forward_batch(model, x[batch_idx])
         pairs = mine_pairs(bank, fwd.features, batch_idx, 4, 3)
         want = nearest_bank_indices(bank, fwd.features, 4, batch_idx)
-        for i, p in enumerate(pairs):
-            assert p.positives.tolist() == want[i].tolist()
-            assert batch_idx[i] not in p.positives.tolist()
+        assert np.array_equal(pairs.positives, want)
+        for i, positives in enumerate(pairs.positives):
+            assert batch_idx[i] not in positives.tolist()
 
     def test_batch_too_small_rejected(self):
         bank = make_bank(11)
@@ -104,18 +97,20 @@ class TestMinePairs:
 
 class TestLossContrastive:
     def test_identical_positive_orthogonal_negative(self):
-        bank = MemoryBank(features=np.array([[1.0, 0.0]]), probs=np.array([[1.0]]))
+        bank = MemoryBank(features=np.eye(2), probs=np.ones((2, 1)))
         feats = np.array([[1.0, 0.0], [0.0, 1.0]])
-        pairs = [PairSet(anchor_index=0, positives=np.array([0]), negatives=np.array([1]))]
+        pairs = PairSet(positives=np.array([[0], [1]]), negatives=np.array([[1], [0]]))
         value, _ = loss_contrastive(feats, pairs, bank)
         assert value == pytest.approx(-1.0, abs=1e-12)
 
     def test_same_vectors_cancel(self):
-        bank = MemoryBank(features=l2_normalize_rows(np.array([[0.3, 0.7]])), probs=np.array([[1.0]]))
-        feats = np.vstack([np.array([[1.0, 0.2]]), bank.features])
-        pairs = [PairSet(anchor_index=0, positives=np.array([0]), negatives=np.array([1]))]
-        value, _ = loss_contrastive(feats, pairs, bank)
+        feats = np.array([[1.0, 0.2], [0.3, 0.7]])
+        # each anchor's positive and negative are the same direction
+        bank = MemoryBank(features=l2_normalize_rows(feats[::-1]), probs=np.ones((2, 1)))
+        pairs = PairSet(positives=np.array([[0], [1]]), negatives=np.array([[1], [0]]))
+        value, d_anchor = loss_contrastive(feats, pairs, bank)
         assert value == pytest.approx(0.0, abs=1e-12)
+        assert np.allclose(d_anchor, 0.0, atol=1e-12)
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(0, 2**32 - 1))
@@ -130,11 +125,11 @@ class TestLossContrastive:
             return float(a @ v / (np.linalg.norm(a) * np.linalg.norm(v)))
 
         want = 0.0
-        for p in pairs:
-            a = feats[p.anchor_index]
-            want += sum(cos(a, feats[j]) for j in p.negatives)
-            want -= sum(cos(a, bank.features[j]) for j in p.positives)
-        want /= len(pairs)
+        for i in range(b):
+            a = feats[i]
+            want += sum(cos(a, feats[j]) for j in pairs.negatives[i])
+            want -= sum(cos(a, bank.features[j]) for j in pairs.positives[i])
+        want /= b
         got, _ = loss_contrastive(feats, pairs, bank)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -176,14 +171,13 @@ class TestLossContrastive:
             names = ("w1", "b1", "w2", "b2")
 
             def loss_fn(m):
-                f = forward_batch(m, x)
                 # stop-grad: pair sides stay at their snapshot values; only
                 # anchors are recomputed from the parameters
-                value, _ = contrastive_frozen_pairs(f.features, pairs, bank, fwd0.features)
-                return value
+                return contrastive_frozen_pairs(forward_batch(m, x).features, pairs, bank, fwd0.features)
 
             fwd = forward_batch(model, x)
-            value, d_anchor = contrastive_frozen_pairs(fwd.features, pairs, bank, fwd0.features)
+            value, d_anchor = loss_contrastive(fwd.features, pairs, bank)
+            assert value == pytest.approx(loss_fn(model), abs=1e-12)
             from ufda.model import backward
 
             grads = backward(model, fwd, d_feature=d_anchor)
@@ -203,7 +197,7 @@ class TestStopGradient:
 
         base_value, base_grad = loss_contrastive(fwd.features, pairs, bank)
         # perturb a positive's stored bank feature: the loss value must move
-        bank.features[pairs[0].positives[0]] += 1e-3
+        bank.features[pairs.positives[0, 0]] += 1e-3
         new_value, _ = loss_contrastive(fwd.features, pairs, bank)
         assert new_value != base_value
 
@@ -221,14 +215,12 @@ class TestStopGradient:
         from ufda.model import backward
 
         fwd = forward_batch(model, x)
-        _, d_anchor = contrastive_frozen_pairs(fwd.features, pairs, bank, fwd0.features)
+        _, d_anchor = loss_contrastive(fwd.features, pairs, bank)
         grads = backward(model, fwd, d_feature=d_anchor)
         analytic = np.concatenate([grads.get(n).ravel() for n in names])
 
         def frozen_loss(m):
-            f = forward_batch(m, x)
-            v, _ = contrastive_frozen_pairs(f.features, pairs, bank, fwd0.features)
-            return v
+            return contrastive_frozen_pairs(forward_batch(m, x).features, pairs, bank, fwd0.features)
 
         def live_loss(m):
             f = forward_batch(m, x)
