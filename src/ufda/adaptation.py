@@ -63,6 +63,10 @@ class AdaptConfig:
             raise ValueError("omega must be in (0, 1]")
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError("alpha must be in [0, 1)")
+        if self.lr <= 0.0:
+            raise ValueError("lr must be positive")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError("momentum must be in [0, 1)")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if min(self.k_neighbors, self.n_pairs, self.batch_size) < 1:
@@ -172,15 +176,9 @@ def adapt(model: AdaptModel, target: FeatureSet | np.ndarray, config: AdaptConfi
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         epoch_fwd = forward_batch(model, inputs)
-        protos = build_all_prototypes(
-            l2_normalize_rows(epoch_fwd.features),
-            epoch_fwd.probs,
-            k_top,
-            ct,
-            config.rho,
-            rng.split(),
-        )
-        pseudo = assign_pseudo_labels(epoch_fwd.features, protos)
+        epoch_unit = l2_normalize_rows(epoch_fwd.features)
+        protos = build_all_prototypes(epoch_unit, epoch_fwd.probs, k_top, ct, config.rho, rng.split())
+        pseudo = assign_pseudo_labels(epoch_unit, protos)
 
         sums = np.zeros(4)  # total, glb, loc, con (sample-weighted)
         perm = rng.permutation(n)

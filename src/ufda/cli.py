@@ -132,6 +132,8 @@ def cmd_adapt(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.ncd is not None and args.ncd < 2:
+        raise CliError(f"--ncd must be at least 2, got {args.ncd}", code=2)
     cfg = load_run_config(args.config, _overrides(args))
     model = _load_model(args.model or cfg.model_path)
     target = _load_features(args.target or cfg.target_path, "target")

@@ -110,6 +110,9 @@ def load_run_config(path: str | None, overrides: dict | None = None, base: dict 
             raise ConfigError(f"unknown config key {key!r}")
         values[key] = value
     cfg = RunConfig(**values)
+    for key in ("d_hidden", "d_feat"):
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"bad config value: {key} must be at least 1")
     # Validating the scenario and training keys here makes a bad value a
     # configuration error whichever command reads the config.
     try:

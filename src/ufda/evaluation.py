@@ -4,7 +4,7 @@ cluster-to-label matching."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -162,24 +162,18 @@ class EvalReport:
     unknown_rejected: int
     unknown_accepted: int
 
-    FIELDS = (
-        "n_samples", "n_known", "n_unknown",
-        "known_acc", "unknown_acc", "h_score", "closed_acc", "ncd_acc",
-        "known_correct", "known_wrong_class", "known_rejected",
-        "unknown_rejected", "unknown_accepted",
-    )
-
     def machine_lines(self) -> list[str]:
         out = []
-        for name in self.FIELDS:
-            value = getattr(self, name)
-            out.append(f"{name}\t{value!r}" if isinstance(value, float) else f"{name}\t{value}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out.append(f"{f.name}\t{value!r}" if isinstance(value, float) else f"{f.name}\t{value}")
         return out
 
     def human_table(self) -> str:
-        width = max(len(name) for name in self.FIELDS)
+        names = [f.name for f in fields(self)]
+        width = max(len(name) for name in names)
         rows = ["metric".ljust(width) + "  value", "-" * (width + 8)]
-        for name in self.FIELDS:
+        for name in names:
             value = getattr(self, name)
             text = f"{value:.6f}" if isinstance(value, float) else str(value)
             rows.append(name.ljust(width) + "  " + text)

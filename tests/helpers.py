@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from ufda.clustering import KMeansResult
+from ufda.clustering import KMeansResult, kmeans
 from ufda.model import AdaptModel, forward_batch
 
 
@@ -168,21 +168,24 @@ def knn_direct(bank_features: np.ndarray, query: np.ndarray, k: int, exclude: in
 
 def pseudo_label_direct(
     features: np.ndarray,
-    probs: np.ndarray,
-    prototypes,
+    positives: np.ndarray,
+    negatives: np.ndarray,
+    epsilon: np.ndarray,
 ) -> np.ndarray:
-    """Literal per-sample restatement of the firing + filter + uniform rule."""
-    n, n_classes = probs.shape
+    """Literal per-sample restatement of the firing + filter + uniform rule
+    over the prototype arrays: positives (C, d), negatives (C, M, d) and
+    epsilon (C,)."""
+    def cos(a, b):
+        return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+    n, n_classes = features.shape[0], positives.shape[0]
     rows = np.zeros((n, n_classes))
     for i in range(n):
         g = features[i]
         fired = []
-        for c, proto in enumerate(prototypes):
-            def cos(a, b):
-                return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
-
-            score = proto.epsilon * cos(g, proto.positive)
-            neg = max((cos(g, nc) for nc in proto.negatives), default=-math.inf)
+        for c in range(n_classes):
+            score = epsilon[c] * cos(g, positives[c])
+            neg = max((cos(g, nc) for nc in negatives[c]), default=-math.inf)
             if score >= neg:
                 fired.append((c, score))
         if not fired:
@@ -191,6 +194,29 @@ def pseudo_label_direct(
             best = max(fired, key=lambda t: (t[1], -t[0]))
             rows[i, best[0]] = 1.0
     return rows
+
+
+def prototypes_direct(features: np.ndarray, probs: np.ndarray, k: int, m: int, rho: float, rng):
+    """Per-class restatement of the prototype builder: (positives, negatives,
+    epsilon). Class c's top-k are the first k indices sorted by (-p, i); the
+    positive is their mean, epsilon = rho + (1 - rho) * their mean
+    confidence, and the negatives are k-means centroids of the other indices
+    in ascending order, one call per class in class order, each on its own
+    rng.split(); m shrinks to the negative-set size."""
+    n, n_classes = probs.shape
+    positives, negatives, epsilon = [], [], []
+    for c in range(n_classes):
+        ranked = sorted(range(n), key=lambda i: (-probs[i, c], i))
+        top, rest = ranked[:k], sorted(ranked[k:])
+        positives.append(features[top].mean(axis=0))
+        epsilon.append(rho + (1.0 - rho) * float(np.mean(probs[top, c])))
+        class_rng = rng.split()
+        m_eff = min(m, len(rest))
+        if m_eff:
+            negatives.append(kmeans(features[rest], m_eff, class_rng).centroids)
+        else:
+            negatives.append(np.empty((0, features.shape[1])))
+    return np.array(positives), np.array(negatives), np.array(epsilon)
 
 
 def hard_negative_direct(sims_row: np.ndarray, anchor: int, b: int, ct: int, n_pairs: int) -> list[int]:

@@ -29,7 +29,7 @@ from ufda.evaluation import evaluate, hungarian
 from ufda.model import ModelDims, backward, forward_batch, loss_source_batch
 from ufda.model import cross_entropy_rows
 from ufda.numerics import Rng, l2_normalize_rows, normalized_entropy_rows
-from ufda.pseudolabel import ClassPrototypes, assign_pseudo_labels, build_all_prototypes
+from ufda.pseudolabel import Prototypes, assign_pseudo_labels, build_all_prototypes
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -220,7 +220,7 @@ def test_criterion_5_degeneracy_identities():
     feats = l2_normalize_rows(rng.normal(size=(40, 4)))
     probs = rng.dirichlet(np.ones(4), size=40)
     protos = build_all_prototypes(feats, probs, 8, 3, 1.0, Rng(50))
-    raw = [ClassPrototypes(p.class_index, p.positive, p.negatives, 1.0) for p in protos]
+    raw = Prototypes(protos.positives, protos.negatives, np.ones_like(protos.epsilon))
     rho_ok = np.array_equal(
         assign_pseudo_labels(feats, protos).rows,
         assign_pseudo_labels(feats, raw).rows,

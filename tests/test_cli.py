@@ -204,6 +204,58 @@ class TestPipeline:
         assert "OSDA" in err
         assert not (tmp_path / "pre").exists()
 
+    def bad_value_exits_2(self, tmp_path, capsys, command, text, key):
+        cfg = pipeline_cfg(tmp_path)
+        data = gen_small(tmp_path, capsys)
+        run(capsys, "pretrain", str(data / "source.ufd"), "--config", str(cfg), "--out", str(tmp_path / "pre"))
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(cfg.read_text() + text)
+        inputs = {
+            "pretrain": [str(data / "source.ufd")],
+            "adapt": [str(tmp_path / "pre" / "model.ufdmodel"), str(data / "target.ufd")],
+            "eval": [str(tmp_path / "pre" / "model.ufdmodel"), str(data / "target.ufd")],
+        }[command]
+        code, _, err = run(capsys, command, *inputs, "--config", str(bad), "--out", str(tmp_path / "o"))
+        assert code == 2, err
+        assert key in err
+        assert not (tmp_path / "o").exists()
+
+    def test_pretrain_negative_lr_exits_2(self, tmp_path, capsys):
+        self.bad_value_exits_2(tmp_path, capsys, "pretrain", "lr = -1\n", "lr")
+
+    def test_pretrain_momentum_out_of_range_exits_2(self, tmp_path, capsys):
+        self.bad_value_exits_2(tmp_path, capsys, "pretrain", "momentum = 1.5\n", "momentum")
+
+    def test_adapt_zero_d_hidden_exits_2(self, tmp_path, capsys):
+        self.bad_value_exits_2(tmp_path, capsys, "adapt", "d_hidden = 0\n", "d_hidden")
+
+    def test_eval_negative_d_feat_exits_2(self, tmp_path, capsys):
+        self.bad_value_exits_2(tmp_path, capsys, "eval", "d_feat = -3\n", "d_feat")
+
+    def test_eval_ncd_below_two_exits_2(self, tmp_path, capsys):
+        cfg = pipeline_cfg(tmp_path)
+        data = gen_small(tmp_path, capsys)
+        run(capsys, "pretrain", str(data / "source.ufd"), "--config", str(cfg), "--out", str(tmp_path / "pre"))
+        for ncd in ("1", "0"):
+            code, _, err = run(
+                capsys, "eval", str(tmp_path / "pre" / "model.ufdmodel"), str(data / "target.ufd"),
+                "--config", str(cfg), "--ncd", ncd, "--out", str(tmp_path / f"ev{ncd}"),
+            )
+            assert code == 2, err
+            assert "--ncd" in err
+            assert not (tmp_path / f"ev{ncd}").exists()
+
+    def test_eval_ncd_above_unknown_count_exits_1(self, tmp_path, capsys):
+        cfg = pipeline_cfg(tmp_path)
+        data = gen_small(tmp_path, capsys)  # 3 private classes x 12 unknown samples
+        run(capsys, "pretrain", str(data / "source.ufd"), "--config", str(cfg), "--out", str(tmp_path / "pre"))
+        code, _, err = run(
+            capsys, "eval", str(tmp_path / "pre" / "model.ufdmodel"), str(data / "target.ufd"),
+            "--config", str(cfg), "--ncd", "37", "--out", str(tmp_path / "ev"),
+        )
+        assert code == 1
+        assert "fewer unknown samples than private classes" in err
+
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code, _, err = run(capsys, "pretrain", str(tmp_path / "missing.ufd"), "--out", str(tmp_path / "o"))
         assert code == 1

@@ -205,6 +205,11 @@ class TestEvaluate:
         report = evaluate(model, np.eye(1, 1), np.array([0]), 0.55)
         lines = report.machine_lines()
         keys = [line.split("\t")[0] for line in lines]
-        assert keys == list(report.FIELDS)
+        assert keys == [
+            "n_samples", "n_known", "n_unknown",
+            "known_acc", "unknown_acc", "h_score", "closed_acc", "ncd_acc",
+            "known_correct", "known_wrong_class", "known_rejected",
+            "unknown_rejected", "unknown_accepted",
+        ]
         for line in lines:
             assert len(line.split("\t")) == 2

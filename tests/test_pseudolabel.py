@@ -6,15 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import pseudo_label_direct
+from helpers import prototypes_direct, pseudo_label_direct
 from ufda.model import cross_entropy_rows
 from ufda.numerics import Rng, l2_normalize_rows
 from ufda.pseudolabel import (
-    ClassPrototypes,
+    Prototypes,
     assign_pseudo_labels,
     build_all_prototypes,
-    build_prototypes,
-    select_topk,
     topk_count,
 )
 
@@ -29,19 +27,22 @@ class TestTopK:
         assert topk_count(2, 5) == 1
 
     def test_tie_break_takes_first_indices(self):
+        # basis rows: the positive (top-K mean) names the chosen indices
         probs = np.full((5, 2), 0.5)
-        assert select_topk(probs, 0, 3).tolist() == [0, 1, 2]
+        protos = build_all_prototypes(np.eye(5), probs, 3, 2, 0.75, Rng(0))
+        assert np.array_equal(protos.positives, np.tile([1, 1, 1, 0, 0], (2, 1)) / 3.0)
 
     def test_direct_ordering(self):
         probs = np.array([[0.9], [0.1], [0.8]])
-        assert sorted(select_topk(probs, 0, 2).tolist()) == [0, 2]
+        protos = build_all_prototypes(np.eye(3), probs, 2, 1, 0.75, Rng(0))
+        assert protos.positives.tolist() == [[0.5, 0.0, 0.5]]
+        assert protos.negatives.tolist() == [[[0.0, 1.0, 0.0]]]
 
     def test_bad_k_rejected(self):
         probs = np.full((3, 2), 0.5)
-        with pytest.raises(ValueError):
-            select_topk(probs, 0, 0)
-        with pytest.raises(ValueError):
-            select_topk(probs, 0, 4)
+        for k in (0, 4):
+            with pytest.raises(ValueError, match="top-k count"):
+                build_all_prototypes(np.eye(3), probs, k, 1, 0.75, Rng(0))
 
 
 class TestBuildPrototypes:
@@ -51,53 +52,131 @@ class TestBuildPrototypes:
     def test_rho_one_forces_epsilon_one(self):
         feats = self.unit_rows(0)
         probs = np.random.default_rng(1).dirichlet(np.ones(3), size=12)
-        proto = build_prototypes(feats, probs, 1, 4, 2, 1.0, Rng(0))
-        assert proto.epsilon == 1.0
+        protos = build_all_prototypes(feats, probs, 4, 2, 1.0, Rng(0))
+        assert np.all(protos.epsilon == 1.0)
 
     def test_full_confidence_gives_epsilon_one(self):
         feats = self.unit_rows(2, n=6)
         probs = np.zeros((6, 2))
         probs[:, 0] = 1.0
-        proto = build_prototypes(feats, probs, 0, 3, 2, 0.75, Rng(0))
-        assert proto.epsilon == pytest.approx(1.0, abs=1e-15)
+        protos = build_all_prototypes(feats, probs, 3, 2, 0.75, Rng(0))
+        assert protos.epsilon[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_epsilon_arithmetic(self):
         # top-K confidences all 0.4 with rho=0.75 -> 0.85
         feats = self.unit_rows(3, n=5)
         probs = np.full((5, 2), 0.4)
-        proto = build_prototypes(feats, probs, 0, 4, 1, 0.75, Rng(0))
-        assert proto.epsilon == pytest.approx(0.85, abs=1e-12)
+        protos = build_all_prototypes(feats, probs, 4, 1, 0.75, Rng(0))
+        assert protos.epsilon == pytest.approx([0.85, 0.85], abs=1e-12)
 
     def test_positive_is_topk_mean(self):
         feats = self.unit_rows(4, n=6)
         probs = np.zeros((6, 2))
         probs[[1, 4], 0] = 1.0
-        proto = build_prototypes(feats, probs, 0, 2, 2, 0.75, Rng(0))
-        assert np.allclose(proto.positive, feats[[1, 4]].mean(axis=0))
+        protos = build_all_prototypes(feats, probs, 2, 2, 0.75, Rng(0))
+        assert np.allclose(protos.positives[0], feats[[1, 4]].mean(axis=0))
 
     def test_small_negative_set_shrinks_m_with_warning(self):
         feats = self.unit_rows(5, n=4)
         probs = np.full((4, 2), 0.5)
-        with pytest.warns(UserWarning, match="reducing negative prototypes"):
-            proto = build_prototypes(feats, probs, 0, 3, 5, 0.75, Rng(0))
-        assert proto.negatives.shape[0] == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            protos = build_all_prototypes(feats, probs, 3, 5, 0.75, Rng(0))
+        assert [str(w.message) for w in caught] == [
+            "negative sets have 1 samples, reducing negative prototypes from 5 to 1"
+        ]
+        assert protos.negatives.shape == (2, 1, 4)
+
+    def test_no_negatives_when_k_is_n(self):
+        feats = self.unit_rows(6, n=5)
+        probs = np.full((5, 3), 1.0 / 3.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            protos = build_all_prototypes(feats, probs, 5, 2, 0.75, Rng(0))
+        assert protos.negatives.shape == (3, 0, 4)
+        # every sample fires every class; the ambiguity filter keeps class 0
+        out = assign_pseudo_labels(feats, protos)
+        assert out.fired.all()
+        assert np.all(out.labels == 0)
 
     def test_per_class_construction_is_deterministic(self):
         feats = self.unit_rows(6, n=20)
         probs = np.random.default_rng(7).dirichlet(np.ones(4), size=20)
         a = build_all_prototypes(feats, probs, 5, 4, 0.75, Rng(3))
         b = build_all_prototypes(feats, probs, 5, 4, 0.75, Rng(3))
-        for pa, pb in zip(a, b):
-            assert np.array_equal(pa.negatives, pb.negatives)
-            assert pa.epsilon == pb.epsilon
+        assert np.array_equal(a.negatives, b.negatives)
+        assert np.array_equal(a.epsilon, b.epsilon)
+
+
+class TestPrototypesMatchDirect:
+    """build_all_prototypes against the per-class restatement in helpers."""
+
+    def check(self, feats, probs, k, m, rho, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = build_all_prototypes(feats, probs, k, m, rho, Rng(seed))
+            want = prototypes_direct(feats, probs, k, m, rho, Rng(seed))
+        assert np.array_equal(got.positives, want[0])
+        assert np.array_equal(got.negatives, want[1])
+        assert np.array_equal(got.epsilon, want[2])
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(4, 40),
+        st.sampled_from([1, 2, 3, 8]),
+        st.integers(2, 5),
+        st.integers(1, 5),
+        st.sampled_from([0.5, 0.75, 1.0]),
+        st.booleans(),
+    )
+    def test_random_instances(self, seed, n, d, n_classes, m, rho, tied):
+        rng = np.random.default_rng(seed)
+        feats = l2_normalize_rows(rng.normal(size=(n, d)) + 1e-3)
+        logits = rng.normal(size=(n, n_classes)) * 3.0
+        if tied:
+            logits = np.round(logits)  # many equal probabilities
+        probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+        k = int(rng.integers(1, n + 1))
+        self.check(feats, probs, k, m, rho, seed)
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.integers(0, 2**32 - 1), st.integers(4, 20))
+    def test_k_equals_n_has_no_negatives(self, seed, n):
+        rng = np.random.default_rng(seed)
+        feats = l2_normalize_rows(rng.normal(size=(n, 3)))
+        probs = rng.dirichlet(np.ones(3), size=n)
+        self.check(feats, probs, n, 3, 0.75, seed)
+
+    def test_shrunk_negative_count(self):
+        rng = np.random.default_rng(31)
+        feats = l2_normalize_rows(rng.normal(size=(9, 3)))
+        probs = rng.dirichlet(np.ones(4), size=9)
+        with pytest.warns(UserWarning, match="reducing negative prototypes from 6 to 2"):
+            build_all_prototypes(feats, probs, 7, 6, 0.75, Rng(8))
+        self.check(feats, probs, 7, 6, 0.75, 8)
+
+    def test_rng_split_per_class_even_without_negatives(self):
+        feats = l2_normalize_rows(np.random.default_rng(32).normal(size=(6, 3)))
+        probs = np.full((6, 4), 0.25)
+        rng = Rng(9)
+        build_all_prototypes(feats, probs, 6, 2, 0.75, rng)
+        ref = Rng(9)
+        for _ in range(4):
+            ref.split()
+        assert rng.random() == ref.random()
 
 
 def protos_from(positive_list, negative_list, eps_list):
-    return [
-        ClassPrototypes(class_index=c, positive=np.asarray(p, dtype=float),
-                        negatives=np.asarray(n, dtype=float), epsilon=e)
-        for c, (p, n, e) in enumerate(zip(positive_list, negative_list, eps_list))
-    ]
+    return Prototypes(
+        positives=np.asarray(positive_list, dtype=float),
+        negatives=np.asarray(negative_list, dtype=float),
+        epsilon=np.asarray(eps_list, dtype=float),
+    )
+
+
+def direct(feats, protos):
+    return pseudo_label_direct(feats, protos.positives, protos.negatives, protos.epsilon)
 
 
 class TestAssign:
@@ -124,6 +203,24 @@ class TestAssign:
         assert out.labels[0] == -1
         assert np.allclose(out.rows[0], 0.5)
 
+    def test_each_class_scored_against_its_own_negatives(self):
+        # class 0's negative sits on the sample, class 1's is orthogonal
+        feats = np.array([[1.0, 0.0]])
+        protos = protos_from(
+            [[1.0, 0.2], [1.0, 0.3]],
+            [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, -1.0]]],
+            [1.0, 0.8],
+        )
+        out = assign_pseudo_labels(feats, protos)
+        assert out.fired.tolist() == [[False, True]]
+        assert out.labels.tolist() == [1]
+        assert np.array_equal(out.rows, direct(feats, protos))
+
+    def test_zero_positive_is_degenerate(self):
+        protos = protos_from([[0.0, 0.0], [1.0, 0.0]], [[[0.0, 1.0]], [[0.0, 1.0]]], [1.0, 1.0])
+        with pytest.raises(ValueError, match="degenerate feature"):
+            assign_pseudo_labels(np.array([[1.0, 0.0]]), protos)
+
     def six_point_instance(self):
         # two known clusters at 0 and 90 degrees, one private cluster at 180
         angles = [0.0, 0.05, math.pi / 2, math.pi / 2 + 0.05, math.pi, math.pi + 0.05]
@@ -139,8 +236,7 @@ class TestAssign:
         feats, probs = self.six_point_instance()
         protos = build_all_prototypes(feats, probs, k=2, m=3, rho=0.75, rng=Rng(0))
         out = assign_pseudo_labels(feats, protos)
-        want = pseudo_label_direct(feats, probs, protos)
-        assert np.array_equal(out.rows, want)
+        assert np.array_equal(out.rows, direct(feats, protos))
         # known clusters one-hot to classes 0/1, private cluster uniform
         assert out.labels[:2].tolist() == [0, 0]
         assert out.labels[2:4].tolist() == [1, 1]
@@ -172,16 +268,15 @@ class TestAssign:
         probs = rng.dirichlet(np.ones(n_classes), size=n)
         protos = build_all_prototypes(feats, probs, max(1, n // 4), 3, 0.75, Rng(seed))
         got = assign_pseudo_labels(feats, protos)
-        assert np.array_equal(got.rows, pseudo_label_direct(feats, probs, protos))
+        assert np.array_equal(got.rows, direct(feats, protos))
 
     def test_rho_one_matches_unsuppressed_rule(self):
         rng = np.random.default_rng(13)
         feats = l2_normalize_rows(rng.normal(size=(30, 4)))
         probs = rng.dirichlet(np.ones(3), size=30)
         suppressed = build_all_prototypes(feats, probs, 7, 3, 1.0, Rng(5))
-        plain = build_all_prototypes(feats, probs, 7, 3, 1.0, Rng(5))
-        for p in plain:
-            p.epsilon = 1.0  # the raw nearest-centroid rule
+        # the raw nearest-centroid rule
+        plain = Prototypes(suppressed.positives, suppressed.negatives, np.ones(3))
         a = assign_pseudo_labels(feats, suppressed)
         b = assign_pseudo_labels(feats, plain)
         assert np.array_equal(a.rows, b.rows)
@@ -193,9 +288,9 @@ class TestAssign:
         protos = build_all_prototypes(feats, probs, 5, 2, 0.75, Rng(2))
         base = assign_pseudo_labels(feats, protos)
         for c in range(3):
-            bumped = [ClassPrototypes(p.class_index, p.positive, p.negatives, p.epsilon) for p in protos]
-            bumped[c].epsilon = min(1.0, bumped[c].epsilon + 0.2)
-            out = assign_pseudo_labels(feats, bumped)
+            epsilon = protos.epsilon.copy()
+            epsilon[c] = min(1.0, epsilon[c] + 0.2)
+            out = assign_pseudo_labels(feats, Prototypes(protos.positives, protos.negatives, epsilon))
             # every sample that fired class c before still fires it
             assert np.all(out.fired[base.fired[:, c], c])
 

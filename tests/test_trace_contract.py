@@ -1,6 +1,6 @@
 """The traced benchmark wraps library names and reads call results; a tiny
-pipeline under its tracer checks that every name it wraps still exists, is
-called, and returns what its counters read."""
+pipeline of each benchmark workload under its tracer checks that every name
+it wraps still exists, is called, and returns what its counters read."""
 
 import sys
 from pathlib import Path
@@ -12,24 +12,45 @@ from ufda import adaptation, datagen, evaluation  # noqa: E402
 from ufda.model import ModelDims  # noqa: E402
 from ufda.numerics import Rng  # noqa: E402
 
+EPOCHS = 2
+# Spans a glc run on PDA data never opens: no contrastive term, no private
+# classes to cluster for NCD.
+GLC_PDA_SILENT = {"contrastive.mine_pairs", "contrastive.loss_contrastive", "evaluation.ncd_accuracy"}
 
-def test_tiny_glcpp_pipeline_under_the_tracer():
+
+def traced_pipeline(preset, variant):
     missing = [f"{ns.__name__}.{name}" for ns, name, _, _ in tracing.WRAPS if not hasattr(ns, name)]
     assert not missing, f"wrapped names missing: {missing}"
 
-    spec = datagen.preset("opda-toy", seed=1, source_per_class=12, target_per_class=12)
+    spec = datagen.preset(preset, seed=1, source_per_class=12, target_per_class=12)
     with tracing.installed(tracing.Tracer()) as tracer:
         source, target = datagen.generate(spec)
         dims = ModelDims(spec.d_in, 16, 8, spec.n_source_classes)
         model = adaptation.pretrain_source(source, dims, adaptation.AdaptConfig(seed=1, epochs=1))
-        config = adaptation.AdaptConfig(seed=1, epochs=1, variant="glcpp")
+        config = adaptation.AdaptConfig(seed=1, epochs=EPOCHS, variant=variant)
         adapted, _ = adaptation.adapt(model, target, config)
+        n_private = spec.n_target_private if spec.n_target_private >= 2 else None
         evaluation.evaluate(adapted, target.features, target.labels, config.omega,
-                            n_private=spec.n_target_private, rng=Rng(1))
+                            n_private=n_private, rng=Rng(1))
 
-    assert {s.name for s in tracer.spans} == {span for _, _, span, _ in tracing.WRAPS}
-    metrics = tracing.layer_metrics(tracer)
-    raised = {name: value for name, (value, _) in metrics.items() if name.startswith("errors.") and value}
+    metrics = {name: value for name, (value, _) in tracing.layer_metrics(tracer).items()}
+    raised = {name: value for name, value in metrics.items() if name.startswith("errors.") and value}
     assert not raised
-    assert metrics["contrastive.anchors"][0] == len(target)
-    assert metrics["consensus.rankings_per_batch"][0] == 2.0
+    # one prototype k-means per source class and epoch
+    assert metrics["clustering.kmeans.calls.proto"] == spec.n_source_classes * EPOCHS
+    assert 0.0 <= metrics["pseudolabel.labeled_fraction"] <= 1.0
+    return tracer, metrics, len(target)
+
+
+def test_tiny_glcpp_pipeline_under_the_tracer():
+    tracer, metrics, n_target = traced_pipeline("opda-toy", "glcpp")
+    assert {s.name for s in tracer.spans} == {span for _, _, span, _ in tracing.WRAPS}
+    assert metrics["contrastive.anchors"] == EPOCHS * n_target
+    assert metrics["consensus.rankings_per_batch"] == 2.0
+
+
+def test_tiny_glc_pipeline_under_the_tracer():
+    tracer, metrics, _ = traced_pipeline("pda-toy", "glc")
+    assert {s.name for s in tracer.spans} == {span for _, _, span, _ in tracing.WRAPS} - GLC_PDA_SILENT
+    assert metrics["contrastive.anchors"] == 0
+    assert metrics["consensus.rankings_per_batch"] == 1.0
