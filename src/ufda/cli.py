@@ -44,28 +44,26 @@ def _out_dir(path_text: str) -> Path:
     return out
 
 
-def _load_features(path_text: str, what: str):
+def _load(loader, path_text: str, what: str):
     if not path_text:
-        raise CliError(f"missing {what} file path", code=2)
+        raise CliError(f"missing {what} path", code=2)
     path = Path(path_text)
     if not path.exists():
-        raise CliError(f"{what} file not found: {path}")
+        raise CliError(f"{what} not found: {path}")
     try:
-        return load_featureset(path)
-    except FeatureFileError as exc:
+        return loader(path)
+    except (FeatureFileError, CheckpointError) as exc:
         raise CliError(f"{path}: {exc}") from None
 
 
-def _load_model(path_text: str):
-    if not path_text:
-        raise CliError("missing model checkpoint path", code=2)
-    path = Path(path_text)
-    if not path.exists():
-        raise CliError(f"model checkpoint not found: {path}")
-    try:
-        return load_model(path)
-    except CheckpointError as exc:
-        raise CliError(f"{path}: {exc}") from None
+def _load_model_and_target(args, cfg):
+    model = _load(load_model, args.model or cfg.model_path, "model checkpoint")
+    target = _load(load_featureset, args.target or cfg.target_path, "target file")
+    if target.features.shape[1] != model.dims.d_in:
+        raise CliError(
+            f"target dimension d={target.features.shape[1]} does not match model d_in={model.dims.d_in}"
+        )
+    return model, target
 
 
 def _overrides(args) -> dict:
@@ -99,7 +97,7 @@ def cmd_gen(args) -> int:
 
 def cmd_pretrain(args) -> int:
     cfg = load_run_config(args.config, _overrides(args))
-    source = _load_features(args.source or cfg.source_path, "source")
+    source = _load(load_featureset, args.source or cfg.source_path, "source file")
     if source.role != "source":
         raise CliError(f"expected a source-role feature file, got role={source.role!r}")
     n_classes = int(source.labels.max()) + 1
@@ -116,12 +114,7 @@ def cmd_pretrain(args) -> int:
 
 def cmd_adapt(args) -> int:
     cfg = load_run_config(args.config, _overrides(args))
-    model = _load_model(args.model or cfg.model_path)
-    target = _load_features(args.target or cfg.target_path, "target")
-    if target.features.shape[1] != model.dims.d_in:
-        raise CliError(
-            f"target dimension d={target.features.shape[1]} does not match model d_in={model.dims.d_in}"
-        )
+    model, target = _load_model_and_target(args, cfg)
     out = _out_dir(cfg.out_dir)
     adapted, trace = adapt(model, target, cfg.adapt_config())
     save_model(adapted, out / "adapted.ufdmodel")
@@ -135,12 +128,7 @@ def cmd_eval(args) -> int:
     if args.ncd is not None and args.ncd < 2:
         raise CliError(f"--ncd must be at least 2, got {args.ncd}", code=2)
     cfg = load_run_config(args.config, _overrides(args))
-    model = _load_model(args.model or cfg.model_path)
-    target = _load_features(args.target or cfg.target_path, "target")
-    if target.features.shape[1] != model.dims.d_in:
-        raise CliError(
-            f"target dimension d={target.features.shape[1]} does not match model d_in={model.dims.d_in}"
-        )
+    model, target = _load_model_and_target(args, cfg)
     out = _out_dir(cfg.out_dir)
     rng = Rng(cfg.seed)
     try:

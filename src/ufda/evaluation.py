@@ -4,6 +4,7 @@ cluster-to-label matching."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -14,62 +15,6 @@ from .model import AdaptModel, forward_batch
 from .numerics import Rng, l2_normalize_rows, normalized_entropy_rows
 
 UNKNOWN = -1
-
-
-@dataclass
-class Predictions:
-    labels: np.ndarray     # (N,) class index or UNKNOWN (-1)
-    entropies: np.ndarray  # (N,) normalized entropy scores
-
-    def __len__(self) -> int:
-        return self.labels.shape[0]
-
-
-def predict(model: AdaptModel, inputs: np.ndarray, omega: float) -> Predictions:
-    """Entropy-threshold open-set prediction.
-
-    A sample is UNKNOWN when its normalized prediction entropy is >= omega,
-    otherwise it gets the argmax class (smallest index on ties).
-    """
-    if not 0.0 < omega <= 1.0:
-        raise ValueError("omega must be in (0, 1]")
-    fwd = forward_batch(model, np.asarray(inputs, dtype=np.float64))
-    entropies = normalized_entropy_rows(fwd.probs, fwd.probs.shape[1])
-    labels = np.argmax(fwd.probs, axis=1).astype(np.int64)
-    labels[entropies >= omega] = UNKNOWN
-    return Predictions(labels=labels, entropies=entropies)
-
-
-def h_score(
-    pred_labels: np.ndarray,
-    true_labels: np.ndarray,
-    unknown_mask: np.ndarray,
-) -> tuple[float, float, float]:
-    """(acc_known, acc_unknown, H) where H is their harmonic mean.
-
-    Known samples count as correct when predicted as their true class;
-    unknown samples when predicted UNKNOWN. Errors out if either ground-truth
-    side is empty.
-    """
-    pred_labels = np.asarray(pred_labels)
-    true_labels = np.asarray(true_labels)
-    unknown_mask = np.asarray(unknown_mask, dtype=bool)
-    n_known = int((~unknown_mask).sum())
-    n_unknown = int(unknown_mask.sum())
-    if n_known == 0 or n_unknown == 0:
-        raise ValueError("H-score undefined")
-    acc_known = float(np.mean(pred_labels[~unknown_mask] == true_labels[~unknown_mask]))
-    acc_unknown = float(np.mean(pred_labels[unknown_mask] == UNKNOWN))
-    if acc_known + acc_unknown == 0.0:
-        return acc_known, acc_unknown, 0.0
-    return acc_known, acc_unknown, 2.0 * acc_known * acc_unknown / (acc_known + acc_unknown)
-
-
-def closed_accuracy(pred_labels: np.ndarray, true_labels: np.ndarray) -> float:
-    """Plain accuracy over all samples; UNKNOWN predictions count as errors."""
-    pred_labels = np.asarray(pred_labels)
-    true_labels = np.asarray(true_labels)
-    return float(np.mean(pred_labels == true_labels))
 
 
 def hungarian(cost: np.ndarray) -> np.ndarray:
@@ -114,16 +59,18 @@ def match_accuracy(cluster_ids: np.ndarray, true_labels: np.ndarray) -> float:
     """
     cluster_ids = np.asarray(cluster_ids)
     true_labels = np.asarray(true_labels)
-    clusters = np.unique(cluster_ids)
-    labels = np.unique(true_labels)
+    if cluster_ids.shape != true_labels.shape:
+        raise ValueError(
+            f"cluster ids of shape {cluster_ids.shape} and labels of shape "
+            f"{true_labels.shape} do not align"
+        )
+    clusters, cluster_index = np.unique(cluster_ids, return_inverse=True)
+    labels, label_index = np.unique(true_labels, return_inverse=True)
     n = max(clusters.shape[0], labels.shape[0])
     counts = np.zeros((n, n))
-    for ci, c in enumerate(clusters):
-        for li, lab in enumerate(labels):
-            counts[ci, li] = np.sum((cluster_ids == c) & (true_labels == lab))
+    np.add.at(counts, (cluster_index, label_index), 1.0)
     perm = hungarian(counts.max() - counts)
-    matched = sum(counts[i, perm[i]] for i in range(n))
-    return float(matched / cluster_ids.shape[0])
+    return float(counts[np.arange(n), perm].sum() / cluster_ids.shape[0])
 
 
 def ncd_accuracy(
@@ -188,50 +135,72 @@ def evaluate(
     n_private: int | None = None,
     rng: Rng | None = None,
 ) -> EvalReport:
-    """Full report for a labeled target set.
+    """Full report for a labeled target set, from one forward pass.
 
-    Samples with label >= the model's class count are ground-truth unknown.
-    NCD accuracy is computed only when n_private (and an rng) is given and
-    both sides of the ground truth exist; H-score is NaN for one-sided sets.
+    A sample is ground-truth unknown when its label is >= the model's class
+    count, and known otherwise. It is predicted UNKNOWN when its normalized
+    prediction entropy is >= omega, otherwise it gets the argmax class
+    (smallest index on ties). The counts:
+
+        known_correct      known samples predicted as their label
+        known_rejected     known samples predicted UNKNOWN
+        known_wrong_class  the other known samples
+        unknown_rejected   unknown samples predicted UNKNOWN
+        unknown_accepted   the other unknown samples
+
+    and the rates: known_acc = known_correct / n_known, unknown_acc =
+    unknown_rejected / n_unknown, h_score their harmonic mean (0 when both
+    are 0), closed_acc = (known_correct + unknown_rejected) / n_samples. A
+    rate over no samples is NaN, and h_score is NaN unless both sides exist.
+    NCD accuracy clusters the unknown samples' features from the same pass;
+    it is computed only when n_private (and an rng) is given and some
+    sample is unknown.
     """
-    features = np.asarray(features, dtype=np.float64)
+    if not 0.0 < omega <= 1.0:
+        raise ValueError("omega must be in (0, 1]")
+    fwd = forward_batch(model, features)
     labels = np.asarray(labels)
-    n_classes = model.wc.shape[1]
+    if labels.shape != (fwd.x.shape[0],):
+        raise ValueError(
+            f"labels of shape {labels.shape} do not align with {fwd.x.shape[0]} feature rows"
+        )
+    n_classes = fwd.probs.shape[1]
+    pred = np.argmax(fwd.probs, axis=1)
+    pred[normalized_entropy_rows(fwd.probs, n_classes) >= omega] = UNKNOWN
+    rejected = pred == UNKNOWN
     unknown_mask = labels >= n_classes
-    preds = predict(model, features, omega)
 
-    n_known = int((~unknown_mask).sum())
+    n_samples = labels.shape[0]
     n_unknown = int(unknown_mask.sum())
-    known_correct = int(np.sum(preds.labels[~unknown_mask] == labels[~unknown_mask]))
-    known_rejected = int(np.sum(preds.labels[~unknown_mask] == UNKNOWN))
-    unknown_rejected = int(np.sum(preds.labels[unknown_mask] == UNKNOWN))
+    n_known = n_samples - n_unknown
+    known_correct = int(np.sum((pred == labels) & ~unknown_mask))
+    known_rejected = int(np.sum(rejected & ~unknown_mask))
+    unknown_rejected = int(np.sum(rejected & unknown_mask))
 
-    if n_known > 0 and n_unknown > 0:
-        known_acc, unknown_acc, h = h_score(preds.labels, labels, unknown_mask)
-    else:
-        known_acc = float(known_correct / n_known) if n_known else float("nan")
-        unknown_acc = float(unknown_rejected / n_unknown) if n_unknown else float("nan")
-        h = float("nan")
+    def rate(count: int, total: int) -> float:
+        return count / total if total else math.nan
 
-    # Over all target samples; on PDA/CLDA sets (no unknown truth) this is the
-    # plain accuracy with UNKNOWN predictions counted as errors.
-    closed = closed_accuracy(preds.labels, np.where(unknown_mask, UNKNOWN, labels))
+    known_acc = rate(known_correct, n_known)
+    unknown_acc = rate(unknown_rejected, n_unknown)
+    h = math.nan
+    if n_known and n_unknown:
+        both = known_acc + unknown_acc
+        h = 2.0 * known_acc * unknown_acc / both if both else 0.0
 
-    ncd = float("nan")
+    ncd = math.nan
     if n_private is not None and n_unknown > 0:
         if rng is None:
             raise ValueError("ncd accuracy needs an rng")
-        fwd = forward_batch(model, features[unknown_mask])
-        ncd = ncd_accuracy(fwd.features, labels[unknown_mask], n_private, rng)
+        ncd = ncd_accuracy(fwd.features[unknown_mask], labels[unknown_mask], n_private, rng)
 
     return EvalReport(
-        n_samples=int(labels.shape[0]),
+        n_samples=n_samples,
         n_known=n_known,
         n_unknown=n_unknown,
         known_acc=known_acc,
         unknown_acc=unknown_acc,
         h_score=h,
-        closed_acc=closed,
+        closed_acc=rate(known_correct + unknown_rejected, n_samples),
         ncd_acc=ncd,
         known_correct=known_correct,
         known_wrong_class=n_known - known_correct - known_rejected,

@@ -121,61 +121,42 @@ def loss_source_batch(probs: np.ndarray, labels: np.ndarray, alpha: float) -> tu
     return cross_entropy_rows(probs, targets)
 
 
-@dataclass
-class Gradients:
-    """Batch-averaged parameter gradients; classifier entries are identically
-    zero while the classifier is frozen."""
-
-    dw1: np.ndarray
-    db1: np.ndarray
-    dw2: np.ndarray
-    db2: np.ndarray
-    dwc: np.ndarray
-    dbc: np.ndarray
-
-    def get(self, name: str) -> np.ndarray:
-        return getattr(self, "d" + name)
-
-
 def backward(
     model: AdaptModel,
     fwd: BatchForward,
     d_logits: np.ndarray | None = None,
     d_feature: np.ndarray | None = None,
-) -> Gradients:
+) -> dict[str, np.ndarray]:
     """Reverse-mode pass. d_logits / d_feature hold per-sample loss gradients
-    at the logit and feature outputs; the result averages over the batch."""
+    at the logit and feature outputs. Returns the batch-averaged gradient of
+    each trainable parameter, keyed by name; a frozen classifier has none."""
     if d_logits is None and d_feature is None:
         raise ValueError("backward needs at least one output gradient")
     b = fwd.x.shape[0]
+    grads: dict[str, np.ndarray] = {}
 
     if d_logits is not None:
         d_logits = np.asarray(d_logits, dtype=np.float64)
         d_feat = d_logits @ model.wc.T
-        if model.classifier_frozen:
-            dwc = np.zeros_like(model.wc)
-            dbc = np.zeros_like(model.bc)
-        else:
-            dwc = fwd.features.T @ d_logits / b
-            dbc = d_logits.mean(axis=0)
+        if not model.classifier_frozen:
+            grads["wc"] = fwd.features.T @ d_logits / b
+            grads["bc"] = d_logits.mean(axis=0)
     else:
         d_feat = np.zeros_like(fwd.features)
-        dwc = np.zeros_like(model.wc)
-        dbc = np.zeros_like(model.bc)
+        if not model.classifier_frozen:
+            grads["wc"] = np.zeros_like(model.wc)
+            grads["bc"] = np.zeros_like(model.bc)
 
     if d_feature is not None:
         d_feat = d_feat + np.asarray(d_feature, dtype=np.float64)
 
     d_a1 = d_feat @ model.w2.T
     d_z1 = d_a1 * (fwd.z1 > 0.0)
-    return Gradients(
-        dw1=fwd.x.T @ d_z1 / b,
-        db1=d_z1.mean(axis=0),
-        dw2=fwd.a1.T @ d_feat / b,
-        db2=d_feat.mean(axis=0),
-        dwc=dwc,
-        dbc=dbc,
-    )
+    grads["w1"] = fwd.x.T @ d_z1 / b
+    grads["b1"] = d_z1.mean(axis=0)
+    grads["w2"] = fwd.a1.T @ d_feat / b
+    grads["b2"] = d_feat.mean(axis=0)
+    return grads
 
 
 @dataclass
@@ -200,11 +181,10 @@ class Optimizer:
         return opt
 
 
-def sgd_step(opt: Optimizer, model: AdaptModel, grads: Gradients) -> None:
+def sgd_step(opt: Optimizer, model: AdaptModel, grads: dict[str, np.ndarray]) -> None:
     for name, v in opt.velocity.items():
-        g = grads.get(name)
         v *= opt.momentum
-        v += g
+        v += grads[name]
         getattr(model, name).__isub__(opt.lr * v)
 
 
@@ -229,9 +209,9 @@ class CheckpointError(ValueError):
     pass
 
 
-def load_model(path, frozen: bool = True) -> AdaptModel:
+def load_model(path) -> AdaptModel:
     """Load a checkpoint written by save_model. Checkpoints are produced after
-    pretraining, so the classifier defaults to frozen."""
+    pretraining, so the classifier is frozen."""
     with open(path, "r", encoding="utf-8") as f:
         lines = f.read().splitlines()
     if not lines:
@@ -277,5 +257,5 @@ def load_model(path, frozen: bool = True) -> AdaptModel:
         raise CheckpointError(f"line {lineno + 1}: trailing content after parameters")
     return AdaptModel(
         w1=tensors["w1"], b1=tensors["b1"], w2=tensors["w2"], b2=tensors["b2"],
-        wc=tensors["wc"], bc=tensors["bc"], classifier_frozen=frozen,
+        wc=tensors["wc"], bc=tensors["bc"], classifier_frozen=True,
     )

@@ -181,7 +181,7 @@ class TestAdaptConfig:
             AdaptConfig(omega=0.0)
         with pytest.raises(ValueError):
             AdaptConfig(omega=1.5)
-        assert AdaptConfig(omega=1.0).omega == 1.0  # predict's range is (0, 1]
+        assert AdaptConfig(omega=1.0).omega == 1.0  # evaluate's range is (0, 1]
         with pytest.raises(ValueError):
             AdaptConfig(variant="nope")
         with pytest.raises(ValueError):
