@@ -164,6 +164,8 @@ def evaluate(
         raise ValueError(
             f"labels of shape {labels.shape} do not align with {fwd.x.shape[0]} feature rows"
         )
+    if labels.size and labels.min() < 0:
+        raise ValueError("labels must be non-negative")
     n_classes = fwd.probs.shape[1]
     pred = np.argmax(fwd.probs, axis=1)
     pred[normalized_entropy_rows(fwd.probs, n_classes) >= omega] = UNKNOWN

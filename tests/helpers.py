@@ -12,7 +12,9 @@ import math
 import numpy as np
 
 from ufda.clustering import KMeansResult, kmeans
+from ufda.consensus import MemoryBank
 from ufda.model import AdaptModel, forward_batch
+from ufda.numerics import l2_normalize_rows
 
 
 def silhouette_direct(points: np.ndarray, assignment: np.ndarray) -> np.ndarray:
@@ -164,6 +166,18 @@ def knn_direct(bank_features: np.ndarray, query: np.ndarray, k: int, exclude: in
     sims = [(-cos(query, bank_features[j]), j) for j in range(bank_features.shape[0]) if j != exclude]
     sims.sort()
     return [j for _, j in sims[:k]]
+
+
+def reference_nearest_bank_indices(
+    bank: MemoryBank, query_features: np.ndarray, k: int, self_indices: np.ndarray
+) -> np.ndarray:
+    """(B, k) nearest bank slots as the k-prefix of a full stable descending sort."""
+    q_unit = l2_normalize_rows(np.asarray(query_features, dtype=np.float64))
+    b = q_unit.shape[0]
+    sims = q_unit @ bank.features.T
+    sims[np.arange(b), self_indices] = -np.inf
+    order = np.argsort(-sims, axis=1, kind="stable")
+    return order[:, :k]
 
 
 def pseudo_label_direct(

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import knn_direct, random_model
+from helpers import knn_direct, random_model, reference_nearest_bank_indices
 from ufda.consensus import (
     MemoryBank,
     bank_init,
@@ -173,6 +173,61 @@ class TestLocalTargets:
         for bad in (np.array([0, 1, 6]), np.array([0.0, 1.0, 2.0]), np.arange(3)[:, None]):
             with pytest.raises(ValueError, match="self_indices"):
                 nearest_bank_indices(bank, bank.features[:3], 2, bad)
+
+    def test_non_finite_query_rejected(self):
+        # a NaN row would rank its own slot first instead of failing
+        bank = toy_bank(n=6)
+        for bad in (np.nan, np.inf, -np.inf):
+            queries = bank.features[:2].copy()
+            queries[0, 1] = bad
+            with pytest.raises(ValueError, match="query features must be finite"):
+                nearest_bank_indices(bank, queries, 2, np.array([0, 1]))
+
+
+@st.composite
+def tied_knn_cases(draw):
+    """Bank, queries, k and self slots built from small-integer lattice rows,
+    so exact similarity ties are common: duplicated bank rows, queries equal
+    to bank rows, and self slots on rows that other slots duplicate."""
+    d = draw(st.integers(1, 3))
+    lattice_row = st.lists(st.integers(-2, 2), min_size=d, max_size=d).filter(any)
+    rows = draw(st.lists(lattice_row, min_size=2, max_size=10))
+    rows += [rows[i] for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=4))]
+    n = len(rows)
+    b = draw(st.integers(1, 4))
+    queries, self_idx = [], []
+    for _ in range(b):
+        if draw(st.booleans()):
+            j = draw(st.integers(0, n - 1))
+            queries.append(rows[j])
+            self_idx.append(draw(st.sampled_from([i for i in range(n) if rows[i] == rows[j]])))
+        else:
+            queries.append(draw(lattice_row))
+            self_idx.append(draw(st.integers(0, n - 1)))
+    k = draw(st.integers(1, n - 1))
+    bank = MemoryBank(features=l2_normalize_rows(np.array(rows, dtype=float)), probs=np.zeros((n, 1)))
+    return bank, np.array(queries, dtype=float), k, np.array(self_idx)
+
+
+# four equal bank rows, the query's own slot among them
+FOUR_TIED_ROWS = (
+    MemoryBank(features=l2_normalize_rows(np.array([[1.0, 0.0]] * 4 + [[0.0, 1.0]])),
+               probs=np.zeros((5, 1))),
+    np.array([[2.0, 0.0]]), 4, np.array([1]),
+)
+
+
+class TestNearestMatchesReference:
+    @settings(deadline=None, max_examples=200)
+    @given(tied_knn_cases())
+    @example(FOUR_TIED_ROWS)
+    def test_equals_prefix_of_stable_sort(self, case):
+        bank, queries, k, self_idx = case
+        got = nearest_bank_indices(bank, queries, k, self_idx)
+        want = reference_nearest_bank_indices(bank, queries, k, self_idx)
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape == (queries.shape[0], k)
+        assert np.array_equal(got, want)
 
 
 class TestLossLocal:

@@ -263,6 +263,12 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="do not align"):
             evaluate(model, np.eye(2, 2), np.array([[0, 1]]), 0.55)
 
+    def test_negative_labels_rejected(self):
+        # a -1 label would be counted as a known sample
+        model = probe_model([[0.5, 0.5], [0.9, 0.1]])
+        with pytest.raises(ValueError, match="non-negative"):
+            evaluate(model, np.ones((2, 2)), np.array([-1, 0]), 1.0)
+
     def test_empty_target_gives_nan_rates(self):
         report = evaluate(probe_model([[0.9, 0.1]]), np.zeros((0, 1)), np.zeros(0, dtype=int), 0.55,
                           n_private=2, rng=Rng(0))
