@@ -152,7 +152,9 @@ def adapt(model: AdaptModel, target: FeatureSet | np.ndarray, config: AdaptConfi
 
     The input model is left untouched; the returned model is an adapted copy.
     Tail batches smaller than n_pairs+1 shrink both contrastive pair counts
-    to fit (a 1-sample tail contributes no contrastive term).
+    to fit (a 1-sample tail contributes no contrastive term). A ValueError
+    raised once adaptation has started is re-raised naming the epoch, the
+    batch and the phase it came from.
     """
     inputs = target.features if isinstance(target, FeatureSet) else np.asarray(target, dtype=np.float64)
     if inputs.shape[0] == 0:
@@ -165,58 +167,72 @@ def adapt(model: AdaptModel, target: FeatureSet | np.ndarray, config: AdaptConfi
     n_classes = model.wc.shape[1]
     rng = Rng(config.seed)
 
-    first = forward_batch(model, inputs)
-    ct = estimate_ct(first.features, n_classes, rng.split()).chosen
-    bank = bank_init(model, inputs)
-    opt = Optimizer.for_model(model, config.lr, config.momentum)
-    k_top = topk_count(n, ct)
-    con_weight = config.effective_con_weight
-
     trace = AdaptTrace()
-    for epoch in range(config.epochs):
-        t0 = time.perf_counter()
-        epoch_fwd = forward_batch(model, inputs)
-        epoch_unit = l2_normalize_rows(epoch_fwd.features)
-        protos = build_all_prototypes(epoch_unit, epoch_fwd.probs, k_top, ct, config.rho, rng.split())
-        pseudo = assign_pseudo_labels(epoch_unit, protos)
+    epoch = batch_no = None
+    phase = "ct estimation"
+    try:
+        first = forward_batch(model, inputs)
+        ct = estimate_ct(first.features, n_classes, rng.split()).chosen
+        phase = "bank init"
+        bank = bank_init(model, inputs)
+        opt = Optimizer.for_model(model, config.lr, config.momentum)
+        k_top = topk_count(n, ct)
+        con_weight = config.effective_con_weight
 
-        sums = np.zeros(4)  # total, glb, loc, con (sample-weighted)
-        perm = rng.permutation(n)
-        for batch in _batches(perm, config.batch_size):
-            fwd = forward_batch(model, inputs[batch])
-            glb, d_glb = cross_entropy_rows(fwd.probs, pseudo.rows[batch])
-            loc_rows = local_targets(bank, fwd.features, config.k_neighbors, batch)
-            loc, d_loc = cross_entropy_rows(fwd.probs, loc_rows)
-            d_logits = config.eta * d_glb + d_loc
+        for epoch in range(config.epochs):
+            t0 = time.perf_counter()
+            batch_no, phase = None, "prototypes"
+            epoch_fwd = forward_batch(model, inputs)
+            epoch_unit = l2_normalize_rows(epoch_fwd.features)
+            protos = build_all_prototypes(epoch_unit, epoch_fwd.probs, k_top, ct, config.rho, rng.split())
+            phase = "pseudo-labels"
+            pseudo = assign_pseudo_labels(epoch_unit, protos)
 
-            con = 0.0
-            d_feat = None
-            # Undersized tail batches shrink both pair counts to B-1 so the
-            # mining rule stays applicable; a 1-sample tail has no pairs.
-            n_pairs = min(config.n_pairs, batch.shape[0] - 1)
-            if con_weight != 0.0 and n_pairs >= 1:
-                pairs = mine_pairs(bank, fwd.features, batch, n_pairs, ct)
-                raw_con, d_anchor = loss_contrastive(fwd.features, pairs, bank)
-                con = con_weight * raw_con
-                d_feat = con_weight * d_anchor
+            sums = np.zeros(4)  # total, glb, loc, con (sample-weighted)
+            perm = rng.permutation(n)
+            for batch_no, batch in enumerate(_batches(perm, config.batch_size)):
+                phase = "forward"
+                fwd = forward_batch(model, inputs[batch])
+                glb, d_glb = cross_entropy_rows(fwd.probs, pseudo.rows[batch])
+                phase = "local consensus"
+                loc_rows = local_targets(bank, fwd.features, config.k_neighbors, batch)
+                loc, d_loc = cross_entropy_rows(fwd.probs, loc_rows)
+                d_logits = config.eta * d_glb + d_loc
 
-            grads = backward(model, fwd, d_logits=d_logits, d_feature=d_feat)
-            sgd_step(opt, model, grads)
-            bank_update(bank, batch, forward_batch(model, inputs[batch]))
+                con = 0.0
+                d_feat = None
+                # Undersized tail batches shrink both pair counts to B-1 so the
+                # mining rule stays applicable; a 1-sample tail has no pairs.
+                n_pairs = min(config.n_pairs, batch.shape[0] - 1)
+                if con_weight != 0.0 and n_pairs >= 1:
+                    phase = "contrastive"
+                    pairs = mine_pairs(bank, fwd.features, batch, n_pairs, ct)
+                    raw_con, d_anchor = loss_contrastive(fwd.features, pairs, bank)
+                    con = con_weight * raw_con
+                    d_feat = con_weight * d_anchor
 
-            total = config.eta * glb + loc + con
-            sums += batch.shape[0] * np.array([total, glb, loc, con])
+                phase = "backward+SGD"
+                grads = backward(model, fwd, d_logits=d_logits, d_feature=d_feat)
+                sgd_step(opt, model, grads)
+                phase = "bank refresh"
+                bank_update(bank, batch, forward_batch(model, inputs[batch]))
 
-        totals = sums / n
-        trace.epochs.append(
-            EpochRecord(
-                epoch=epoch,
-                total=float(totals[0]),
-                glb=float(totals[1]),
-                loc=float(totals[2]),
-                con=float(totals[3]),
-                ct=ct,
-                seconds=time.perf_counter() - t0,
+                total = config.eta * glb + loc + con
+                sums += batch.shape[0] * np.array([total, glb, loc, con])
+
+            totals = sums / n
+            trace.epochs.append(
+                EpochRecord(
+                    epoch=epoch,
+                    total=float(totals[0]),
+                    glb=float(totals[1]),
+                    loc=float(totals[2]),
+                    con=float(totals[3]),
+                    ct=ct,
+                    seconds=time.perf_counter() - t0,
+                )
             )
-        )
+    except ValueError as err:
+        where = "".join(f"{name} {at}, " for name, at in (("epoch", epoch), ("batch", batch_no)) if at is not None)
+        raise ValueError(f"adaptation failed at {where}{phase}: {err}") from err
     return model, trace

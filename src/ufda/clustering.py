@@ -10,6 +10,22 @@ within a rounding bound is re-ranked with the exact difference formula
 |x - c|^2, so every assignment, ties included, is the one that formula gives.
 Inertia uses the difference formula on the assigned pairs only, and centroid
 updates sum each cluster in row order, bit for bit as a per-cluster mean does.
+
+k-means++ seeding runs all restarts in lock-step. The n_init * k raw draws are
+taken up front, in the order the one-restart-at-a-time seeding reads them, and
+each round's D^2 to the new picks comes from one Gram product, clipped at 0.
+Its picks are those of the exact difference formula unless a restart's D^2
+total overflows or lies within the rounding bound of 0, a threshold lies
+within it of a running-sum entry, or a restart's first draw falls in
+randint's rejection zone. Then the whole call is seeded one restart at a time with the exact
+formula, reading the pre-drawn values first and the live rng after them; every
+pick reads at least one draw, so the rng ends where that seeding leaves it.
+
+A restart is retired once an assignment needs no empty-cluster repair and
+equals the one before it: its centroids are the means of that assignment, so
+another update would return them bit for bit and the final re-assignment would
+return the same assignment and inertia. Only the other restarts, stopped by the
+centroid shift or by max_iter, are re-assigned after the loop.
 """
 
 from __future__ import annotations
@@ -26,6 +42,17 @@ SILHOUETTE_SUBSAMPLE = 2048
 # Gram values whose gap is at most this times (|x|^2 + max |c|^2) are re-ranked
 # exactly. Either formula's rounding error is a few d * 1e-16 of that scale, so
 # the bound holds with a wide margin for any d below 10^5.
+#
+# Seeding uses the same bound summed over the rows: tol = _TIE_RTOL * S with
+# S = sum_x (|x|^2 + max |x|^2) (centroids are points, so max |c|^2 <= max |x|^2).
+# Each form's D^2 entry is within 2 (d + 2) u (|x|^2 + max |x|^2) of the true
+# value (u = 2^-53), and a running sum or total of n entries, all below
+# 2 (|x|^2 + max |x|^2), adds at most 2 n u S. So the two forms' running sums,
+# totals and thresholds differ by less than 8 (d + n + 3) u S, which is below
+# tol for any d + n under 10^6, as long as nothing overflows (an infinite or
+# NaN total falls back). A total above tol is then positive in both forms,
+# and a threshold more than tol from every running-sum entry lands between
+# the same two entries in both.
 _TIE_RTOL = 1e-9
 
 
@@ -104,6 +131,62 @@ def _pp_seed(points: np.ndarray, k: int, rng: Rng) -> np.ndarray:
     return points[chosen].copy()
 
 
+class _Replayed(Rng):
+    """An rng that returns the given raw draws first, then those of the live rng."""
+
+    __slots__ = ("_draws", "_live")
+
+    def __init__(self, draws: list[int], live: Rng):  # holds no xoshiro state of its own
+        self._draws = iter(draws)
+        self._live = live
+
+    def next_u64(self) -> int:
+        draw = next(self._draws, None)
+        return self._live.next_u64() if draw is None else draw
+
+
+def _lockstep_picks(points: np.ndarray, sq_norms: np.ndarray, draws: np.ndarray) -> np.ndarray | None:
+    """The k-means++ picks of every restart, (r, k) row indices from (r, k) raw
+    draws, with one Gram product per round; None when the rounding guard (see
+    _TIE_RTOL) cannot vouch that they are the picks of _pp_seed."""
+    n = points.shape[0]
+    r, k = draws.shape
+    chosen = np.empty((r, k), dtype=np.int64)
+    chosen[:, 0] = draws[:, 0] % n
+    fractions = (draws >> 11).astype(np.float64) * 2.0**-53
+    tol = _TIE_RTOL * (sq_norms.sum() + n * sq_norms.max())
+    d2 = np.full((r, n), np.inf)
+    for j in range(1, k):
+        picked = chosen[:, j - 1]
+        dist = sq_norms - 2.0 * (points[picked] @ points.T)
+        dist += sq_norms[picked][:, None]
+        np.minimum(d2, np.maximum(dist, 0.0, out=dist), out=d2)
+        total = d2.sum(axis=1)
+        if not np.all(np.isfinite(total) & (total > tol)):
+            return None
+        running = np.cumsum(d2, axis=1)
+        threshold = fractions[:, j] * total
+        picks = np.count_nonzero(running <= (threshold + tol)[:, None], axis=1)
+        if np.any(picks != np.count_nonzero(running <= (threshold - tol)[:, None], axis=1)):
+            return None
+        chosen[:, j] = np.minimum(picks, n - 1)
+    return chosen
+
+
+def _seed_restarts(points: np.ndarray, sq_norms: np.ndarray, k: int, n_init: int, rng: Rng) -> np.ndarray:
+    """(n_init, k, d) seeds and the rng state of n_init _pp_seed calls in a row,
+    in lock-step where the guard allows, else by those calls."""
+    n = points.shape[0]
+    draws = [rng.next_u64() for _ in range(n_init * k)]
+    limit = (1 << 64) - (1 << 64) % n  # randint rejects draws from here on
+    if all(draw < limit for draw in draws[::k]):
+        chosen = _lockstep_picks(points, sq_norms, np.array(draws, dtype=np.uint64).reshape(n_init, k))
+        if chosen is not None:
+            return points[chosen]
+    replayed = _Replayed(draws, rng)
+    return np.stack([_pp_seed(points, k, replayed) for _ in range(n_init)])
+
+
 def _repair_empty(points: np.ndarray, centroids: np.ndarray, assignment: np.ndarray) -> None:
     """Re-seed each empty cluster on the point farthest from its own centroid
     and force-assign that point there. Repairs run until no cluster is empty;
@@ -125,15 +208,25 @@ def _repair_empty(points: np.ndarray, centroids: np.ndarray, assignment: np.ndar
             own[far] = -np.inf
 
 
-def _assign(points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _assign(
+    points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Assign every restart's points, repair its empty clusters (centroids are
-    updated in place) and return the (r, n) assignment and (r,) inertia."""
+    updated in place) and return the (r, n) assignment, (r,) inertia and (r,)
+    mask of the restarts that needed a repair."""
     r, k, _ = centroids.shape
     assignment = _nearest(points, sq_norms, centroids)
     counts = np.bincount(_flat_clusters(assignment, k), minlength=r * k).reshape(r, k)
-    for ri in np.flatnonzero((counts == 0).any(axis=1)):
+    repaired = (counts == 0).any(axis=1)
+    for ri in np.flatnonzero(repaired):
         _repair_empty(points, centroids[ri], assignment[ri])
-    return assignment, _own_sq_dists(points, centroids, assignment).sum(axis=1)
+    return assignment, _own_sq_dists(points, centroids, assignment).sum(axis=1), repaired
+
+
+def _settled(assignment: np.ndarray, previous: np.ndarray, repaired: np.ndarray) -> np.ndarray:
+    """(r,) mask of the converged restarts: their assignment needed no repair
+    and equals the previous one, whose means their centroids already are."""
+    return ~repaired & np.all(assignment == previous, axis=1)
 
 
 def _cluster_means(points: np.ndarray, columns: np.ndarray, assignment: np.ndarray, k: int) -> np.ndarray:
@@ -164,12 +257,13 @@ def kmeans(points: np.ndarray, k: int, rng: Rng, max_iter: int = 100, tol: float
     run's iterations (RuntimeError otherwise); the restart with the lowest
     final inertia wins (first on ties).
 
-    All seeds are drawn first; Lloyd steps draw nothing, so the rng stream is
-    that of running the restarts one after another. The restarts then run as
-    one batch, each leaving it once its largest centroid shift is below tol.
-    Assignments use the Gram ranking with an exact re-rank of near-ties (see
-    the module docstring), so results are bit for bit those of running each
-    restart alone with exact distances.
+    All seeds are drawn first, in lock-step where the rounding guard allows;
+    Lloyd steps draw nothing, so the rng stream is that of running the
+    restarts one after another. The restarts then run as one batch, each
+    leaving it once its largest centroid shift is below tol or its assignment
+    repeats. Assignments use the Gram ranking with an exact re-rank of
+    near-ties (see the module docstring), so results are bit for bit those of
+    running each restart alone with exact distances.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -184,14 +278,18 @@ def kmeans(points: np.ndarray, k: int, rng: Rng, max_iter: int = 100, tol: float
     if not np.all(np.isfinite(points)):
         raise ValueError("points must be finite")
 
-    centroids = np.stack([_pp_seed(points, k, rng) for _ in range(n_init)])
     sq_norms = np.einsum("nd,nd->n", points, points)
+    centroids = _seed_restarts(points, sq_norms, k, n_init, rng)
     columns = np.tile(points.T, (1, n_init))
     prev_inertia = np.full(n_init, np.inf)
+    assignment_of = np.empty((n_init, n), dtype=np.int64)
+    inertia_of = np.empty(n_init)
+    retired = np.zeros(n_init, dtype=bool)
     active = np.arange(n_init)
+    previous = None  # the active restarts' last assignment; seeds are means of none
     for _ in range(max_iter):
         current = centroids[active]
-        assignment, inertia = _assign(points, sq_norms, current)
+        assignment, inertia, repaired = _assign(points, sq_norms, current)
         grew = np.flatnonzero(inertia > prev_inertia[active] * (1.0 + 1e-12) + 1e-12)
         if grew.size:
             ri = grew[0]
@@ -200,17 +298,30 @@ def kmeans(points: np.ndarray, k: int, rng: Rng, max_iter: int = 100, tol: float
             )
         prev_inertia[active] = inertia
 
+        if previous is not None:
+            done = _settled(assignment, previous, repaired)
+            assignment_of[active[done]], inertia_of[active[done]] = assignment[done], inertia[done]
+            retired[active[done]] = True
+            active, current, assignment = active[~done], current[~done], assignment[~done]
+            if active.size == 0:
+                break
+
         updated = _cluster_means(points, columns, assignment, k)
         shift = np.max(np.linalg.norm(updated - current, axis=2), axis=1)
         centroids[active] = updated
-        active = active[~(shift < tol)]
+        moving = ~(shift < tol)
+        active, previous = active[moving], assignment[moving]
         if active.size == 0:
             break
 
-    assignment, inertia = _assign(points, sq_norms, centroids)
-    best = int(np.argmin(inertia))  # first restart on ties
+    rest = np.flatnonzero(~retired)
+    if rest.size:
+        final = centroids[rest]
+        assignment_of[rest], inertia_of[rest], _ = _assign(points, sq_norms, final)
+        centroids[rest] = final  # keep the repairs
+    best = int(np.argmin(inertia_of))  # first restart on ties
     return KMeansResult(
-        centroids=centroids[best].copy(), assignment=assignment[best].copy(), inertia=float(inertia[best])
+        centroids=centroids[best].copy(), assignment=assignment_of[best].copy(), inertia=float(inertia_of[best])
     )
 
 

@@ -136,6 +136,8 @@ def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
     """Row-wise unit normalization of an (n, d) matrix."""
     arr = np.asarray(m, dtype=np.float64)
     norms = np.linalg.norm(arr, axis=1)
+    if not np.all(np.isfinite(norms)):
+        raise ValueError("feature norm is not finite (overflow, inf or NaN)")
     if np.any(norms == 0.0):
         raise ValueError("degenerate feature")
     return arr / norms[:, None]

@@ -91,6 +91,15 @@ class TestAdapt:
         with pytest.raises(ValueError, match="empty"):
             adapt(model, np.zeros((0, 16)), AdaptConfig(seed=0, epochs=1))
 
+    def test_divergence_names_epoch_batch_and_phase(self):
+        model, target = pretrained_toy()
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as info:
+            adapt(model, target, AdaptConfig(seed=4, epochs=3, batch_size=16, lr=1e8))
+        assert str(info.value) == (
+            "adaptation failed at epoch 2, batch 2, bank refresh: feature norm is not finite (overflow, inf or NaN)"
+        )
+        assert isinstance(info.value.__cause__, ValueError)
+
     def test_zero_epochs_no_op(self):
         model, target = pretrained_toy()
         adapted, trace = adapt(model, target, AdaptConfig(seed=4, epochs=0))

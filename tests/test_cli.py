@@ -157,6 +157,22 @@ class TestPipeline:
         assert code == 1
         assert "does not match" in err
 
+    def test_adapt_divergence_exits_1_naming_where(self, tmp_path, capsys):
+        cfg = pipeline_cfg(tmp_path)
+        data = gen_small(tmp_path, capsys)
+        run(capsys, "pretrain", str(data / "source.ufd"), "--config", str(cfg), "--out", str(tmp_path / "pre"))
+        diverging = tmp_path / "diverging.cfg"
+        diverging.write_text(cfg.read_text() + "lr = 1e40\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, _, err = run(
+                capsys, "adapt", str(tmp_path / "pre" / "model.ufdmodel"), str(data / "target.ufd"),
+                "--config", str(diverging), "--out", str(tmp_path / "ad"),
+            )
+        assert code == 1
+        assert err.startswith("error: adaptation failed at epoch ")
+        assert ", batch " in err
+        assert "feature norm is not finite" in err
+
     def test_pretrain_bad_config_value_exits_2(self, tmp_path, capsys):
         data = gen_small(tmp_path, capsys)
         cfg = tmp_path / "bad.cfg"

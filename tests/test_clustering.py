@@ -13,23 +13,36 @@ def line_points(values):
     return np.array([[v] for v in values], dtype=float)
 
 
-def assert_matches_reference(points, k, seed, **kwargs):
+def assert_matches_reference(points, k, seed, make_rng=Rng, **kwargs):
     """Same assignment and centroids, inertia within 1e-12 relative, and the
     rng left at the same place as the per-restart reference k-means."""
-    want_rng, got_rng = Rng(seed), Rng(seed)
+    want_rng, got_rng = make_rng(seed), make_rng(seed)
     want = reference_kmeans(points, k, want_rng, **kwargs)
     got = kmeans(points, k, got_rng, **kwargs)
     assert np.array_equal(got.assignment, want.assignment)
     assert np.array_equal(got.centroids, want.centroids)
-    assert abs(got.inertia - want.inertia) <= 1e-12 * abs(want.inertia)
+    assert got.inertia == want.inertia or abs(got.inertia - want.inertia) <= 1e-12 * abs(want.inertia)
     assert got_rng.random() == want_rng.random()
+
+
+class ScriptedRng(Rng):
+    """An Rng whose first raw draws are given, then those of its seed."""
+
+    def __init__(self, seed, script):
+        super().__init__(seed)
+        self.script = list(script)
+
+    def next_u64(self):
+        return self.script.pop(0) if self.script else super().next_u64()
 
 
 @pytest.fixture()
 def calls(monkeypatch):
-    """Count the calls of clustering's exact re-rank and empty-cluster repair."""
-    counts = {"_sq_dists": 0, "_repair_empty": 0}
-    for name in counts:
+    """Count the calls of clustering's exact re-rank, empty-cluster repair and
+    one-restart-at-a-time seeding (the lock-step seeding's fallback), and the
+    restarts retired early."""
+    counts = {"_sq_dists": 0, "_repair_empty": 0, "_pp_seed": 0, "retired": 0}
+    for name in ("_sq_dists", "_repair_empty", "_pp_seed"):
         original = getattr(clustering, name)
 
         def counted(*args, _name=name, _original=original):
@@ -37,7 +50,25 @@ def calls(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(clustering, name, counted)
+    settled = clustering._settled
+
+    def counted_settled(assignment, previous, repaired):
+        done = settled(assignment, previous, repaired)
+        counts["retired"] += int(done.sum())
+        return done
+
+    monkeypatch.setattr(clustering, "_settled", counted_settled)
     return counts
+
+
+def random_case(seed):
+    """Points, k and keyword arguments of one random reference case."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    d = int(rng.choice([1, 2, 3, 8, 32]))
+    k = int(rng.integers(1, min(n, 8) + 1))
+    points = rng.normal(size=(n, d)) * float(rng.choice([1e-3, 1.0, 1e3]))
+    return points, k, {"n_init": int(rng.integers(1, 11)), "max_iter": int(rng.choice([0, 1, 2, 3, 100]))}
 
 
 class TestKMeans:
@@ -90,14 +121,21 @@ class TestKMeansMatchesReference:
     @settings(deadline=None, max_examples=60)
     @given(st.integers(0, 2**32 - 1))
     def test_random_inputs(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 40))
-        d = int(rng.choice([1, 2, 3, 8, 32]))
-        k = int(rng.integers(1, min(n, 8) + 1))
-        points = rng.normal(size=(n, d)) * float(rng.choice([1e-3, 1.0, 1e3]))
-        assert_matches_reference(
-            points, k, seed, n_init=int(rng.integers(1, 5)), max_iter=int(rng.choice([1, 2, 100])),
-        )
+        points, k, kwargs = random_case(seed)
+        assert_matches_reference(points, k, seed, **kwargs)
+
+    def test_restarts_retire_once_their_assignment_repeats(self, calls):
+        # Retiring is exact, so only the count shows that it happens.
+        for seed in range(40):
+            points, k, kwargs = random_case(seed)
+            assert_matches_reference(points, k, seed, **kwargs)
+        assert calls["retired"] > 0
+
+    def test_a_repaired_restart_is_not_retired(self):
+        assignment = np.array([[0, 1, 1], [0, 1, 1], [0, 1, 1]])
+        previous = np.array([[0, 1, 1], [0, 1, 1], [0, 0, 1]])
+        done = clustering._settled(assignment, previous, np.array([False, True, False]))
+        assert done.tolist() == [True, False, False]
 
     @settings(deadline=None, max_examples=60)
     @given(st.data())
@@ -115,6 +153,7 @@ class TestKMeansMatchesReference:
             assert_matches_reference(points, 4, seed)
         assert calls["_repair_empty"] > 0
         assert calls["_sq_dists"] > 0
+        assert calls["_pp_seed"] > 0  # the fourth pick of every restart has a zero D^2 total
 
     def test_lattice_points_equidistant_from_two_centroids(self, calls):
         grid = np.array([[x, y] for x in range(5) for y in range(5)], dtype=float)
@@ -131,12 +170,13 @@ class TestKMeansMatchesReference:
         for n in (1, 2, 7):
             assert_matches_reference(rng.normal(size=(n, 3)), n, n)
 
-    def test_unit_rows_as_in_the_pipeline(self):
+    def test_unit_rows_as_in_the_pipeline(self, calls):
         rng = np.random.default_rng(4)
         centers = rng.normal(size=(6, 32))
         points = l2_normalize_rows(centers[rng.integers(0, 6, size=300)] + 0.3 * rng.normal(size=(300, 32)))
         for k in (2, 6, 18):
             assert_matches_reference(points, k, k)
+        assert calls["_pp_seed"] == 0  # seeded in lock-step throughout
 
     def test_points_far_from_the_origin(self, calls):
         # |x|^2 ~ 3e12 swamps distances ~1e-4 in the Gram form, so the ranking
@@ -145,6 +185,50 @@ class TestKMeansMatchesReference:
         for seed in range(3):
             assert_matches_reference(points, 5, seed)
         assert calls["_sq_dists"] > 0
+        assert calls["_pp_seed"] > 0  # D^2 totals lie within the seeding bound of 0
+
+    def test_points_whose_squares_overflow(self, calls):
+        # Finite points, but |x|^2 and the D^2 totals overflow to inf: the
+        # rounding bound says nothing there, so seeding falls back.
+        points = 1e200 * np.random.default_rng(10).normal(size=(9, 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for seed in range(3):
+                assert_matches_reference(points, 3, seed)
+        assert calls["_pp_seed"] > 0
+
+    @pytest.mark.parametrize("at", [0, 3])
+    def test_first_draw_of_a_restart_rejected_by_randint(self, calls, at):
+        # 2**64 % 7 == 2, so randint(7) rejects the draw 2**64 - 1 and reads
+        # one more; with k = 3 the draws at 0 and 3 are restarts' first picks.
+        rng = Rng(0)
+        script = [rng.next_u64() for _ in range(at)] + [2**64 - 1]
+        points = np.random.default_rng(8).normal(size=(7, 2))
+        assert_matches_reference(points, 3, 5, make_rng=lambda seed: ScriptedRng(seed, script), n_init=2)
+        assert calls["_pp_seed"] == 2
+
+    def test_rejected_draw_on_a_zero_total_pick(self, calls):
+        # All points at the origin: every pick after the first has a zero D^2
+        # total and reads randint(7), which rejects the scripted draw.
+        assert_matches_reference(
+            np.zeros((7, 2)), 3, 5, make_rng=lambda seed: ScriptedRng(seed, [0, 2**64 - 1]), n_init=1
+        )
+        assert calls["_pp_seed"] == 1
+
+    def test_threshold_on_a_running_sum_entry(self, calls):
+        # Script the second draw so that the exact threshold equals an exact
+        # running-sum entry: the Gram form cannot vouch for that pick.
+        points = l2_normalize_rows(np.random.default_rng(9).normal(size=(8, 3)))
+        d2 = np.sum((points - points[0]) ** 2, axis=1)
+        total = float(d2.sum())
+        fraction = next(  # an entry in total's binade is a product m * 2^-53 * total
+            m
+            for entry in np.cumsum(d2)[:0:-1]
+            for m in range(round(entry / total * 2.0**53) - 4, round(entry / total * 2.0**53) + 5)
+            if m < 2**53 and m * 2.0**-53 * total == entry
+        )
+        script = [0, fraction << 11]  # pick row 0, then a threshold on a running-sum entry
+        assert_matches_reference(points, 2, 5, make_rng=lambda seed: ScriptedRng(seed, script), n_init=1)
+        assert calls["_pp_seed"] == 1
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_rejected(self, bad):

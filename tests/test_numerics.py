@@ -49,6 +49,12 @@ class TestL2Normalize:
         with pytest.raises(ValueError, match="degenerate feature"):
             l2_normalize_rows(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e200])
+    def test_non_finite_norm_rejected(self, bad):
+        # 1e200 is finite, but its square overflows the norm to inf.
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="norm is not finite"):
+            l2_normalize_rows(np.array([[1.0, 0.0], [bad, 1.0]]))
+
 
 class TestSoftmax:
     def test_constant_logits_give_uniform(self):
