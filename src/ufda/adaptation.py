@@ -114,6 +114,11 @@ def _batches(perm: np.ndarray, batch_size: int):
         yield perm[start : start + batch_size]
 
 
+def _located(stage: str, epoch, batch_no, phase: str, err: ValueError) -> ValueError:
+    where = "".join(f"{name} {at}, " for name, at in (("epoch", epoch), ("batch", batch_no)) if at is not None)
+    return ValueError(f"{stage} failed at {where}{phase}: {err}")
+
+
 def pretrain_source(
     source: FeatureSet,
     dims: ModelDims,
@@ -121,7 +126,8 @@ def pretrain_source(
     log_fn=None,
 ) -> AdaptModel:
     """Mini-batch SGD on the label-smoothed source loss; the classifier is
-    frozen afterwards. Deterministic given the config seed."""
+    frozen afterwards. Deterministic given the config seed. A failure is
+    raised naming the epoch, the batch and the phase."""
     labels = np.asarray(source.labels)
     if labels.min(initial=0) < 0 or (labels.size and labels.max() >= dims.n_classes):
         raise ValueError("source label out of range for the classifier")
@@ -132,17 +138,26 @@ def pretrain_source(
     model = init_model(dims, rng)
     opt = Optimizer.for_model(model, config.lr, config.momentum)
     n = len(source)
-    for epoch in range(config.epochs):
-        perm = rng.permutation(n)
-        epoch_loss = 0.0
-        for batch in _batches(perm, config.batch_size):
-            fwd = forward_batch(model, source.features[batch])
-            loss, d_logits = loss_source_batch(fwd.probs, labels[batch], config.alpha)
-            grads = backward(model, fwd, d_logits=d_logits)
-            sgd_step(opt, model, grads)
-            epoch_loss += loss * batch.shape[0]
-        if log_fn is not None:
-            log_fn(f"epoch {epoch} loss {epoch_loss / n:.6f}")
+    epoch = batch_no = phase = None
+    try:
+        for epoch in range(config.epochs):
+            perm = rng.permutation(n)
+            epoch_loss = 0.0
+            for batch_no, batch in enumerate(_batches(perm, config.batch_size)):
+                phase = "forward"
+                fwd = forward_batch(model, source.features[batch])
+                loss, d_logits = loss_source_batch(fwd.probs, labels[batch], config.alpha)
+                phase = "backward+SGD"
+                grads = backward(model, fwd, d_logits=d_logits)
+                sgd_step(opt, model, grads)
+                epoch_loss += loss * batch.shape[0]
+            if log_fn is not None:
+                log_fn(f"epoch {epoch} loss {epoch_loss / n:.6f}")
+        # No forward pass follows the last step to catch a weight it overflowed.
+        if not all(np.isfinite(getattr(model, name)).all() for name in model.trainable_names()):
+            raise ValueError("weights are not finite")
+    except ValueError as err:
+        raise _located("pretraining", epoch, batch_no, phase, err) from err
     model.classifier_frozen = True
     return model
 
@@ -233,6 +248,5 @@ def adapt(model: AdaptModel, target: FeatureSet | np.ndarray, config: AdaptConfi
                 )
             )
     except ValueError as err:
-        where = "".join(f"{name} {at}, " for name, at in (("epoch", epoch), ("batch", batch_no)) if at is not None)
-        raise ValueError(f"adaptation failed at {where}{phase}: {err}") from err
+        raise _located("adaptation", epoch, batch_no, phase, err) from err
     return model, trace

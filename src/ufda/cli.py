@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adaptation import adapt, pretrain_source
+from .adaptation import VARIANTS, adapt, pretrain_source
 from .config import SCENARIO_KEYS, ConfigError, load_run_config
 from .datagen import (
     FeatureFileError,
@@ -37,11 +37,10 @@ class CliError(RuntimeError):
 
 
 def _out_dir(path_text: str) -> Path:
+    """Checked up front, created only after the command's work succeeds."""
     if not path_text:
         raise CliError("an output directory is required (--out)", code=2)
-    out = Path(path_text)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return Path(path_text)
 
 
 def _load(loader, path_text: str, what: str):
@@ -68,12 +67,10 @@ def _load_model_and_target(args, cfg):
 
 def _overrides(args) -> dict:
     keys = (
-        "seed", "variant", "omega", "eta", "rho", "epochs",
+        "seed", "variant", "omega", "eta", "rho", "epochs", "k_neighbors",
         "source_path", "target_path", "model_path", "out_dir",
     )
-    out = {k: getattr(args, k, None) for k in keys}
-    out["k_neighbors"] = getattr(args, "k", None)
-    return out
+    return {k: getattr(args, k, None) for k in keys}
 
 
 def cmd_gen(args) -> int:
@@ -88,6 +85,7 @@ def cmd_gen(args) -> int:
     spec = cfg.scenario()
     out = _out_dir(cfg.out_dir)
     source, target = generate(spec)
+    out.mkdir(parents=True, exist_ok=True)
     save_featureset(source, out / "source.ufd")
     save_featureset(target, out / "target.ufd")
     cfg.save(out / "spec.resolved")
@@ -105,6 +103,7 @@ def cmd_pretrain(args) -> int:
     out = _out_dir(cfg.out_dir)
     log_lines: list[str] = []
     model = pretrain_source(source, dims, cfg.adapt_config(), log_fn=log_lines.append)
+    out.mkdir(parents=True, exist_ok=True)
     save_model(model, out / "model.ufdmodel")
     (out / "train.log").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
     cfg.save(out / "config.resolved")
@@ -117,6 +116,7 @@ def cmd_adapt(args) -> int:
     model, target = _load_model_and_target(args, cfg)
     out = _out_dir(cfg.out_dir)
     adapted, trace = adapt(model, target, cfg.adapt_config())
+    out.mkdir(parents=True, exist_ok=True)
     save_model(adapted, out / "adapted.ufdmodel")
     trace.save(out / "trace.tsv")
     cfg.save(out / "config.resolved")
@@ -130,14 +130,8 @@ def cmd_eval(args) -> int:
     cfg = load_run_config(args.config, _overrides(args))
     model, target = _load_model_and_target(args, cfg)
     out = _out_dir(cfg.out_dir)
-    rng = Rng(cfg.seed)
-    try:
-        report = evaluate(
-            model, target.features, target.labels, cfg.omega,
-            n_private=args.ncd, rng=rng,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    report = evaluate(model, target.features, target.labels, cfg.omega, n_private=args.ncd, rng=Rng(cfg.seed))
+    out.mkdir(parents=True, exist_ok=True)
     (out / "report.tsv").write_text("\n".join(report.machine_lines()) + "\n", encoding="utf-8")
     cfg.save(out / "config.resolved")
     print(report.human_table())
@@ -183,7 +177,8 @@ def cmd_report(args) -> int:
         machine.append(f"{name}\t{mean!r}\t{std!r}\t{vals.shape[0]}")
     print("\n".join(human))
     if args.out_dir:
-        out = _out_dir(args.out_dir)
+        out = Path(args.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
         (out / "summary.tsv").write_text("\n".join(machine) + "\n", encoding="utf-8")
     return 0
 
@@ -192,17 +187,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ufda", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, paths=True):
+    def common(p):
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--seed", type=int, help="run seed (overrides config)")
-        p.add_argument("--variant", choices=("glc", "glcpp"))
+        p.add_argument("--variant", choices=VARIANTS)
         p.add_argument("--omega", type=float, help="unknown-rejection entropy threshold")
         p.add_argument("--eta", type=float, help="global-loss trade-off weight")
         p.add_argument("--rho", type=float, help="source-private suppression floor")
-        p.add_argument("--k", type=int, help="consensus neighbor count")
+        p.add_argument("--k", dest="k_neighbors", type=int, help="consensus neighbor count")
         p.add_argument("--epochs", type=int)
-        if paths:
-            p.add_argument("--out", dest="out_dir", help="output directory")
+        p.add_argument("--out", dest="out_dir", help="output directory")
 
     p_gen = sub.add_parser("gen", help="generate a synthetic benchmark pair")
     p_gen.add_argument("--preset", help="named scenario preset (e.g. opda-toy)")

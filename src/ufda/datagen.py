@@ -55,22 +55,15 @@ class ScenarioSpec:
             raise ScenarioError("every regime needs at least one shared class")
         if min(self.n_source_private, self.n_target_private) < 0:
             raise ScenarioError("private class counts must be non-negative")
-        rules = {
-            "OPDA": self.n_source_private > 0 and self.n_target_private > 0,
-            "OSDA": self.n_source_private == 0 and self.n_target_private > 0,
-            "PDA": self.n_source_private > 0 and self.n_target_private == 0,
-            "CLDA": self.n_source_private == 0 and self.n_target_private == 0,
-        }
-        if not rules[self.regime]:
-            raise ScenarioError(
-                f"regime {self.regime} requires "
-                + {
-                    "OPDA": "private classes on both sides",
-                    "OSDA": "no source-private and some target-private classes",
-                    "PDA": "some source-private and no target-private classes",
-                    "CLDA": "no private classes on either side",
-                }[self.regime]
-            )
+        src, tgt = self.n_source_private, self.n_target_private
+        holds, requirement = {
+            "OPDA": (src > 0 and tgt > 0, "private classes on both sides"),
+            "OSDA": (src == 0 and tgt > 0, "no source-private and some target-private classes"),
+            "PDA": (src > 0 and tgt == 0, "some source-private and no target-private classes"),
+            "CLDA": (src == 0 and tgt == 0, "no private classes on either side"),
+        }[self.regime]
+        if not holds:
+            raise ScenarioError(f"regime {self.regime} requires {requirement}")
         if self.d_in < self.n_classes:
             raise ScenarioError(
                 f"d_in={self.d_in} too small for {self.n_classes} orthonormal class directions"

@@ -88,10 +88,12 @@ def forward_batch(model: AdaptModel, x: np.ndarray) -> BatchForward:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.w1.shape[0]:
         raise ValueError(f"input dimension mismatch: expected (*, {model.w1.shape[0]})")
-    z1 = x @ model.w1 + model.b1
-    a1 = np.maximum(z1, 0.0)
-    features = a1 @ model.w2 + model.b2
-    logits = features @ model.wc + model.bc
+    # A diverging model overflows here; softmax_rows rejects the result.
+    with np.errstate(over="ignore", invalid="ignore"):
+        z1 = x @ model.w1 + model.b1
+        a1 = np.maximum(z1, 0.0)
+        features = a1 @ model.w2 + model.b2
+        logits = features @ model.wc + model.bc
     probs = softmax_rows(logits)
     return BatchForward(x, z1, a1, features, logits, probs)
 
@@ -182,10 +184,12 @@ class Optimizer:
 
 
 def sgd_step(opt: Optimizer, model: AdaptModel, grads: dict[str, np.ndarray]) -> None:
-    for name, v in opt.velocity.items():
-        v *= opt.momentum
-        v += grads[name]
-        getattr(model, name).__isub__(opt.lr * v)
+    # Overflowed weights are rejected by the next forward or by pretrain_source.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, v in opt.velocity.items():
+            v *= opt.momentum
+            v += grads[name]
+            getattr(model, name).__isub__(opt.lr * v)
 
 
 def _write_tensor(lines: list[str], tensor: np.ndarray) -> None:

@@ -135,7 +135,8 @@ class Rng:
 def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
     """Row-wise unit normalization of an (n, d) matrix."""
     arr = np.asarray(m, dtype=np.float64)
-    norms = np.linalg.norm(arr, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+        norms = np.linalg.norm(arr, axis=1)
     if not np.all(np.isfinite(norms)):
         raise ValueError("feature norm is not finite (overflow, inf or NaN)")
     if np.any(norms == 0.0):

@@ -4,8 +4,10 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.
 """
 
+import importlib.util
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from ufda.consensus import MemoryBank, bank_init, nearest_bank_indices
 from ufda.contrastive import loss_contrastive, mine_pairs
 from ufda.clustering import estimate_ct, kmeans, silhouette
 from ufda.datagen import generate, preset
-from ufda.evaluation import evaluate, hungarian
+from ufda.evaluation import hungarian
 from ufda.model import ModelDims, backward, forward_batch, loss_source_batch
 from ufda.model import cross_entropy_rows
 from ufda.numerics import Rng, l2_normalize_rows, normalized_entropy_rows
@@ -297,19 +299,26 @@ def test_criterion_7_ct_recovery():
     report(7, ok, f"estimate_ct picked 3 on well-separated 3-cluster data in {hits}/10 seeds, {elapsed:.2f}s")
 
 
+def load_run_benchmark():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_benchmark.py"
+    spec = importlib.util.spec_from_file_location("run_benchmark", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_criterion_8_end_to_end_opda():
+    # The rows of scripts/run_benchmark.py at its defaults (no config file).
+    run_one = load_run_benchmark().run_one
     t0 = time.perf_counter()
     improved = {"glc": 0, "glcpp": 0}
     ncd_means = {"glc": [], "glcpp": []}
     for seed in (1, 2, 3, 4, 5):
-        source, target = generate(preset("opda-toy", seed=seed))
-        model = pretrain_source(source, ModelDims(16, 64, 32, 6), AdaptConfig(seed=seed))
-        base = evaluate(model, target.features, target.labels, 0.55, n_private=3, rng=Rng(seed))
+        rows = {tag: (h, ncd) for _, _, tag, h, _, ncd in run_one("opda-toy", seed, ("glc", "glcpp"))}
         for variant in ("glc", "glcpp"):
-            adapted, _ = adapt(model, target, AdaptConfig(seed=seed, variant=variant))
-            rep = evaluate(adapted, target.features, target.labels, 0.55, n_private=3, rng=Rng(seed))
-            improved[variant] += rep.h_score > base.h_score
-            ncd_means[variant].append(rep.ncd_acc)
+            h, ncd = rows[variant]
+            improved[variant] += h > rows["source-only"][0]
+            ncd_means[variant].append(ncd)
     elapsed = time.perf_counter() - t0
     glc_ncd = float(np.mean(ncd_means["glc"]))
     glcpp_ncd = float(np.mean(ncd_means["glcpp"]))

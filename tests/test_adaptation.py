@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,25 @@ class TestPretrain:
         source.labels[0] = 7
         with pytest.raises(ValueError, match="label"):
             pretrain_source(source, toy_dims(), AdaptConfig(seed=0, epochs=1))
+
+    def test_divergence_names_epoch_batch_and_phase(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError) as info:
+                pretrain_source(two_gaussian_source(), toy_dims(), AdaptConfig(seed=0, epochs=3, lr=1e8, batch_size=16))
+        assert str(info.value) == "pretraining failed at epoch 0, batch 4, forward: logits must be finite"
+        assert isinstance(info.value.__cause__, ValueError)
+
+    def test_overflowing_last_step_rejected(self):
+        # One step that overflows the weights, and no forward pass after it.
+        source = two_gaussian_source()
+        source.features *= 100.0
+        config = AdaptConfig(seed=0, epochs=1, lr=1e307, batch_size=len(source))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError) as info:
+                pretrain_source(source, toy_dims(), config)
+        assert str(info.value) == "pretraining failed at epoch 0, batch 0, backward+SGD: weights are not finite"
 
     def test_classifier_trains_during_pretraining(self):
         source = two_gaussian_source()

@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -163,7 +164,8 @@ class TestPipeline:
         run(capsys, "pretrain", str(data / "source.ufd"), "--config", str(cfg), "--out", str(tmp_path / "pre"))
         diverging = tmp_path / "diverging.cfg"
         diverging.write_text(cfg.read_text() + "lr = 1e40\n")
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code, _, err = run(
                 capsys, "adapt", str(tmp_path / "pre" / "model.ufdmodel"), str(data / "target.ufd"),
                 "--config", str(diverging), "--out", str(tmp_path / "ad"),
@@ -172,6 +174,27 @@ class TestPipeline:
         assert err.startswith("error: adaptation failed at epoch ")
         assert ", batch " in err
         assert "feature norm is not finite" in err
+        assert len(err.splitlines()) == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not (tmp_path / "ad").exists()
+
+    def test_pretrain_divergence_exits_1_naming_where(self, tmp_path, capsys):
+        cfg = pipeline_cfg(tmp_path)
+        data = gen_small(tmp_path, capsys)
+        diverging = tmp_path / "diverging.cfg"
+        diverging.write_text(cfg.read_text() + "lr = 1e8\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(
+                capsys, "pretrain", str(data / "source.ufd"), "--config", str(diverging), "--out", str(tmp_path / "pre"),
+            )
+        assert code == 1
+        assert err.startswith("error: pretraining failed at epoch ")
+        assert ", batch " in err
+        assert "logits must be finite" in err
+        assert len(err.splitlines()) == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not (tmp_path / "pre").exists()
 
     def test_pretrain_bad_config_value_exits_2(self, tmp_path, capsys):
         data = gen_small(tmp_path, capsys)
@@ -271,6 +294,7 @@ class TestPipeline:
         )
         assert code == 1
         assert "fewer unknown samples than private classes" in err
+        assert not (tmp_path / "ev").exists()
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code, _, err = run(capsys, "pretrain", str(tmp_path / "missing.ufd"), "--out", str(tmp_path / "o"))
