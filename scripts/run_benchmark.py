@@ -7,7 +7,8 @@ requested variant, and prints one row per (preset, seed, model). H-score is
 the headline metric for the open-set regimes (OPDA/OSDA), closed accuracy
 for PDA/CLDA; NCD accuracy is reported whenever the target has at least two
 private classes. Settings come from an optional `ufda` config file, whose
-`epochs` and `lr` pretraining and adaptation share, as in `ufda` itself.
+`epochs` and `lr` pretraining and adaptation share, as in `ufda` itself; it
+may not set `seed`, `variant` or a path key (OWNED_KEYS).
 
 Example:
     python scripts/run_benchmark.py --seeds 1 2 3 4 5 --out results.tsv
@@ -18,21 +19,35 @@ import argparse
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
 from ufda.adaptation import VARIANTS, adapt, pretrain_source
-from ufda.config import SCENARIO_KEYS, ConfigError, load_run_config
-from ufda.datagen import PRESETS, generate, preset
+from ufda.config import ConfigError, load_run_config, parse_config_text
+from ufda.datagen import PRESETS, generate
 from ufda.evaluation import evaluate
 from ufda.numerics import Rng
+
+OWNED_KEYS = ("seed", "variant", "source_path", "target_path", "model_path", "out_dir")
+
+
+def reject_owned_keys(config_path):
+    """--seeds and --variants set seed and variant, and no path is read from
+    the config, so a config that sets one of OWNED_KEYS is an error."""
+    try:
+        text = Path(config_path).read_text(encoding="utf-8")
+    except OSError:
+        return  # load_run_config reports an unreadable file
+    for key in parse_config_text(text, config_path):
+        if key in OWNED_KEYS:
+            raise ConfigError(f"{config_path}: the script does not take {key!r} from a config")
 
 
 def run_one(preset_name, seed, variants, config_path=None):
     """Source-only and per-variant rows, every stage built from one RunConfig
     layered as `ufda gen --preset` layers it: preset <- config file <- seed."""
-    base = {name: getattr(preset(preset_name), name) for name in SCENARIO_KEYS}
-    cfg = load_run_config(config_path, {"seed": seed}, base=base)
+    cfg = load_run_config(config_path, {"seed": seed}, preset=preset_name)
     spec = cfg.scenario()
     source, target = generate(spec)
     model = pretrain_source(source, cfg.model_dims(spec.d_in, spec.n_source_classes), cfg.adapt_config())
@@ -62,6 +77,8 @@ def main():
     all_rows = []
     t0 = time.time()
     try:
+        if args.config:
+            reject_owned_keys(args.config)
         for name in names:
             for seed in args.seeds:
                 all_rows.extend(run_one(name, seed, args.variants, args.config))

@@ -11,20 +11,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .adaptation import VARIANTS, adapt, pretrain_source
-from .config import SCENARIO_KEYS, ConfigError, load_run_config
-from .datagen import (
-    FeatureFileError,
-    ScenarioError,
-    generate,
-    load_featureset,
-    preset,
-    save_featureset,
-)
+from .config import ConfigError, RunConfig, load_run_config
+from .datagen import FeatureFileError, ScenarioError, generate, load_featureset, save_featureset
 from .evaluation import evaluate
 from .model import CheckpointError, load_model, save_model
 from .numerics import Rng
@@ -34,13 +28,6 @@ class CliError(RuntimeError):
     def __init__(self, message: str, code: int = 1):
         super().__init__(message)
         self.code = code
-
-
-def _out_dir(path_text: str) -> Path:
-    """Checked up front, created only after the command's work succeeds."""
-    if not path_text:
-        raise CliError("an output directory is required (--out)", code=2)
-    return Path(path_text)
 
 
 def _load(loader, path_text: str, what: str):
@@ -55,9 +42,9 @@ def _load(loader, path_text: str, what: str):
         raise CliError(f"{path}: {exc}") from None
 
 
-def _load_model_and_target(args, cfg):
-    model = _load(load_model, args.model or cfg.model_path, "model checkpoint")
-    target = _load(load_featureset, args.target or cfg.target_path, "target file")
+def _load_model_and_target(cfg):
+    model = _load(load_model, cfg.model_path, "model checkpoint")
+    target = _load(load_featureset, cfg.target_path, "target file")
     if target.features.shape[1] != model.dims.d_in:
         raise CliError(
             f"target dimension d={target.features.shape[1]} does not match model d_in={model.dims.d_in}"
@@ -65,26 +52,8 @@ def _load_model_and_target(args, cfg):
     return model, target
 
 
-def _overrides(args) -> dict:
-    keys = (
-        "seed", "variant", "omega", "eta", "rho", "epochs", "k_neighbors",
-        "source_path", "target_path", "model_path", "out_dir",
-    )
-    return {k: getattr(args, k, None) for k in keys}
-
-
-def cmd_gen(args) -> int:
-    base = {}
-    if args.preset:
-        try:
-            ps = preset(args.preset)
-        except KeyError as exc:
-            raise CliError(str(exc.args[0]), code=2) from None
-        base = {name: getattr(ps, name) for name in SCENARIO_KEYS}
-    cfg = load_run_config(args.config, _overrides(args), base=base)
-    spec = cfg.scenario()
-    out = _out_dir(cfg.out_dir)
-    source, target = generate(spec)
+def cmd_gen(args, cfg, out: Path) -> int:
+    source, target = generate(cfg.scenario())
     out.mkdir(parents=True, exist_ok=True)
     save_featureset(source, out / "source.ufd")
     save_featureset(target, out / "target.ufd")
@@ -93,14 +62,12 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_pretrain(args) -> int:
-    cfg = load_run_config(args.config, _overrides(args))
-    source = _load(load_featureset, args.source or cfg.source_path, "source file")
+def cmd_pretrain(args, cfg, out: Path) -> int:
+    source = _load(load_featureset, cfg.source_path, "source file")
     if source.role != "source":
         raise CliError(f"expected a source-role feature file, got role={source.role!r}")
     n_classes = int(source.labels.max()) + 1
     dims = cfg.model_dims(d_in=source.features.shape[1], n_classes=n_classes)
-    out = _out_dir(cfg.out_dir)
     log_lines: list[str] = []
     model = pretrain_source(source, dims, cfg.adapt_config(), log_fn=log_lines.append)
     out.mkdir(parents=True, exist_ok=True)
@@ -111,10 +78,8 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-def cmd_adapt(args) -> int:
-    cfg = load_run_config(args.config, _overrides(args))
-    model, target = _load_model_and_target(args, cfg)
-    out = _out_dir(cfg.out_dir)
+def cmd_adapt(args, cfg, out: Path) -> int:
+    model, target = _load_model_and_target(cfg)
     adapted, trace = adapt(model, target, cfg.adapt_config())
     out.mkdir(parents=True, exist_ok=True)
     save_model(adapted, out / "adapted.ufdmodel")
@@ -124,12 +89,10 @@ def cmd_adapt(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args, cfg, out: Path) -> int:
     if args.ncd is not None and args.ncd < 2:
         raise CliError(f"--ncd must be at least 2, got {args.ncd}", code=2)
-    cfg = load_run_config(args.config, _overrides(args))
-    model, target = _load_model_and_target(args, cfg)
-    out = _out_dir(cfg.out_dir)
+    model, target = _load_model_and_target(cfg)
     report = evaluate(model, target.features, target.labels, cfg.omega, n_private=args.ncd, rng=Rng(cfg.seed))
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.tsv").write_text("\n".join(report.machine_lines()) + "\n", encoding="utf-8")
@@ -204,19 +167,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(fn=cmd_gen)
 
     p_pre = sub.add_parser("pretrain", help="pretrain the source model")
-    p_pre.add_argument("source", nargs="?", help="source .ufd file")
+    p_pre.add_argument("source_path", nargs="?", metavar="source", help="source .ufd file")
     common(p_pre)
     p_pre.set_defaults(fn=cmd_pretrain)
 
     p_adapt = sub.add_parser("adapt", help="adapt a pretrained model to a target set")
-    p_adapt.add_argument("model", nargs="?", help="pretrained .ufdmodel checkpoint")
-    p_adapt.add_argument("target", nargs="?", help="target .ufd file")
+    p_adapt.add_argument("model_path", nargs="?", metavar="model", help="pretrained .ufdmodel checkpoint")
+    p_adapt.add_argument("target_path", nargs="?", metavar="target", help="target .ufd file")
     common(p_adapt)
     p_adapt.set_defaults(fn=cmd_adapt)
 
     p_eval = sub.add_parser("eval", help="evaluate a model on a labeled target set")
-    p_eval.add_argument("model", nargs="?", help=".ufdmodel checkpoint")
-    p_eval.add_argument("target", nargs="?", help="target .ufd file")
+    p_eval.add_argument("model_path", nargs="?", metavar="model", help=".ufdmodel checkpoint")
+    p_eval.add_argument("target_path", nargs="?", metavar="target", help="target .ufd file")
     p_eval.add_argument("--ncd", type=int, help="true target-private class count for NCD accuracy")
     common(p_eval)
     p_eval.set_defaults(fn=cmd_eval)
@@ -224,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("report", help="aggregate eval outputs into mean/std across seeds")
     p_rep.add_argument("reports", nargs="*", help="report.tsv files from eval runs")
     p_rep.add_argument("--out", dest="out_dir", help="output directory for summary.tsv")
-    p_rep.set_defaults(fn=cmd_report)
     return parser
 
 
@@ -232,7 +194,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        if args.command == "report":
+            return cmd_report(args)
+        # Flags, positional inputs included, are the namespace's RunConfig keys.
+        overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+        cfg = load_run_config(args.config, overrides, preset=getattr(args, "preset", None))
+        if not cfg.out_dir:
+            raise CliError("an output directory is required (--out)", code=2)
+        # Each command creates its output directory only after its work succeeds.
+        return args.fn(args, cfg, Path(cfg.out_dir))
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

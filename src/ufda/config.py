@@ -1,8 +1,9 @@
 """Line-oriented `key = value` run configuration.
 
-One flat key space covers the scenario, model dims, and training knobs; CLI
-flags override file values, and every command writes its fully resolved
-config next to its outputs so runs are self-documenting.
+One flat key space covers the scenario, model dims, training knobs and the
+files a command reads and writes. `load_run_config` layers a preset, a config
+file and CLI flags into one `RunConfig`, and every command writes it next to
+its outputs, so `--config <out>/config.resolved` re-runs the command.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ class _RunConfigMethods:
 _DEFAULT_SCENARIO = PRESETS["opda-toy"]
 
 # Flat keys in resolved-file order: scenario (opda-toy preset defaults), model,
-# training (AdaptConfig defaults), then optional file paths (commands may also
-# take these as CLI arguments).
+# training (AdaptConfig defaults), then file paths (the CLI's positional inputs
+# and --out).
 RunConfig = make_dataclass(
     "RunConfig",
     [(f.name, f.type, field(default=getattr(_DEFAULT_SCENARIO, f.name))) for f in _SCENARIO_FIELDS]
@@ -91,11 +92,15 @@ def parse_config_text(text: str, path: str = "<config>") -> dict:
     return values
 
 
-def load_run_config(path: str | None, overrides: dict | None = None, base: dict | None = None) -> RunConfig:
-    """Defaults <- base (e.g. a preset) <- config file <- CLI overrides.
+def load_run_config(path: str | None, overrides: dict | None = None, preset: str | None = None) -> RunConfig:
+    """Defaults <- the preset's scenario keys <- config file <- overrides.
 
     None-valued overrides are ignored so unset CLI flags fall through."""
-    values: dict = dict(base or {})
+    values: dict = {}
+    if preset:
+        if preset not in PRESETS:
+            raise ConfigError(f"unknown preset {preset!r}; available: {sorted(PRESETS)}")
+        values = {key: getattr(PRESETS[preset], key) for key in SCENARIO_KEYS}
     if path:
         try:
             with open(path, "r", encoding="utf-8") as f:

@@ -179,6 +179,8 @@ def load_featureset(path) -> FeatureSet:
         role = header["role"]
     except (ValueError, KeyError):
         raise FeatureFileError("line 2: expected 'n=<N> d=<D> role=<source|target>'") from None
+    if role not in ("source", "target"):
+        raise FeatureFileError(f"line 2: role must be 'source' or 'target', got {role!r}")
 
     body = lines[2:]
     n_body = len([ln for ln in body if ln.strip()])
@@ -196,6 +198,8 @@ def load_featureset(path) -> FeatureSet:
             feats[i] = [float(t) for t in toks[1:]]
         except ValueError:
             raise FeatureFileError(f"line {lineno}: non-numeric field") from None
+        if not np.isfinite(feats[i]).all():
+            raise FeatureFileError(f"line {lineno}: features must be finite")
         if labels[i] < 0:
             raise FeatureFileError(f"line {lineno}: label must be non-negative")
     return FeatureSet(feats, labels, role=role)

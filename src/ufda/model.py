@@ -12,6 +12,9 @@ from .numerics import Rng, softmax_rows
 
 CHECKPOINT_MAGIC = "UFDMODEL v1"
 LOG_CLAMP = 1e-12
+# The model's tensors in field, init-draw and checkpoint order; the first four
+# form the encoder, the last two the classifier.
+TENSORS = ("w1", "b1", "w2", "b2", "wc", "bc")
 
 
 @dataclass
@@ -41,17 +44,11 @@ class AdaptModel:
     def dims(self) -> ModelDims:
         return ModelDims(self.w1.shape[0], self.w1.shape[1], self.w2.shape[1], self.wc.shape[1])
 
-    def trainable_names(self) -> list[str]:
-        names = ["w1", "b1", "w2", "b2"]
-        if not self.classifier_frozen:
-            names += ["wc", "bc"]
-        return names
+    def trainable_names(self) -> tuple[str, ...]:
+        return TENSORS[:4] if self.classifier_frozen else TENSORS
 
     def copy(self) -> "AdaptModel":
-        return AdaptModel(
-            self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy(),
-            self.wc.copy(), self.bc.copy(), self.classifier_frozen,
-        )
+        return AdaptModel(*(getattr(self, name).copy() for name in TENSORS), self.classifier_frozen)
 
 
 def init_model(dims: ModelDims, rng: Rng) -> AdaptModel:
@@ -203,7 +200,7 @@ def save_model(model: AdaptModel, path) -> None:
     as row-major shortest-round-trip decimals (value-exact round trip)."""
     d = model.dims
     lines = [CHECKPOINT_MAGIC, f"{d.d_in} {d.d_hidden} {d.d_feat} {d.n_classes}"]
-    for name in ("w1", "b1", "w2", "b2", "wc", "bc"):
+    for name in TENSORS:
         _write_tensor(lines, getattr(model, name))
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
@@ -230,17 +227,15 @@ def load_model(path) -> AdaptModel:
         raise CheckpointError(f"line 2: bad dims line ({exc})") from None
     dims = ModelDims(d_in, d_hidden, d_feat, n_classes)
 
-    shapes = [
-        ("w1", (dims.d_in, dims.d_hidden)),
-        ("b1", (1, dims.d_hidden)),
-        ("w2", (dims.d_hidden, dims.d_feat)),
-        ("b2", (1, dims.d_feat)),
-        ("wc", (dims.d_feat, dims.n_classes)),
-        ("bc", (1, dims.n_classes)),
-    ]
+    shapes = (
+        (dims.d_in, dims.d_hidden), (dims.d_hidden,),
+        (dims.d_hidden, dims.d_feat), (dims.d_feat,),
+        (dims.d_feat, dims.n_classes), (dims.n_classes,),
+    )
     tensors: dict[str, np.ndarray] = {}
     lineno = 2
-    for name, (n_rows, n_cols) in shapes:
+    for name, shape in zip(TENSORS, shapes):
+        n_rows, n_cols = shape if len(shape) == 2 else (1, shape[0])
         rows = []
         for _ in range(n_rows):
             if lineno >= len(lines):
@@ -254,12 +249,10 @@ def load_model(path) -> AdaptModel:
                 rows.append([float(t) for t in toks])
             except ValueError:
                 raise CheckpointError(f"line {lineno + 1}: non-numeric value in tensor {name}") from None
+            if not np.isfinite(rows[-1]).all():
+                raise CheckpointError(f"line {lineno + 1}: non-finite value in tensor {name}")
             lineno += 1
-        arr = np.array(rows, dtype=np.float64)
-        tensors[name] = arr[0] if name in ("b1", "b2", "bc") else arr
+        tensors[name] = np.array(rows, dtype=np.float64).reshape(shape)
     if any(lines[lineno:]):
         raise CheckpointError(f"line {lineno + 1}: trailing content after parameters")
-    return AdaptModel(
-        w1=tensors["w1"], b1=tensors["b1"], w2=tensors["w2"], b2=tensors["b2"],
-        wc=tensors["wc"], bc=tensors["bc"], classifier_frozen=True,
-    )
+    return AdaptModel(**tensors, classifier_frozen=True)

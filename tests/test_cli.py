@@ -6,6 +6,8 @@ import pytest
 
 from ufda.cli import main
 from ufda.datagen import load_featureset
+from ufda.model import ModelDims, init_model, save_model
+from ufda.numerics import Rng
 
 
 def run(capsys, *argv):
@@ -300,6 +302,74 @@ class TestPipeline:
         code, _, err = run(capsys, "pretrain", str(tmp_path / "missing.ufd"), "--out", str(tmp_path / "o"))
         assert code == 1
         assert "not found" in err
+
+
+class TestReproduce:
+    def test_rerun_from_config_resolved_is_byte_identical(self, tmp_path, capsys):
+        cfg = pipeline_cfg(tmp_path)
+        data = gen_small(tmp_path, capsys)
+        source, target = str(data / "source.ufd"), str(data / "target.ufd")
+        model, adapted = str(tmp_path / "pretrain" / "model.ufdmodel"), str(tmp_path / "adapt" / "adapted.ufdmodel")
+        steps = (  # command, positional inputs and the keys they are recorded as, extra flags, output
+            ("pretrain", {"source_path": source}, ["--variant", "glc"], "model.ufdmodel"),
+            ("adapt", {"model_path": model, "target_path": target}, ["--variant", "glcpp", "--k", "3"], "adapted.ufdmodel"),
+            ("eval", {"model_path": adapted, "target_path": target}, ["--omega", "0.6", "--ncd", "3"], "report.tsv"),
+        )
+        for command, inputs, flags, output in steps:
+            first, again = tmp_path / command, tmp_path / f"{command}-again"
+            code, _, err = run(
+                capsys, command, *inputs.values(), "--config", str(cfg), "--seed", "5", *flags, "--out", str(first),
+            )
+            assert code == 0, err
+            resolved = (first / "config.resolved").read_text().splitlines()
+            for key, path in inputs.items():
+                assert f"{key} = {path}" in resolved
+
+            ncd = ["--ncd", "3"] if command == "eval" else []  # a flag, not a config key
+            code, _, err = run(capsys, command, "--config", str(first / "config.resolved"), *ncd, "--out", str(again))
+            assert code == 0, err
+            assert (again / output).read_bytes() == (first / output).read_bytes(), command
+            rerun = (again / "config.resolved").read_text().splitlines()
+            assert [line for line in rerun if not line.startswith("out_dir")] == [
+                line for line in resolved if not line.startswith("out_dir")
+            ]
+        cut = [
+            [line.split("\t")[:6] for line in (tmp_path / d / "trace.tsv").read_text().splitlines()]
+            for d in ("adapt", "adapt-again")
+        ]
+        assert cut[0] == cut[1]  # the seconds column aside
+
+
+class TestBadInputFiles:
+    def test_non_finite_feature_names_path_and_line(self, tmp_path, capsys):
+        path = tmp_path / "source.ufd"
+        path.write_text("UFD v1\nn=2 d=2 role=source\n0 1.0 2.0\n1 nan 0.5\n")
+        code, _, err = run(capsys, "pretrain", str(path), "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert err == f"error: {path}: line 4: features must be finite\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_role_names_path_and_line(self, tmp_path, capsys):
+        path = tmp_path / "source.ufd"
+        path.write_text("UFD v1\nn=1 d=2 role=sauce\n0 1.0 2.0\n")
+        code, _, err = run(capsys, "pretrain", str(path), "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert err.startswith(f"error: {path}: line 2: role must be 'source' or 'target'")
+        assert not (tmp_path / "o").exists()
+
+    def test_non_finite_weight_names_path_line_and_tensor(self, tmp_path, capsys):
+        path = tmp_path / "model.ufdmodel"
+        save_model(init_model(ModelDims(2, 2, 2, 2), Rng(1)), path)
+        lines = path.read_text().splitlines()
+        lines[7] = "0.5 nan"  # b2, after the magic, dims, w1 (2 rows), b1 and w2 (2 rows)
+        path.write_text("\n".join(lines) + "\n")
+        target = tmp_path / "target.ufd"
+        target.write_text("UFD v1\nn=2 d=2 role=target\n0 1.0 2.0\n1 0.5 0.5\n")
+        for command in ("adapt", "eval"):
+            code, _, err = run(capsys, command, str(path), str(target), "--out", str(tmp_path / command))
+            assert code == 1, command
+            assert err == f"error: {path}: line 8: non-finite value in tensor b2\n", command
+            assert not (tmp_path / command).exists()
 
 
 class TestReport:

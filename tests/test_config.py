@@ -75,3 +75,23 @@ class TestLoad:
         assert ac.rho == cfg.rho
         dims = cfg.model_dims(d_in=12, n_classes=4)
         assert (dims.d_in, dims.d_hidden, dims.d_feat, dims.n_classes) == (12, 64, 32, 4)
+
+
+class TestPreset:
+    def test_preset_carries_its_scenario_keys(self):
+        cfg = load_run_config(None, preset="pda-toy")
+        spec = preset("pda-toy")
+        assert all(getattr(cfg, key) == getattr(spec, key) for key in SCENARIO_KEYS)
+        assert cfg.regime == "PDA"
+
+    def test_file_beats_preset_and_flag_beats_file(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("n_shared = 5\nd_in = 20\n")
+        cfg = load_run_config(str(path), {"d_in": 24, "n_shared": None}, preset="pda-toy")
+        assert (cfg.regime, cfg.n_source_private, cfg.n_target_private) == ("PDA", 4, 0)  # preset
+        assert cfg.n_shared == 5  # file beats preset
+        assert cfg.d_in == 24     # flag beats file
+
+    def test_unknown_preset_rejected(self):
+        with pytest.raises(ConfigError, match="unknown preset 'nope'"):
+            load_run_config(None, preset="nope")

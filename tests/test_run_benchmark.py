@@ -78,3 +78,18 @@ def test_bad_config_value_exits_2(tmp_path):
     assert "lr" in done.stderr
     assert "Traceback" not in done.stderr
     assert not out.exists()
+
+
+def test_config_keys_the_script_owns_exit_2(tmp_path):
+    out = tmp_path / "rows.tsv"
+    for line in ("seed = 99", "variant = glc", "source_path = s.ufd", "target_path = t.ufd",
+                 "model_path = m.ufdmodel", "out_dir = o"):
+        cfg = tmp_path / "owned.cfg"
+        cfg.write_text(f"epochs = 2\n{line}\n")
+        done = run_script("--preset", "opda-toy", "--seeds", "1", "--config", cfg, "--out", out)
+        key = line.split(" = ")[0]
+        assert done.returncode == 2, (key, done.stderr)
+        assert done.stderr.startswith("error: ")
+        assert repr(key) in done.stderr
+        assert done.stdout == ""
+        assert not out.exists()

@@ -5,6 +5,8 @@
 - Every public top-level function or class has a caller outside its own
   definition in ``src/``, ``scripts/`` or ``perfbench/``. Tests do not count:
   a name that only tests use is dead code.
+- Every name imported by a library module or a script is used in that file
+  (``from __future__`` imports excepted).
 """
 
 import ast
@@ -61,3 +63,19 @@ def test_every_public_definition_has_a_caller():
         and not any(node.name in names for stmt, names in statements if stmt is not node)
     ]
     assert not uncalled, "public definitions with no caller outside tests: " + ", ".join(uncalled)
+
+
+def test_every_import_is_used():
+    trees = {**_library(_trees(["src"])), **_trees(["scripts"])}
+    unused = []
+    for path, tree in trees.items():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    assert not unused, "unused imports: " + ", ".join(unused)
