@@ -5,10 +5,10 @@ For every preset (or a chosen one) this pretrains a source model, evaluates
 it directly on the target (source-only baseline), adapts it with each
 requested variant, and prints one row per (preset, seed, model). H-score is
 the headline metric for the open-set regimes (OPDA/OSDA), closed accuracy
-for PDA/CLDA; NCD accuracy is reported whenever the target has at least two
-private classes. Settings come from an optional `ufda` config file, whose
-`epochs` and `lr` pretraining and adaptation share, as in `ufda` itself; it
-may not set `seed`, `variant` or a path key (OWNED_KEYS).
+for PDA/CLDA; NCD accuracy is reported where `novel_class_count` defines it.
+Settings come from an optional `ufda` config file, whose `epochs` and `lr`
+pretraining and adaptation share, as in `ufda` itself; it may not set
+`seed`, `variant` or a path key (OWNED_KEYS).
 
 Example:
     python scripts/run_benchmark.py --seeds 1 2 3 4 5 --out results.tsv
@@ -24,12 +24,12 @@ from pathlib import Path
 import numpy as np
 
 from ufda.adaptation import VARIANTS, adapt, pretrain_source
-from ufda.config import ConfigError, load_run_config, parse_config_text
+from ufda.config import PATH_KEYS, ConfigError, load_run_config, parse_config_text
 from ufda.datagen import PRESETS, generate
-from ufda.evaluation import evaluate
+from ufda.evaluation import evaluate, novel_class_count
 from ufda.numerics import Rng
 
-OWNED_KEYS = ("seed", "variant", "source_path", "target_path", "model_path", "out_dir")
+OWNED_KEYS = ("seed", "variant") + PATH_KEYS
 
 
 def reject_owned_keys(config_path):
@@ -51,7 +51,7 @@ def run_one(preset_name, seed, variants, config_path=None):
     spec = cfg.scenario()
     source, target = generate(spec)
     model = pretrain_source(source, cfg.model_dims(spec.d_in, spec.n_source_classes), cfg.adapt_config())
-    n_private = spec.n_target_private if spec.n_target_private >= 2 else None
+    n_private = novel_class_count(target.labels, spec.n_source_classes)
 
     def score(m, tag):
         rep = evaluate(m, target.features, target.labels, cfg.omega, n_private=n_private, rng=Rng(cfg.seed))

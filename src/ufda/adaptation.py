@@ -128,8 +128,10 @@ def pretrain_source(
     """Mini-batch SGD on the label-smoothed source loss; the classifier is
     frozen afterwards. Deterministic given the config seed. A failure is
     raised naming the epoch, the batch and the phase."""
+    if len(source) == 0:
+        raise ValueError("source set is empty")
     labels = np.asarray(source.labels)
-    if labels.min(initial=0) < 0 or (labels.size and labels.max() >= dims.n_classes):
+    if labels.min() < 0 or labels.max() >= dims.n_classes:
         raise ValueError("source label out of range for the classifier")
     if source.features.shape[1] != dims.d_in:
         raise ValueError("source feature dimension does not match d_in")

@@ -10,16 +10,17 @@ violations, bad flags).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .adaptation import VARIANTS, adapt, pretrain_source
-from .config import ConfigError, RunConfig, load_run_config
+from .config import PATH_KEYS, ConfigError, RunConfig, load_run_config
 from .datagen import FeatureFileError, ScenarioError, generate, load_featureset, save_featureset
-from .evaluation import evaluate
+from .evaluation import evaluate, novel_class_count
 from .model import CheckpointError, load_model, save_model
 from .numerics import Rng
 
@@ -52,20 +53,20 @@ def _load_model_and_target(cfg):
     return model, target
 
 
-def cmd_gen(args, cfg, out: Path) -> int:
+def cmd_gen(cfg, out: Path) -> None:
     source, target = generate(cfg.scenario())
     out.mkdir(parents=True, exist_ok=True)
     save_featureset(source, out / "source.ufd")
     save_featureset(target, out / "target.ufd")
-    cfg.save(out / "spec.resolved")
     print(f"wrote {out / 'source.ufd'} ({len(source)} samples) and {out / 'target.ufd'} ({len(target)} samples)")
-    return 0
 
 
-def cmd_pretrain(args, cfg, out: Path) -> int:
+def cmd_pretrain(cfg, out: Path) -> None:
     source = _load(load_featureset, cfg.source_path, "source file")
     if source.role != "source":
         raise CliError(f"expected a source-role feature file, got role={source.role!r}")
+    if len(source) == 0:
+        raise CliError(f"{cfg.source_path}: source set is empty")
     n_classes = int(source.labels.max()) + 1
     dims = cfg.model_dims(d_in=source.features.shape[1], n_classes=n_classes)
     log_lines: list[str] = []
@@ -73,32 +74,25 @@ def cmd_pretrain(args, cfg, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_model(model, out / "model.ufdmodel")
     (out / "train.log").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
-    cfg.save(out / "config.resolved")
     print(f"wrote {out / 'model.ufdmodel'} (classes={n_classes})")
-    return 0
 
 
-def cmd_adapt(args, cfg, out: Path) -> int:
+def cmd_adapt(cfg, out: Path) -> None:
     model, target = _load_model_and_target(cfg)
     adapted, trace = adapt(model, target, cfg.adapt_config())
     out.mkdir(parents=True, exist_ok=True)
     save_model(adapted, out / "adapted.ufdmodel")
     trace.save(out / "trace.tsv")
-    cfg.save(out / "config.resolved")
     print(f"wrote {out / 'adapted.ufdmodel'} after {len(trace.epochs)} epochs (variant={cfg.variant})")
-    return 0
 
 
-def cmd_eval(args, cfg, out: Path) -> int:
-    if args.ncd is not None and args.ncd < 2:
-        raise CliError(f"--ncd must be at least 2, got {args.ncd}", code=2)
+def cmd_eval(cfg, out: Path) -> None:
     model, target = _load_model_and_target(cfg)
-    report = evaluate(model, target.features, target.labels, cfg.omega, n_private=args.ncd, rng=Rng(cfg.seed))
+    n_private = novel_class_count(target.labels, model.dims.n_classes)
+    report = evaluate(model, target.features, target.labels, cfg.omega, n_private=n_private, rng=Rng(cfg.seed))
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.tsv").write_text("\n".join(report.machine_lines()) + "\n", encoding="utf-8")
-    cfg.save(out / "config.resolved")
     print(report.human_table())
-    return 0
 
 
 def cmd_report(args) -> int:
@@ -180,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a model on a labeled target set")
     p_eval.add_argument("model_path", nargs="?", metavar="model", help=".ufdmodel checkpoint")
     p_eval.add_argument("target_path", nargs="?", metavar="target", help="target .ufd file")
-    p_eval.add_argument("--ncd", type=int, help="true target-private class count for NCD accuracy")
     common(p_eval)
     p_eval.set_defaults(fn=cmd_eval)
 
@@ -201,8 +194,13 @@ def main(argv=None) -> int:
         cfg = load_run_config(args.config, overrides, preset=getattr(args, "preset", None))
         if not cfg.out_dir:
             raise CliError("an output directory is required (--out)", code=2)
+        out = Path(cfg.out_dir)  # as given, so stdout names it as typed
+        # Absolute paths let config.resolved re-run the command from any directory.
+        cfg = replace(cfg, **{k: os.path.abspath(getattr(cfg, k)) for k in PATH_KEYS if getattr(cfg, k)})
         # Each command creates its output directory only after its work succeeds.
-        return args.fn(args, cfg, Path(cfg.out_dir))
+        args.fn(cfg, out)
+        cfg.save(out / "config.resolved")
+        return 0
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

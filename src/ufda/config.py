@@ -24,7 +24,7 @@ class ConfigError(ValueError):
 _SCENARIO_FIELDS = [f for f in fields(ScenarioSpec) if f.name != "seed"]
 SCENARIO_KEYS = tuple(f.name for f in _SCENARIO_FIELDS)
 _ADAPT_KEYS = tuple(f.name for f in fields(AdaptConfig))
-_PATH_KEYS = ("source_path", "target_path", "model_path", "out_dir")
+PATH_KEYS = ("source_path", "target_path", "model_path", "out_dir")
 
 
 class _RunConfigMethods:
@@ -59,7 +59,7 @@ RunConfig = make_dataclass(
     [(f.name, f.type, field(default=getattr(_DEFAULT_SCENARIO, f.name))) for f in _SCENARIO_FIELDS]
     + [("d_hidden", "int", field(default=64)), ("d_feat", "int", field(default=32))]
     + [(f.name, f.type, field(default=f.default)) for f in fields(AdaptConfig)]
-    + [(k, "str", field(default="")) for k in _PATH_KEYS],
+    + [(k, "str", field(default="")) for k in PATH_KEYS],
     bases=(_RunConfigMethods,),
     namespace={"__module__": __name__},
 )
@@ -115,16 +115,14 @@ def load_run_config(path: str | None, overrides: dict | None = None, preset: str
             raise ConfigError(f"unknown config key {key!r}")
         values[key] = value
     cfg = RunConfig(**values)
-    for key in ("d_hidden", "d_feat"):
-        if getattr(cfg, key) < 1:
-            raise ConfigError(f"bad config value: {key} must be at least 1")
-    # Validating the scenario and training keys here makes a bad value a
+    # Validating the scenario, model and training keys here makes a bad value a
     # configuration error whichever command reads the config.
     try:
         cfg.scenario().validate()
     except ScenarioError as exc:
         raise ConfigError(f"bad scenario: {exc}") from None
     try:
+        cfg.model_dims(d_in=1, n_classes=1)
         cfg.adapt_config()
     except ValueError as exc:
         raise ConfigError(f"bad config value: {exc}") from None

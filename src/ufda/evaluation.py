@@ -91,6 +91,12 @@ def ncd_accuracy(
     return match_accuracy(result.assignment, true_private_labels)
 
 
+def novel_class_count(labels: np.ndarray, n_classes: int) -> int | None:
+    """Distinct labels >= n_classes (the novel classes NCD clusters into), or None below 2."""
+    count = np.unique(labels[labels >= n_classes]).size
+    return count if count >= 2 else None
+
+
 @dataclass
 class EvalReport:
     """All metrics plus confusion counts; undefined metrics are NaN."""

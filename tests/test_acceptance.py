@@ -352,7 +352,7 @@ def test_criterion_9_pipeline_determinism(tmp_path):
         ]) == 0
         assert main([
             "eval", str(base / "ad" / "adapted.ufdmodel"), str(base / "data" / "target.ufd"),
-            *args, "--ncd", "3", "--out", str(base / "ev"),
+            *args, "--out", str(base / "ev"),
         ]) == 0
         reports.append((base / "ev" / "report.tsv").read_bytes())
     ok = reports[0] == reports[1]

@@ -59,6 +59,11 @@ class TestPretrain:
         for name in ALL_PARAMS:
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
+    def test_empty_source_rejected(self):
+        empty = FeatureSet(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), role="source")
+        with pytest.raises(ValueError, match="source set is empty"):
+            pretrain_source(empty, toy_dims(), AdaptConfig(seed=0, epochs=1))
+
     def test_label_out_of_range_rejected(self):
         source = two_gaussian_source()
         source.labels[0] = 7

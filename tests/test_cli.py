@@ -1,12 +1,16 @@
+import argparse
 import os
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from ufda.cli import main
+from ufda.cli import build_parser, main
+from ufda.config import RunConfig
 from ufda.datagen import load_featureset
-from ufda.model import ModelDims, init_model, save_model
+from ufda.evaluation import evaluate
+from ufda.model import ModelDims, init_model, load_model, save_model
 from ufda.numerics import Rng
 
 
@@ -44,7 +48,7 @@ class TestGen:
         target = load_featureset(out / "target.ufd")
         assert len(source) == 6 * 12
         assert len(target) == 6 * 12
-        assert (out / "spec.resolved").exists()
+        assert (out / "config.resolved").exists()
 
     def test_same_seed_identical_files(self, tmp_path, capsys):
         a = gen_small(tmp_path / "a", capsys)
@@ -110,7 +114,7 @@ class TestPipeline:
 
             code, out, err = run(
                 capsys, "eval", str(base / "ad" / "adapted.ufdmodel"), str(data / "target.ufd"),
-                "--config", str(cfg), "--seed", "5", "--ncd", "3", "--out", str(base / "ev"),
+                "--config", str(cfg), "--seed", "5", "--out", str(base / "ev"),
             )
             assert code == 0, err
             assert "h_score" in out
@@ -273,31 +277,6 @@ class TestPipeline:
     def test_eval_negative_d_feat_exits_2(self, tmp_path, capsys):
         self.bad_value_exits_2(tmp_path, capsys, "eval", "d_feat = -3\n", "d_feat")
 
-    def test_eval_ncd_below_two_exits_2(self, tmp_path, capsys):
-        cfg = pipeline_cfg(tmp_path)
-        data = gen_small(tmp_path, capsys)
-        run(capsys, "pretrain", str(data / "source.ufd"), "--config", str(cfg), "--out", str(tmp_path / "pre"))
-        for ncd in ("1", "0"):
-            code, _, err = run(
-                capsys, "eval", str(tmp_path / "pre" / "model.ufdmodel"), str(data / "target.ufd"),
-                "--config", str(cfg), "--ncd", ncd, "--out", str(tmp_path / f"ev{ncd}"),
-            )
-            assert code == 2, err
-            assert "--ncd" in err
-            assert not (tmp_path / f"ev{ncd}").exists()
-
-    def test_eval_ncd_above_unknown_count_exits_1(self, tmp_path, capsys):
-        cfg = pipeline_cfg(tmp_path)
-        data = gen_small(tmp_path, capsys)  # 3 private classes x 12 unknown samples
-        run(capsys, "pretrain", str(data / "source.ufd"), "--config", str(cfg), "--out", str(tmp_path / "pre"))
-        code, _, err = run(
-            capsys, "eval", str(tmp_path / "pre" / "model.ufdmodel"), str(data / "target.ufd"),
-            "--config", str(cfg), "--ncd", "37", "--out", str(tmp_path / "ev"),
-        )
-        assert code == 1
-        assert "fewer unknown samples than private classes" in err
-        assert not (tmp_path / "ev").exists()
-
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code, _, err = run(capsys, "pretrain", str(tmp_path / "missing.ufd"), "--out", str(tmp_path / "o"))
         assert code == 1
@@ -305,39 +284,89 @@ class TestPipeline:
 
 
 class TestReproduce:
-    def test_rerun_from_config_resolved_is_byte_identical(self, tmp_path, capsys):
-        cfg = pipeline_cfg(tmp_path)
-        data = gen_small(tmp_path, capsys)
-        source, target = str(data / "source.ufd"), str(data / "target.ufd")
-        model, adapted = str(tmp_path / "pretrain" / "model.ufdmodel"), str(tmp_path / "adapt" / "adapted.ufdmodel")
-        steps = (  # command, positional inputs and the keys they are recorded as, extra flags, output
-            ("pretrain", {"source_path": source}, ["--variant", "glc"], "model.ufdmodel"),
-            ("adapt", {"model_path": model, "target_path": target}, ["--variant", "glcpp", "--k", "3"], "adapted.ufdmodel"),
-            ("eval", {"model_path": adapted, "target_path": target}, ["--omega", "0.6", "--ncd", "3"], "report.tsv"),
+    def test_rerun_from_config_resolved_is_byte_identical(self, tmp_path, capsys, monkeypatch):
+        pipeline_cfg(tmp_path)
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        steps = (  # command, relative positional inputs and the keys they are recorded as, extra flags, outputs
+            ("gen", {}, ["--preset", "opda-toy"], ("source.ufd", "target.ufd")),
+            ("pretrain", {"source_path": "gen/source.ufd"}, ["--variant", "glc"], ("model.ufdmodel",)),
+            ("adapt", {"model_path": "pretrain/model.ufdmodel", "target_path": "gen/target.ufd"},
+             ["--variant", "glcpp", "--k", "3"], ("adapted.ufdmodel",)),
+            ("eval", {"model_path": "adapt/adapted.ufdmodel", "target_path": "gen/target.ufd"},
+             ["--omega", "0.6"], ("report.tsv",)),
         )
-        for command, inputs, flags, output in steps:
-            first, again = tmp_path / command, tmp_path / f"{command}-again"
+        for command, inputs, flags, outputs in steps:
+            monkeypatch.chdir(tmp_path)
             code, _, err = run(
-                capsys, command, *inputs.values(), "--config", str(cfg), "--seed", "5", *flags, "--out", str(first),
+                capsys, command, *inputs.values(), "--config", "run.cfg", "--seed", "5", *flags, "--out", command,
             )
             assert code == 0, err
+            first = tmp_path / command
             resolved = (first / "config.resolved").read_text().splitlines()
-            for key, path in inputs.items():
-                assert f"{key} = {path}" in resolved
+            for key, path in {**inputs, "out_dir": command}.items():
+                assert f"{key} = {tmp_path / path}" in resolved
 
-            ncd = ["--ncd", "3"] if command == "eval" else []  # a flag, not a config key
-            code, _, err = run(capsys, command, "--config", str(first / "config.resolved"), *ncd, "--out", str(again))
+            monkeypatch.chdir(elsewhere)
+            again = elsewhere / f"{command}-again"  # so no relative input path resolves here
+            code, _, err = run(capsys, command, "--config", str(first / "config.resolved"), "--out", again.name)
             assert code == 0, err
-            assert (again / output).read_bytes() == (first / output).read_bytes(), command
+            for output in outputs:
+                assert (again / output).read_bytes() == (first / output).read_bytes(), (command, output)
             rerun = (again / "config.resolved").read_text().splitlines()
             assert [line for line in rerun if not line.startswith("out_dir")] == [
                 line for line in resolved if not line.startswith("out_dir")
             ]
         cut = [
-            [line.split("\t")[:6] for line in (tmp_path / d / "trace.tsv").read_text().splitlines()]
-            for d in ("adapt", "adapt-again")
+            [line.split("\t")[:6] for line in (d / "trace.tsv").read_text().splitlines()]
+            for d in (tmp_path / "adapt", elsewhere / "adapt-again")
         ]
         assert cut[0] == cut[1]  # the seconds column aside
+
+
+class TestNcdClassCount:
+    def eval_report(self, base, capsys, preset, extra_config=""):
+        base.mkdir()
+        cfg = base / "run.cfg"
+        cfg.write_text("source_per_class = 12\ntarget_per_class = 12\nepochs = 1\nd_hidden = 16\nd_feat = 8\n" + extra_config)
+        args = ["--config", str(cfg), "--seed", "4"]
+        assert main(["gen", "--preset", preset, *args, "--out", str(base / "data")]) == 0
+        assert main(["pretrain", str(base / "data" / "source.ufd"), *args, "--out", str(base / "pre")]) == 0
+        assert main([
+            "eval", str(base / "pre" / "model.ufdmodel"), str(base / "data" / "target.ufd"), *args,
+            "--out", str(base / "ev"),
+        ]) == 0
+        capsys.readouterr()
+        return dict(line.split("\t") for line in (base / "ev" / "report.tsv").read_text().splitlines())
+
+    def test_eval_counts_the_novel_classes_in_the_labels(self, tmp_path, capsys):
+        report = self.eval_report(tmp_path / "opda", capsys, "opda-toy")  # 3 target-private classes
+        model = load_model(tmp_path / "opda" / "pre" / "model.ufdmodel")
+        target = load_featureset(tmp_path / "opda" / "data" / "target.ufd")
+        want = evaluate(model, target.features, target.labels, RunConfig().omega, n_private=3, rng=Rng(4)).ncd_acc
+        assert 0.0 <= want <= 1.0
+        assert float(report["ncd_acc"]) == want
+
+        assert self.eval_report(tmp_path / "pda", capsys, "pda-toy")["ncd_acc"] == "nan"
+        one_novel = self.eval_report(tmp_path / "osda-one", capsys, "osda-toy", "n_target_private = 1\n")
+        assert one_novel["ncd_acc"] == "nan"
+
+    def test_ncd_flag_is_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "m", "t", "--ncd", "3", "--out", str(tmp_path / "ev")])
+        assert exc.value.code == 2
+        assert "--ncd" in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists()
+
+
+def test_every_setting_flag_is_a_config_key():
+    """A flag that is not a RunConfig field would not be recorded in
+    config.resolved. --preset is recorded as the scenario keys it sets."""
+    keys = {f.name for f in fields(RunConfig)}
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for command in ("gen", "pretrain", "adapt", "eval"):
+        dests = {a.dest for a in commands.choices[command]._actions} - {"help", "config", "preset"}
+        assert dests <= keys, (command, sorted(dests - keys))
 
 
 class TestBadInputFiles:
@@ -370,6 +399,15 @@ class TestBadInputFiles:
             assert code == 1, command
             assert err == f"error: {path}: line 8: non-finite value in tensor b2\n", command
             assert not (tmp_path / command).exists()
+
+
+    def test_empty_source_file_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "source.ufd"
+        path.write_text("UFD v1\nn=0 d=2 role=source\n")
+        code, _, err = run(capsys, "pretrain", str(path), "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert err == f"error: {path}: source set is empty\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestReport:

@@ -18,6 +18,7 @@ from ufda.evaluation import (
     hungarian,
     match_accuracy,
     ncd_accuracy,
+    novel_class_count,
 )
 from ufda.model import AdaptModel, forward_batch
 from ufda.numerics import Rng, normalized_entropy_rows
@@ -218,6 +219,18 @@ class TestNcdAccuracy:
             ncd_accuracy(np.ones((1, 2)), np.array([6]), 2, Rng(0))
         with pytest.raises(ValueError):
             ncd_accuracy(np.ones((5, 2)), np.arange(5), 1, Rng(0))
+
+
+class TestNovelClassCount:
+    def test_counts_distinct_labels_at_or_above_the_class_count(self):
+        labels = np.array([0, 5, 6, 6, 8, 2, 8])
+        assert novel_class_count(labels, 6) == 2  # 6 and 8
+        assert novel_class_count(labels, 2) == 4  # 2, 5, 6 and 8
+
+    def test_none_below_two(self):
+        assert novel_class_count(np.array([0, 1, 6, 6]), 6) is None
+        assert novel_class_count(np.array([0, 1, 2]), 6) is None
+        assert novel_class_count(np.array([], dtype=np.int64), 6) is None
 
 
 class TestEvaluate:

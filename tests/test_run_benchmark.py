@@ -58,8 +58,7 @@ def test_glcpp_row_equals_the_cli_pipeline(tmp_path, capsys):
     assert main(["pretrain", str(data / "source.ufd"), *args, "--out", str(pre)]) == 0
     assert main(["adapt", str(pre / "model.ufdmodel"), str(data / "target.ufd"), *args,
                  "--variant", "glcpp", "--out", str(ad)]) == 0
-    assert main(["eval", str(ad / "adapted.ufdmodel"), str(data / "target.ufd"), *args,
-                 "--ncd", "3", "--out", str(ev)]) == 0
+    assert main(["eval", str(ad / "adapted.ufdmodel"), str(data / "target.ufd"), *args, "--out", str(ev)]) == 0
     capsys.readouterr()
     report = dict(line.split("\t") for line in (ev / "report.tsv").read_text().splitlines())
 
