@@ -8,8 +8,9 @@ ranked against centroids by the Gram form of the squared distance,
 |x|^2 - 2 x.c + |c|^2, from one matmul. A row whose best two Gram values lie
 within a rounding bound is re-ranked with the exact difference formula
 |x - c|^2, so every assignment, ties included, is the one that formula gives.
-Inertia uses the difference formula on the assigned pairs only, and centroid
-updates sum each cluster in row order, bit for bit as a per-cluster mean does.
+Inertia uses the difference formula on the assigned pairs only. Centroid
+updates are SciPy's compiled row-order update, bit for bit a per-cluster mean
+for d > 1; d = 1 is summed per cluster, as NumPy sums one column pairwise.
 
 k-means++ seeding runs all restarts in lock-step. The n_init * k raw draws are
 taken up front, in the order the one-restart-at-a-time seeding reads them, and
@@ -33,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.cluster._vq import update_cluster_means
 from scipy.spatial.distance import cdist
 
 from .numerics import Rng, l2_normalize_rows
@@ -229,23 +231,29 @@ def _settled(assignment: np.ndarray, previous: np.ndarray, repaired: np.ndarray)
     return ~repaired & np.all(assignment == previous, axis=1)
 
 
-def _cluster_means(points: np.ndarray, columns: np.ndarray, assignment: np.ndarray, k: int) -> np.ndarray:
+def _cluster_means(points: np.ndarray, rows: np.ndarray, assignment: np.ndarray, k: int) -> np.ndarray:
     """Every restart's centroid update: (r, n) assignment gives (r, k, d) means
-    with the bits of points[assignment[ri] == c].mean(axis=0). columns holds
-    points.T repeated once per restart.
-
-    NumPy sums the rows of an (m, d > 1) block in order from 0.0, as bincount
-    sums each bin; a single column it sums pairwise, so d = 1 sums per cluster.
+    with the bits of points[assignment[ri] == c].mean(axis=0); rows holds
+    points once per restart. For d > 1 SciPy's compiled update sums each
+    cluster's rows in order from 0.0, as NumPy sums an (m, d > 1) block; one
+    column NumPy sums pairwise, so d = 1 sums each cluster by itself. The
+    compiled routine trusts its labels (one below 0 writes outside its buffers),
+    so they are checked first; an empty cluster raises instead of giving NaN.
     """
     r, n = assignment.shape
     d = points.shape[1]
+    if not (assignment.min() >= 0 and assignment.max() < k):
+        raise RuntimeError(f"k-means labels outside [0, {k})")
     flat = _flat_clusters(assignment, k)
-    counts = np.bincount(flat, minlength=r * k)
-    if d == 1:
-        sums = np.array([points[assignment[ri] == c].sum(axis=0) for ri in range(r) for c in range(k)])
+    if d > 1:
+        means, has_members = update_cluster_means(rows[: r * n], flat, r * k)
     else:
-        sums = np.stack([np.bincount(flat, weights=col[: r * n], minlength=r * k) for col in columns], axis=1)
-    return (sums / counts[:, None]).reshape(r, k, d)
+        counts = np.bincount(flat, minlength=r * k)
+        sums = np.array([points[assignment[ri] == c].sum(axis=0) for ri in range(r) for c in range(k)])
+        means, has_members = sums / np.maximum(counts, 1)[:, None], counts > 0
+    if not np.all(has_members):
+        raise RuntimeError("k-means update on an empty cluster")
+    return means.reshape(r, k, d)
 
 
 def kmeans(points: np.ndarray, k: int, rng: Rng, max_iter: int = 100, tol: float = 1e-6,
@@ -280,7 +288,7 @@ def kmeans(points: np.ndarray, k: int, rng: Rng, max_iter: int = 100, tol: float
 
     sq_norms = np.einsum("nd,nd->n", points, points)
     centroids = _seed_restarts(points, sq_norms, k, n_init, rng)
-    columns = np.tile(points.T, (1, n_init))
+    rows = np.tile(points, (n_init, 1))
     prev_inertia = np.full(n_init, np.inf)
     assignment_of = np.empty((n_init, n), dtype=np.int64)
     inertia_of = np.empty(n_init)
@@ -306,7 +314,7 @@ def kmeans(points: np.ndarray, k: int, rng: Rng, max_iter: int = 100, tol: float
             if active.size == 0:
                 break
 
-        updated = _cluster_means(points, columns, assignment, k)
+        updated = _cluster_means(points, rows, assignment, k)
         shift = np.max(np.linalg.norm(updated - current, axis=2), axis=1)
         centroids[active] = updated
         moving = ~(shift < tol)
@@ -325,11 +333,13 @@ def kmeans(points: np.ndarray, k: int, rng: Rng, max_iter: int = 100, tol: float
     )
 
 
-def silhouette(points: np.ndarray, assignment: np.ndarray) -> np.ndarray:
+def silhouette(points: np.ndarray, assignment: np.ndarray, dist: np.ndarray | None = None) -> np.ndarray:
     """Per-point silhouette s = (b - a) / max(a, b) under Euclidean distance.
 
     a is the mean intra-cluster distance excluding self; b the smallest mean
     distance to another cluster. Singleton clusters and a = b = 0 give s = 0.
+    dist, when given, is cdist(points, points), which a caller scoring several
+    assignments of the same points computes once.
     """
     points = np.asarray(points, dtype=np.float64)
     assignment = np.asarray(assignment)
@@ -337,8 +347,9 @@ def silhouette(points: np.ndarray, assignment: np.ndarray) -> np.ndarray:
     if labels.shape[0] < 2:
         raise ValueError("silhouette needs at least 2 non-empty clusters")
     n = points.shape[0]
-    # cdist keeps full precision; the Gram-matrix shortcut loses ~1e-9.
-    dist = cdist(points, points)
+    if dist is None:
+        # cdist keeps full precision; the Gram-matrix shortcut loses ~1e-9.
+        dist = cdist(points, points)
 
     sums = np.stack([dist[:, assignment == lab].sum(axis=1) for lab in labels], axis=1)
     counts = np.array([(assignment == lab).sum() for lab in labels])
@@ -390,8 +401,9 @@ def estimate_ct(features: np.ndarray, n_source_classes: int, rng: Rng) -> CtEsti
 
     Features are L2-normalized internally; each candidate's k-means runs on a
     split sub-stream of the rng. Silhouette uses a fixed uniform subsample of
-    at most 2048 points when the set is larger. Ties choose the smallest
-    candidate. Done once per adaptation run and held fixed afterwards.
+    at most 2048 points when the set is larger, whose distance matrix every
+    candidate's score reads. Ties choose the smallest candidate. Done once per
+    adaptation run and held fixed afterwards.
     """
     features = np.asarray(features, dtype=np.float64)
     n = features.shape[0]
@@ -406,6 +418,8 @@ def estimate_ct(features: np.ndarray, n_source_classes: int, rng: Rng) -> CtEsti
         sub = rng.sample_without_replacement(n, SILHOUETTE_SUBSAMPLE)
     else:
         sub = np.arange(n)
+    scored = normed[sub]
+    dist = cdist(scored, scored)
 
     means: list[float] = []
     for k in cands:
@@ -414,7 +428,7 @@ def estimate_ct(features: np.ndarray, n_source_classes: int, rng: Rng) -> CtEsti
         if np.unique(sub_assign).shape[0] < 2:
             means.append(-1.0)  # subsample collapsed to one cluster
             continue
-        means.append(float(silhouette(normed[sub], sub_assign).mean()))
+        means.append(float(silhouette(scored, sub_assign, dist).mean()))
 
     best = int(np.argmax(means))  # first max -> smallest candidate on ties
     return CtEstimate(candidates=cands, mean_silhouettes=means, chosen=cands[best])

@@ -143,6 +143,22 @@ def reference_kmeans(points: np.ndarray, k: int, rng, max_iter: int = 100, tol: 
     return best
 
 
+def bincount_cluster_means(points: np.ndarray, assignment: np.ndarray, k: int) -> np.ndarray:
+    """The centroid update k-means ran before SciPy's compiled one: (r, n)
+    assignment gives (r, k, d) means, each column of the tiled points summed
+    per cluster by np.bincount in row order, d = 1 summed per cluster."""
+    r = assignment.shape[0]
+    d = points.shape[1]
+    flat = (assignment + k * np.arange(r)[:, None]).ravel()
+    counts = np.bincount(flat, minlength=r * k)
+    if d == 1:
+        sums = np.array([points[assignment[ri] == c].sum(axis=0) for ri in range(r) for c in range(k)])
+    else:
+        columns = np.tile(points.T, (1, r))
+        sums = np.stack([np.bincount(flat, weights=col, minlength=r * k) for col in columns], axis=1)
+    return (sums / counts[:, None]).reshape(r, k, d)
+
+
 def exhaustive_assignment(cost: np.ndarray) -> np.ndarray:
     """Lexicographically smallest minimum-cost permutation by full enumeration."""
     n = cost.shape[0]

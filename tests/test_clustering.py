@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import exhaustive_kmeans_optimum, reference_kmeans, silhouette_direct
+from helpers import bincount_cluster_means, exhaustive_kmeans_optimum, reference_kmeans, silhouette_direct
 from ufda import clustering
 from ufda.clustering import CtEstimate, candidate_counts, estimate_ct, kmeans, silhouette
 from ufda.numerics import Rng, l2_normalize_rows
@@ -238,6 +238,83 @@ class TestKMeansMatchesReference:
             kmeans(points, 2, Rng(0))
 
 
+def covering_assignment(rng, r, n, k):
+    """(r, n) labels in [0, k) in which every restart uses every cluster."""
+    labels = rng.integers(0, k, size=(r, n))
+    for row in labels:
+        row[:k] = np.arange(k)
+        rng.shuffle(row)
+    return labels
+
+
+def assert_means_match_bincount(points, assignment, k, n_init):
+    """_cluster_means over rows tiled for n_init restarts gives the bincount
+    update's bits, signed zeros included."""
+    got = clustering._cluster_means(points, np.tile(points, (n_init, 1)), assignment, k)
+    want = bincount_cluster_means(points, assignment, k)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestClusterMeansMatchesBincount:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_cases(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        d = int(rng.choice([1, 2, 3, 8, 32]))
+        k = int(rng.integers(1, n + 1))
+        n_init = int(rng.integers(1, 11))
+        r = int(rng.integers(1, n_init + 1))  # the restarts still active
+        points = rng.normal(size=(n, d)) * float(rng.choice([1e-3, 1.0, 1e3]))
+        assert_means_match_bincount(points, covering_assignment(rng, r, n, k), k, n_init)
+
+    def test_k_equals_n_and_ten_restarts(self):
+        rng = np.random.default_rng(1)
+        for d in (1, 4):
+            points = rng.normal(size=(9, d))
+            assert_means_match_bincount(points, covering_assignment(rng, 10, 9, 9), 9, 10)
+
+    @pytest.mark.parametrize("d", [1, 5])
+    def test_magnitudes_from_1e_minus_150_to_1e150(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(10):
+            points = rng.normal(size=(40, d)) * 10.0 ** rng.uniform(-150, 150, size=(40, d))
+            k = int(rng.integers(1, 8))
+            assert_means_match_bincount(points, covering_assignment(rng, 3, 40, k), k, 4)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_duplicated_rows(self, d):
+        rng = np.random.default_rng(7)
+        points = np.repeat(rng.normal(size=(4, d)), 6, axis=0)
+        for k in (1, 3, 4, 8):
+            assert_means_match_bincount(points, covering_assignment(rng, 5, 24, k), k, 5)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_columns_of_negative_zero(self, d):
+        rng = np.random.default_rng(3)
+        points = rng.normal(size=(20, d))
+        points[:, 0] = -0.0
+        for k in (1, 4):
+            assert_means_match_bincount(points, covering_assignment(rng, 2, 20, k), k, 3)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_labels_outside_the_clusters_raise(self, d, bad):
+        rng = np.random.default_rng(0)
+        points = rng.normal(size=(12, d))
+        assignment = covering_assignment(rng, 2, 12, 4)
+        assignment[1, 5] = bad
+        with pytest.raises(RuntimeError, match="labels outside"):
+            clustering._cluster_means(points, np.tile(points, (2, 1)), assignment, 4)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_an_empty_cluster_raises(self, d):
+        points = np.random.default_rng(0).normal(size=(6, d))
+        assignment = np.array([[0, 1, 0, 1, 0, 1]])
+        with pytest.raises(RuntimeError, match="empty cluster"):
+            clustering._cluster_means(points, points, assignment, 3)
+
+
 class TestSilhouette:
     def test_two_pair_line_instance(self):
         pts = line_points([0.0, 1.0, 10.0, 11.0])
@@ -313,6 +390,34 @@ class TestEstimateCt:
             res = kmeans(normed, k, rng.split())
             direct = silhouette_direct(normed, res.assignment).mean()
             assert mean_s == pytest.approx(direct, abs=1e-9)
+
+    @pytest.mark.parametrize("subsample", [50, 2048])
+    def test_scores_equal_per_candidate_silhouette(self, monkeypatch, subsample):
+        monkeypatch.setattr(clustering, "SILHOUETTE_SUBSAMPLE", subsample)
+        pts = self.three_blobs(seed=4)
+        est = estimate_ct(pts, 6, Rng(2))
+        normed = l2_normalize_rows(pts)
+        rng = Rng(2)
+        sub = rng.sample_without_replacement(len(pts), subsample) if len(pts) > subsample else np.arange(len(pts))
+        want = []
+        for k in est.candidates:
+            assignment = kmeans(normed, k, rng.split()).assignment[sub]
+            want.append(float(silhouette(normed[sub], assignment).mean()))
+        assert est.mean_silhouettes == want
+        assert est.chosen == est.candidates[int(np.argmax(want))]
+
+    def test_one_distance_matrix_per_sweep(self, monkeypatch):
+        counts = {"cdist": 0, "silhouette": 0}
+        for name in counts:
+            original = getattr(clustering, name)
+
+            def counted(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(clustering, name, counted)
+        est = estimate_ct(self.three_blobs(seed=5), 6, Rng(9))
+        assert counts == {"cdist": 1, "silhouette": len(est.candidates)}
 
     def test_deterministic(self):
         pts = self.three_blobs(seed=5)

@@ -7,6 +7,9 @@
   a name that only tests use is dead code.
 - Every name imported by a library module or a script is used in that file
   (``from __future__`` imports excepted).
+- A library module or a script imports a private name (a dotted path with a
+  ``_``-prefixed, non-dunder component) only if it is allowlisted, next to the
+  test that pins the foreign routine's results.
 """
 
 import ast
@@ -15,6 +18,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY_DIR = ROOT / "src" / "ufda"
 CALLER_DIRS = ("src", "scripts", "perfbench")
+
+# private import -> the test that pins what the code relies on it for
+PRIVATE_IMPORTS = {
+    "scipy.cluster._vq.update_cluster_means": "tests/test_clustering.py::TestClusterMeansMatchesBincount",
+}
 
 
 def _trees(dirs):
@@ -79,3 +87,36 @@ def test_every_import_is_used():
                     if name not in used:
                         unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def _imported_paths(tree):
+    """The dotted path of every name imported in tree, relative imports
+    with their leading dots."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+def _is_private(path):
+    return any(part.startswith("_") and not (part.startswith("__") and part.endswith("__"))
+               for part in path.split("."))
+
+
+def test_private_imports_are_allowlisted():
+    trees = {**_library(_trees(["src"])), **_trees(["scripts"])}
+    found = {
+        (str(path.relative_to(ROOT)), name)
+        for path, tree in trees.items()
+        for name in _imported_paths(tree)
+        if _is_private(name)
+    }
+    stray = sorted(f"{where} {name}" for where, name in found if name not in PRIVATE_IMPORTS)
+    assert not stray, "private imports outside the allowlist: " + ", ".join(stray)
+    assert set(PRIVATE_IMPORTS) <= {name for _, name in found}, "allowlisted imports no longer made"
+    for test_id in PRIVATE_IMPORTS.values():
+        file, cls = test_id.split("::")
+        tree = ast.parse((ROOT / file).read_text(encoding="utf-8"))
+        assert any(isinstance(node, ast.ClassDef) and node.name == cls for node in tree.body), test_id
