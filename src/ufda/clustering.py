@@ -399,36 +399,26 @@ def candidate_counts(n_source_classes: int, n_points: int) -> list[int]:
 def estimate_ct(features: np.ndarray, n_source_classes: int, rng: Rng) -> CtEstimate:
     """Pick the candidate cluster count with the best mean silhouette.
 
-    Features are L2-normalized internally; each candidate's k-means runs on a
-    split sub-stream of the rng. Silhouette uses a fixed uniform subsample of
-    at most 2048 points when the set is larger, whose distance matrix every
-    candidate's score reads. Ties choose the smallest candidate. Done once per
-    adaptation run and held fixed afterwards.
+    Features are L2-normalized internally. The sweep works on one fixed
+    uniform sample of at most SILHOUETTE_SUBSAMPLE rows: the candidates are
+    clamped to its size, each candidate's k-means clusters it on a split
+    sub-stream of the rng, and every candidate's silhouette reads its one
+    distance matrix. Up to SILHOUETTE_SUBSAMPLE rows the sample is every row,
+    so results equal those of the full sweep. Ties choose the smallest
+    candidate. Done once per adaptation run and held fixed afterwards.
     """
     features = np.asarray(features, dtype=np.float64)
     n = features.shape[0]
     if n < 4:
         raise ValueError("cluster-count estimation needs at least 4 points")
-    cands = candidate_counts(n_source_classes, n)
-    if not cands or cands[0] < 2:
-        raise ValueError("no feasible candidate cluster counts")
-    normed = l2_normalize_rows(features)
-
+    sample = l2_normalize_rows(features)  # every row, so a degenerate one fails here
     if n > SILHOUETTE_SUBSAMPLE:
-        sub = rng.sample_without_replacement(n, SILHOUETTE_SUBSAMPLE)
-    else:
-        sub = np.arange(n)
-    scored = normed[sub]
-    dist = cdist(scored, scored)
+        sample = sample[rng.sample_without_replacement(n, SILHOUETTE_SUBSAMPLE)]
+    cands = candidate_counts(n_source_classes, sample.shape[0])
+    dist = cdist(sample, sample)
 
-    means: list[float] = []
-    for k in cands:
-        result = kmeans(normed, k, rng.split())
-        sub_assign = result.assignment[sub]
-        if np.unique(sub_assign).shape[0] < 2:
-            means.append(-1.0)  # subsample collapsed to one cluster
-            continue
-        means.append(float(silhouette(scored, sub_assign, dist).mean()))
-
+    # k-means repairs every empty cluster and k >= 2, so each silhouette sees
+    # at least two clusters.
+    means = [float(silhouette(sample, kmeans(sample, k, rng.split()).assignment, dist).mean()) for k in cands]
     best = int(np.argmax(means))  # first max -> smallest candidate on ties
     return CtEstimate(candidates=cands, mean_silhouettes=means, chosen=cands[best])

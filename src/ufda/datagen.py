@@ -110,12 +110,10 @@ def _rotation_matrix(d: int, angle: float, rng: Rng) -> np.ndarray:
     c, s = np.cos(angle), np.sin(angle)
     for p in range(d // 2):
         i, j = int(perm[2 * p]), int(perm[2 * p + 1])
-        g = np.eye(d)
-        g[i, i] = c
-        g[j, j] = c
-        g[i, j] = -s
-        g[j, i] = s
-        rot = g @ rot
+        rot[i, i] = c
+        rot[j, j] = c
+        rot[i, j] = -s
+        rot[j, i] = s
     return rot
 
 
@@ -136,12 +134,9 @@ def generate(spec: ScenarioSpec) -> tuple[FeatureSet, FeatureSet]:
     target_classes = list(range(spec.n_shared)) + list(range(spec.n_source_classes, n_total))
 
     def sample(class_ids, class_means, per_class, role):
-        feats, labels = [], []
-        for cid in class_ids:
-            for _ in range(per_class):
-                feats.append(class_means[cid] + rng.normal_array(spec.d_in, sigma=spec.noise_sigma))
-                labels.append(cid)
-        return FeatureSet(np.array(feats), np.array(labels), role=role)
+        labels = np.repeat(class_ids, per_class)
+        noise = rng.normal_array((len(labels), spec.d_in), sigma=spec.noise_sigma)
+        return FeatureSet(class_means[labels] + noise, labels, role=role)
 
     source = sample(source_classes, means, spec.source_per_class, "source")
     target = sample(target_classes, target_means, spec.target_per_class, "target")

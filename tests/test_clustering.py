@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from helpers import bincount_cluster_means, exhaustive_kmeans_optimum, reference_kmeans, silhouette_direct
 from ufda import clustering
-from ufda.clustering import CtEstimate, candidate_counts, estimate_ct, kmeans, silhouette
+from ufda.clustering import candidate_counts, estimate_ct, kmeans, silhouette
 from ufda.numerics import Rng, l2_normalize_rows
 
 
@@ -401,10 +401,28 @@ class TestEstimateCt:
         sub = rng.sample_without_replacement(len(pts), subsample) if len(pts) > subsample else np.arange(len(pts))
         want = []
         for k in est.candidates:
-            assignment = kmeans(normed, k, rng.split()).assignment[sub]
+            assignment = kmeans(normed[sub], k, rng.split()).assignment
             want.append(float(silhouette(normed[sub], assignment).mean()))
         assert est.mean_silhouettes == want
         assert est.chosen == est.candidates[int(np.argmax(want))]
+
+    def test_kmeans_clusters_only_the_sample(self, monkeypatch):
+        monkeypatch.setattr(clustering, "SILHOUETTE_SUBSAMPLE", 10)
+        pts = self.three_blobs(seed=6)
+        sub = Rng(3).sample_without_replacement(len(pts), 10)
+        seen = []
+        original = clustering.kmeans
+
+        def recorded(points, k, rng):
+            seen.append((np.array(points), k))
+            return original(points, k, rng)
+
+        monkeypatch.setattr(clustering, "kmeans", recorded)
+        est = estimate_ct(pts, 6, Rng(3))
+        assert est.candidates == [2, 3, 6, 9]  # clamped to the 10-row sample
+        assert [k for _, k in seen] == est.candidates
+        for points, _ in seen:
+            assert np.array_equal(points, l2_normalize_rows(pts)[sub])
 
     def test_one_distance_matrix_per_sweep(self, monkeypatch):
         counts = {"cdist": 0, "silhouette": 0}
@@ -430,6 +448,8 @@ class TestEstimateCt:
         with pytest.raises(ValueError):
             estimate_ct(np.ones((3, 2)), 4, Rng(0))
 
-    def test_tie_breaks_to_smallest_candidate(self):
-        est = CtEstimate(candidates=[2, 3], mean_silhouettes=[0.5, 0.5], chosen=2)
-        assert est.chosen == min(est.candidates)
+    def test_tie_breaks_to_smallest_candidate(self, monkeypatch):
+        monkeypatch.setattr(clustering, "silhouette", lambda points, assignment, dist: np.zeros(len(points)))
+        est = estimate_ct(self.three_blobs(), 6, Rng(0))
+        assert est.mean_silhouettes == [0.0] * len(est.candidates)
+        assert est.chosen == est.candidates[0]
