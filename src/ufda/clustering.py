@@ -12,15 +12,12 @@ Inertia uses the difference formula on the assigned pairs only. Centroid
 updates are SciPy's compiled row-order update, bit for bit a per-cluster mean
 for d > 1; d = 1 is summed per cluster, as NumPy sums one column pairwise.
 
-k-means++ seeding runs all restarts in lock-step. The n_init * k raw draws are
-taken up front, in the order the one-restart-at-a-time seeding reads them, and
+k-means++ seeding runs all restarts in lock-step on n_init * k raw draws,
+taken up front in the order that seeding one restart at a time reads them;
 each round's D^2 to the new picks comes from one Gram product, clipped at 0.
-Its picks are those of the exact difference formula unless a restart's D^2
-total overflows or lies within the rounding bound of 0, a threshold lies
-within it of a running-sum entry, or a restart's first draw falls in
-randint's rejection zone. Then the whole call is seeded one restart at a time with the exact
-formula, reading the pre-drawn values first and the live rng after them; every
-pick reads at least one draw, so the rng ends where that seeding leaves it.
+First picks, and picks whose D^2 total or threshold the rounding bound cannot
+vouch for, are made with the exact difference formula. A draw that randint
+rejects is dropped, one more is read, and the picks are made again.
 
 A restart is retired once an assignment needs no empty-cluster repair and
 equals the one before it: its centroids are the means of that assignment, so
@@ -51,10 +48,10 @@ SILHOUETTE_SUBSAMPLE = 2048
 # value (u = 2^-53), and a running sum or total of n entries, all below
 # 2 (|x|^2 + max |x|^2), adds at most 2 n u S. So the two forms' running sums,
 # totals and thresholds differ by less than 8 (d + n + 3) u S, which is below
-# tol for any d + n under 10^6, as long as nothing overflows (an infinite or
-# NaN total falls back). A total above tol is then positive in both forms,
-# and a threshold more than tol from every running-sum entry lands between
-# the same two entries in both.
+# tol for any d + n under 10^6, as long as nothing overflows (a restart with
+# an infinite or NaN total picks exactly). A total above tol is then positive
+# in both forms, and a threshold more than tol from every running-sum entry
+# lands between the same two entries in both.
 _TIE_RTOL = 1e-9
 
 
@@ -115,78 +112,65 @@ def _nearest(points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) ->
     return assignment
 
 
-def _pp_seed(points: np.ndarray, k: int, rng: Rng) -> np.ndarray:
-    """k-means++ seeding: first centroid uniform, then D^2-weighted picks."""
+def _exact_pick(points: np.ndarray, picks: np.ndarray, draw: int) -> int | None:
+    """One restart's next k-means++ pick from its earlier picks (row indices)
+    and one raw draw, by the exact difference formula: D^2-weighted, or where
+    there are no picks or the D^2 total is 0, randint's (None if it rejects)."""
     n = points.shape[0]
-    chosen = [rng.randint(n)]
-    d2 = np.sum((points - points[chosen[0]]) ** 2, axis=1)
-    for _ in range(1, k):
+    total = 0.0
+    if len(picks):
+        d2 = np.min([np.sum((points - points[p]) ** 2, axis=1) for p in picks], axis=0)
         total = float(d2.sum())
-        if total <= 0.0:
-            idx = rng.randint(n)  # all points coincide with chosen centroids
-        else:
-            r = rng.random() * total
-            idx = int(np.searchsorted(np.cumsum(d2), r, side="right"))
-            idx = min(idx, n - 1)
-        chosen.append(idx)
-        d2 = np.minimum(d2, np.sum((points - points[idx]) ** 2, axis=1))
-    return points[chosen].copy()
+    if total <= 0.0:
+        return None if draw >= (1 << 64) - (1 << 64) % n else draw % n
+    idx = int(np.searchsorted(np.cumsum(d2), (draw >> 11) * 2.0**-53 * total, side="right"))
+    return min(idx, n - 1)
 
 
-class _Replayed(Rng):
-    """An rng that returns the given raw draws first, then those of the live rng."""
-
-    __slots__ = ("_draws", "_live")
-
-    def __init__(self, draws: list[int], live: Rng):  # holds no xoshiro state of its own
-        self._draws = iter(draws)
-        self._live = live
-
-    def next_u64(self) -> int:
-        draw = next(self._draws, None)
-        return self._live.next_u64() if draw is None else draw
-
-
-def _lockstep_picks(points: np.ndarray, sq_norms: np.ndarray, draws: np.ndarray) -> np.ndarray | None:
+def _lockstep_picks(points: np.ndarray, sq_norms: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, int | None]:
     """The k-means++ picks of every restart, (r, k) row indices from (r, k) raw
-    draws, with one Gram product per round; None when the rounding guard (see
-    _TIE_RTOL) cannot vouch that they are the picks of _pp_seed."""
+    draws, with one Gram product per round, and the flat index of the earliest
+    draw randint rejects (None if none is). First picks, and the picks the
+    rounding guard (see _TIE_RTOL) cannot vouch for, are made by _exact_pick."""
     n = points.shape[0]
     r, k = draws.shape
-    chosen = np.empty((r, k), dtype=np.int64)
-    chosen[:, 0] = draws[:, 0] % n
+    chosen = np.zeros((r, k), dtype=np.int64)
     fractions = (draws >> 11).astype(np.float64) * 2.0**-53
     tol = _TIE_RTOL * (sq_norms.sum() + n * sq_norms.max())
     d2 = np.full((r, n), np.inf)
-    for j in range(1, k):
-        picked = chosen[:, j - 1]
-        dist = sq_norms - 2.0 * (points[picked] @ points.T)
-        dist += sq_norms[picked][:, None]
-        np.minimum(d2, np.maximum(dist, 0.0, out=dist), out=d2)
-        total = d2.sum(axis=1)
-        if not np.all(np.isfinite(total) & (total > tol)):
-            return None
-        running = np.cumsum(d2, axis=1)
-        threshold = fractions[:, j] * total
-        picks = np.count_nonzero(running <= (threshold + tol)[:, None], axis=1)
-        if np.any(picks != np.count_nonzero(running <= (threshold - tol)[:, None], axis=1)):
-            return None
-        chosen[:, j] = np.minimum(picks, n - 1)
-    return chosen
+    unsure = np.ones(r, dtype=bool)  # every first pick is exact
+    rejected = []
+    for j in range(k):
+        if j:
+            picked = chosen[:, j - 1]
+            dist = sq_norms - 2.0 * (points[picked] @ points.T) + sq_norms[picked][:, None]
+            np.minimum(d2, np.maximum(dist, 0.0, out=dist), out=d2)
+            total = d2.sum(axis=1)
+            running = np.cumsum(d2, axis=1)
+            threshold = fractions[:, j] * total
+            picks = np.count_nonzero(running <= (threshold + tol)[:, None], axis=1)
+            unsure = ~(np.isfinite(total) & (total > tol))
+            unsure |= picks != np.count_nonzero(running <= (threshold - tol)[:, None], axis=1)
+            chosen[:, j] = np.minimum(picks, n - 1)
+        for ri in np.flatnonzero(unsure):
+            pick = _exact_pick(points, chosen[ri, :j], int(draws[ri, j]))
+            if pick is None:
+                rejected.append(ri * k + j)  # later picks of this restart are void
+            else:
+                chosen[ri, j] = pick
+    return chosen, min(rejected, default=None)
 
 
 def _seed_restarts(points: np.ndarray, sq_norms: np.ndarray, k: int, n_init: int, rng: Rng) -> np.ndarray:
-    """(n_init, k, d) seeds and the rng state of n_init _pp_seed calls in a row,
-    in lock-step where the guard allows, else by those calls."""
-    n = points.shape[0]
+    """(n_init, k, d) seeds, and the rng state, of k-means++ seeding the restarts
+    one after another: each pick reads one raw draw, or more where randint rejects."""
     draws = [rng.next_u64() for _ in range(n_init * k)]
-    limit = (1 << 64) - (1 << 64) % n  # randint rejects draws from here on
-    if all(draw < limit for draw in draws[::k]):
-        chosen = _lockstep_picks(points, sq_norms, np.array(draws, dtype=np.uint64).reshape(n_init, k))
-        if chosen is not None:
+    while True:
+        chosen, rejected = _lockstep_picks(points, sq_norms, np.array(draws, dtype=np.uint64).reshape(n_init, k))
+        if rejected is None:
             return points[chosen]
-    replayed = _Replayed(draws, rng)
-    return np.stack([_pp_seed(points, k, replayed) for _ in range(n_init)])
+        del draws[rejected]  # the picks before it read the same draws again
+        draws.append(rng.next_u64())
 
 
 def _repair_empty(points: np.ndarray, centroids: np.ndarray, assignment: np.ndarray) -> None:
@@ -265,7 +249,8 @@ def kmeans(points: np.ndarray, k: int, rng: Rng, max_iter: int = 100, tol: float
     run's iterations (RuntimeError otherwise); the restart with the lowest
     final inertia wins (first on ties).
 
-    All seeds are drawn first, in lock-step where the rounding guard allows;
+    All seeds are picked first, in lock-step, with each pick the rounding
+    guard flags made again exactly and each draw randint rejects dropped.
     Lloyd steps draw nothing, so the rng stream is that of running the
     restarts one after another. The restarts then run as one batch, each
     leaving it once its largest centroid shift is below tol or its assignment

@@ -8,6 +8,7 @@ its outputs, so `--config <out>/config.resolved` re-runs the command.
 
 from __future__ import annotations
 
+import math
 from dataclasses import field, fields, make_dataclass
 
 from .adaptation import AdaptConfig
@@ -116,7 +117,11 @@ def load_run_config(path: str | None, overrides: dict | None = None, preset: str
         values[key] = value
     cfg = RunConfig(**values)
     # Validating the scenario, model and training keys here makes a bad value a
-    # configuration error whichever command reads the config.
+    # configuration error whichever command reads the config. NaN passes every
+    # "reject if <= 0" range check, so finiteness is checked first.
+    for key, kind in _FIELD_TYPES.items():
+        if kind == "float" and not math.isfinite(getattr(cfg, key)):
+            raise ConfigError(f"bad config value: {key} must be finite, got {getattr(cfg, key)!r}")
     try:
         cfg.scenario().validate()
     except ScenarioError as exc:

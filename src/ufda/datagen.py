@@ -174,6 +174,8 @@ def load_featureset(path) -> FeatureSet:
         role = header["role"]
     except (ValueError, KeyError):
         raise FeatureFileError("line 2: expected 'n=<N> d=<D> role=<source|target>'") from None
+    if n < 0 or d < 1:
+        raise FeatureFileError(f"line 2: need n >= 0 and d >= 1, got n={n} d={d}")
     if role not in ("source", "target"):
         raise FeatureFileError(f"line 2: role must be 'source' or 'target', got {role!r}")
 

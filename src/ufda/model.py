@@ -223,9 +223,9 @@ def load_model(path) -> AdaptModel:
         raise CheckpointError("line 2: missing dims line")
     try:
         d_in, d_hidden, d_feat, n_classes = (int(tok) for tok in lines[1].split())
+        dims = ModelDims(d_in, d_hidden, d_feat, n_classes)
     except ValueError as exc:
         raise CheckpointError(f"line 2: bad dims line ({exc})") from None
-    dims = ModelDims(d_in, d_hidden, d_feat, n_classes)
 
     shapes = (
         (dims.d_in, dims.d_hidden), (dims.d_hidden,),

@@ -74,6 +74,23 @@ class TestGen:
         code, _, err = run(capsys, "gen", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "key, value, as_flag",
+        [
+            ("eta", "nan", False), ("lr", "nan", False), ("con_weight", "inf", False),
+            ("con_weight", "nan", False), ("separation", "nan", False), ("noise_sigma", "inf", False),
+            ("shift_rotation", "nan", False), ("eta", "inf", True), ("omega", "nan", True),
+        ],
+    )
+    def test_non_finite_setting_exits_2(self, tmp_path, capsys, key, value, as_flag):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("" if as_flag else f"{key} = {value}\n")
+        flag = [f"--{key}", value] if as_flag else []
+        code, _, err = run(capsys, "gen", "--config", str(cfg), *flag, "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert err == f"error: bad config value: {key} must be finite, got {float(value)!r}\n"
+        assert not (tmp_path / "o").exists()
+
 
 def pipeline_cfg(tmp_path):
     cfg = tmp_path / "run.cfg"
@@ -400,6 +417,27 @@ class TestBadInputFiles:
             assert err == f"error: {path}: line 8: non-finite value in tensor b2\n", command
             assert not (tmp_path / command).exists()
 
+
+    def test_negative_feature_dimension_names_path_and_line(self, tmp_path, capsys):
+        path = tmp_path / "source.ufd"
+        path.write_text("UFD v1\nn=1 d=-1 role=source\n0\n")
+        code, _, err = run(capsys, "pretrain", str(path), "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert err == f"error: {path}: line 2: need n >= 0 and d >= 1, got n=1 d=-1\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_zero_checkpoint_dimension_names_path_and_line(self, tmp_path, capsys):
+        path = tmp_path / "model.ufdmodel"
+        save_model(init_model(ModelDims(2, 2, 2, 2), Rng(1)), path)
+        lines = path.read_text().splitlines()
+        lines[1] = "0 2 2 2"
+        path.write_text("\n".join(lines) + "\n")
+        target = tmp_path / "target.ufd"
+        target.write_text("UFD v1\nn=2 d=2 role=target\n0 1.0 2.0\n1 0.5 0.5\n")
+        code, _, err = run(capsys, "eval", str(path), str(target), "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert err == f"error: {path}: line 2: bad dims line (d_in must be positive)\n"
+        assert not (tmp_path / "o").exists()
 
     def test_empty_source_file_exits_1(self, tmp_path, capsys):
         path = tmp_path / "source.ufd"

@@ -39,10 +39,11 @@ class ScriptedRng(Rng):
 @pytest.fixture()
 def calls(monkeypatch):
     """Count the calls of clustering's exact re-rank, empty-cluster repair and
-    one-restart-at-a-time seeding (the lock-step seeding's fallback), and the
+    lock-step seeding pass (one more per draw that randint rejects), the later
+    seeding picks made exactly (a restart's first pick always is), and the
     restarts retired early."""
-    counts = {"_sq_dists": 0, "_repair_empty": 0, "_pp_seed": 0, "retired": 0}
-    for name in ("_sq_dists", "_repair_empty", "_pp_seed"):
+    counts = {"_sq_dists": 0, "_repair_empty": 0, "_lockstep_picks": 0, "_exact_pick": 0, "retired": 0}
+    for name in ("_sq_dists", "_repair_empty", "_lockstep_picks"):
         original = getattr(clustering, name)
 
         def counted(*args, _name=name, _original=original):
@@ -50,6 +51,13 @@ def calls(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(clustering, name, counted)
+    exact_pick = clustering._exact_pick
+
+    def counted_exact_pick(points, picks, draw):
+        counts["_exact_pick"] += len(picks) > 0
+        return exact_pick(points, picks, draw)
+
+    monkeypatch.setattr(clustering, "_exact_pick", counted_exact_pick)
     settled = clustering._settled
 
     def counted_settled(assignment, previous, repaired):
@@ -153,7 +161,7 @@ class TestKMeansMatchesReference:
             assert_matches_reference(points, 4, seed)
         assert calls["_repair_empty"] > 0
         assert calls["_sq_dists"] > 0
-        assert calls["_pp_seed"] > 0  # the fourth pick of every restart has a zero D^2 total
+        assert calls["_exact_pick"] > 0  # the fourth pick of every restart has a zero D^2 total
 
     def test_lattice_points_equidistant_from_two_centroids(self, calls):
         grid = np.array([[x, y] for x in range(5) for y in range(5)], dtype=float)
@@ -176,7 +184,7 @@ class TestKMeansMatchesReference:
         points = l2_normalize_rows(centers[rng.integers(0, 6, size=300)] + 0.3 * rng.normal(size=(300, 32)))
         for k in (2, 6, 18):
             assert_matches_reference(points, k, k)
-        assert calls["_pp_seed"] == 0  # seeded in lock-step throughout
+        assert calls["_exact_pick"] == 0  # every later pick vouched for in lock-step
 
     def test_points_far_from_the_origin(self, calls):
         # |x|^2 ~ 3e12 swamps distances ~1e-4 in the Gram form, so the ranking
@@ -185,16 +193,16 @@ class TestKMeansMatchesReference:
         for seed in range(3):
             assert_matches_reference(points, 5, seed)
         assert calls["_sq_dists"] > 0
-        assert calls["_pp_seed"] > 0  # D^2 totals lie within the seeding bound of 0
+        assert calls["_exact_pick"] > 0  # D^2 totals lie within the seeding bound of 0
 
     def test_points_whose_squares_overflow(self, calls):
         # Finite points, but |x|^2 and the D^2 totals overflow to inf: the
-        # rounding bound says nothing there, so seeding falls back.
+        # rounding bound says nothing there, so those picks are made exactly.
         points = 1e200 * np.random.default_rng(10).normal(size=(9, 2))
         with np.errstate(over="ignore", invalid="ignore"):
             for seed in range(3):
                 assert_matches_reference(points, 3, seed)
-        assert calls["_pp_seed"] > 0
+        assert calls["_exact_pick"] > 0
 
     @pytest.mark.parametrize("at", [0, 3])
     def test_first_draw_of_a_restart_rejected_by_randint(self, calls, at):
@@ -204,7 +212,7 @@ class TestKMeansMatchesReference:
         script = [rng.next_u64() for _ in range(at)] + [2**64 - 1]
         points = np.random.default_rng(8).normal(size=(7, 2))
         assert_matches_reference(points, 3, 5, make_rng=lambda seed: ScriptedRng(seed, script), n_init=2)
-        assert calls["_pp_seed"] == 2
+        assert calls["_lockstep_picks"] == 2  # the draw dropped and the pass re-run
 
     def test_rejected_draw_on_a_zero_total_pick(self, calls):
         # All points at the origin: every pick after the first has a zero D^2
@@ -212,7 +220,25 @@ class TestKMeansMatchesReference:
         assert_matches_reference(
             np.zeros((7, 2)), 3, 5, make_rng=lambda seed: ScriptedRng(seed, [0, 2**64 - 1]), n_init=1
         )
-        assert calls["_pp_seed"] == 1
+        assert calls["_lockstep_picks"] == 2  # the draw dropped and the pass re-run
+
+    def test_two_rejected_draws_in_one_call(self, calls):
+        # Restart 0's first draw is rejected, and so is the draw that restart
+        # 1's first zero-total pick reads once the stream has moved on by one.
+        script = [2**64 - 1, 0, 1, 2, 3, 2**64 - 1]
+        assert_matches_reference(
+            np.zeros((7, 2)), 3, 5, make_rng=lambda seed: ScriptedRng(seed, script), n_init=2
+        )
+        assert calls["_lockstep_picks"] == 3  # one re-run per dropped draw
+
+    def test_a_dropped_draw_moves_a_rejected_one_to_a_weighted_pick(self, calls):
+        # Both first draws are rejected in the first pass. Once the earlier is
+        # dropped, the later one is read by restart 0's D^2-weighted third
+        # pick, which takes any draw, so only one draw is dropped.
+        script = [2**64 - 1, 0, 1, 2**64 - 1]
+        points = np.random.default_rng(8).normal(size=(7, 2))
+        assert_matches_reference(points, 3, 5, make_rng=lambda seed: ScriptedRng(seed, script), n_init=2)
+        assert calls["_lockstep_picks"] == 2
 
     def test_threshold_on_a_running_sum_entry(self, calls):
         # Script the second draw so that the exact threshold equals an exact
@@ -228,7 +254,7 @@ class TestKMeansMatchesReference:
         )
         script = [0, fraction << 11]  # pick row 0, then a threshold on a running-sum entry
         assert_matches_reference(points, 2, 5, make_rng=lambda seed: ScriptedRng(seed, script), n_init=1)
-        assert calls["_pp_seed"] == 1
+        assert calls["_exact_pick"] == 1
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_rejected(self, bad):

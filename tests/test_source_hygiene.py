@@ -9,10 +9,13 @@
   (``from __future__`` imports excepted).
 - A library module or a script imports a private name (a dotted path with a
   ``_``-prefixed, non-dunder component) only if it is allowlisted, next to the
-  test that pins the foreign routine's results.
+  test that pins the foreign routine's results, and its package has an upper
+  version bound in ``pyproject.toml``.
 """
 
 import ast
+import re
+import tomllib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -120,3 +123,8 @@ def test_private_imports_are_allowlisted():
         file, cls = test_id.split("::")
         tree = ast.parse((ROOT / file).read_text(encoding="utf-8"))
         assert any(isinstance(node, ast.ClassDef) and node.name == cls for node in tree.body), test_id
+    # A private name can move in any release, so its package's version is capped.
+    dependencies = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]["dependencies"]
+    capped = {re.match(r"[\w.-]+", dep).group(0) for dep in dependencies if "<" in dep}
+    uncapped = sorted({name.split(".")[0] for name in PRIVATE_IMPORTS} - capped)
+    assert not uncapped, "private imports from packages with no upper version bound: " + ", ".join(uncapped)
