@@ -8,9 +8,11 @@ ranked against centroids by the Gram form of the squared distance,
 |x|^2 - 2 x.c + |c|^2, from one matmul. A row whose best two Gram values lie
 within a rounding bound is re-ranked with the exact difference formula
 |x - c|^2, so every assignment, ties included, is the one that formula gives.
-Inertia uses the difference formula on the assigned pairs only. Centroid
-updates are SciPy's compiled row-order update, bit for bit a per-cluster mean
-for d > 1; d = 1 is summed per cluster, as NumPy sums one column pairwise.
+The check that inertia does not increase sums the best Gram values and uses
+the difference formula only where their rounding slack leaves it open; that
+formula gives every restart's inertia once, after the loop. Centroid updates
+are SciPy's compiled row-order update, bit for bit a per-cluster mean for
+d > 1; d = 1 is summed per cluster, as NumPy sums one column pairwise.
 
 k-means++ seeding runs all restarts in lock-step on n_init * k raw draws,
 taken up front in the order that seeding one restart at a time reads them;
@@ -52,6 +54,10 @@ SILHOUETTE_SUBSAMPLE = 2048
 # an infinite or NaN total picks exactly). A total above tol is then positive
 # in both forms, and a threshold more than tol from every running-sum entry
 # lands between the same two entries in both.
+#
+# A restart's Gram inertia, its best Gram values plus sum |x|^2, is within
+# (4 (d + 2) + 5 n) u S of its exact inertia: below _TIE_RTOL * S for any d + n
+# under 10^6, and its slack is three times that.
 _TIE_RTOL = 1e-9
 
 
@@ -69,8 +75,8 @@ def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 def _flat_clusters(assignment: np.ndarray, k: int) -> np.ndarray:
-    """(r, n) per-restart cluster indices as one flat index into r * k clusters."""
-    return (assignment + k * np.arange(assignment.shape[0])[:, None]).ravel()
+    """(r, n) per-restart cluster indices as (r, n) flat indices into r * k clusters."""
+    return assignment + k * np.arange(assignment.shape[0])[:, None]
 
 
 def _own_sq_dists(points: np.ndarray, centroids: np.ndarray, assignment: np.ndarray) -> np.ndarray:
@@ -78,38 +84,39 @@ def _own_sq_dists(points: np.ndarray, centroids: np.ndarray, assignment: np.ndar
     restart: (r, k, d) centroids and (r, n) assignment give (r, n). The bits
     equal those of _sq_dists at the assigned column."""
     r, k, d = centroids.shape
-    n = points.shape[0]
-    # One (r * n, d) buffer, reused in place: fresh large temporaries cost
+    # One (r, n, d) buffer, reused in place: fresh large temporaries cost
     # more in page faults than the arithmetic on them.
-    diff = np.take(centroids.reshape(r * k, d), _flat_clusters(assignment, k), axis=0).reshape(r, n, d)
+    diff = np.take(centroids.reshape(r * k, d), _flat_clusters(assignment, k), axis=0)
     np.subtract(points, diff, out=diff)
-    diff = diff.reshape(r * n, d)
-    return np.einsum("nd,nd->n", diff, diff).reshape(r, n)
+    return np.einsum("rnd,rnd->rn", diff, diff)
 
 
-def _nearest(points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+def _nearest(points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, ...]:
     """Index of the nearest centroid, ties to the smaller index, for every
-    restart: (r, k, d) centroids give an (r, n) assignment.
+    restart: (r, k, d) centroids give an (r, n) assignment, (r,) Gram inertia
+    and (r,) slack, within which that is the exact inertia (see _TIE_RTOL).
 
     Rows are ranked by |c|^2 - 2 x.c, the Gram form without |x|^2, which is
-    common to a row. A row with a second value within the rounding bound of
-    its best, or with a NaN, is re-ranked with the exact difference formula.
+    common to a row. A row with one value within the rounding bound of its
+    best takes that centroid; any other, NaN rows included, is re-ranked with
+    the exact difference formula.
     """
     r, k, d = centroids.shape
     n = points.shape[0]
-    if k == 1:
-        return np.zeros((r, n), dtype=np.int64)
     c_sq = np.einsum("rkd,rkd->rk", centroids, centroids)
     gram = ((-2.0 * centroids).reshape(r * k, d) @ points.T).reshape(r, k, n)
     gram += c_sq[:, :, None]
     best = gram.min(axis=1)
-    assignment = np.argmax(gram == best[:, None, :], axis=1)
-    best += _TIE_RTOL * (sq_norms + c_sq.max(axis=1)[:, None])
-    near = np.count_nonzero(gram <= best[:, None, :], axis=1) != 1  # NaN rows count 0
+    c_max = c_sq.max(axis=1)
+    within = (gram <= (best + _TIE_RTOL * (sq_norms + c_max[:, None]))[:, None, :]).view(np.uint8)
+    labels = np.arange(k, dtype=np.min_scalar_type(k))  # a count up to k fits too
+    assignment = np.einsum("rkn,k->rn", within, labels).astype(np.intp)  # right where one is within
+    near = within.sum(axis=1, dtype=labels.dtype) != 1  # NaN rows count 0
     for ri in np.flatnonzero(near.any(axis=1)):
         rows = np.flatnonzero(near[ri])
         assignment[ri, rows] = np.argmin(_sq_dists(points[rows], centroids[ri]), axis=1)
-    return assignment
+    sq_total = sq_norms.sum()
+    return assignment, best.sum(axis=1) + sq_total, 3.0 * _TIE_RTOL * (sq_total + n * c_max)
 
 
 def _exact_pick(points: np.ndarray, picks: np.ndarray, draw: int) -> int | None:
@@ -194,19 +201,35 @@ def _repair_empty(points: np.ndarray, centroids: np.ndarray, assignment: np.ndar
             own[far] = -np.inf
 
 
-def _assign(
-    points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Assign every restart's points, repair its empty clusters (centroids are
-    updated in place) and return the (r, n) assignment, (r,) inertia and (r,)
-    mask of the restarts that needed a repair."""
+def _assign(points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Assign every restart's points and repair its empty clusters (centroids
+    are updated in place). Returns the (r, n) assignment and its flat index,
+    _nearest's inertia and slack (exact, and 0, where repaired) and the repairs."""
     r, k, _ = centroids.shape
-    assignment = _nearest(points, sq_norms, centroids)
-    counts = np.bincount(_flat_clusters(assignment, k), minlength=r * k).reshape(r, k)
-    repaired = (counts == 0).any(axis=1)
+    assignment, inertia, slack = _nearest(points, sq_norms, centroids)
+    flat = _flat_clusters(assignment, k)
+    repaired = (np.bincount(flat.ravel(), minlength=r * k).reshape(r, k) == 0).any(axis=1)
     for ri in np.flatnonzero(repaired):
         _repair_empty(points, centroids[ri], assignment[ri])
-    return assignment, _own_sq_dists(points, centroids, assignment).sum(axis=1), repaired
+        flat[ri] = assignment[ri] + k * ri
+        inertia[ri], slack[ri] = _own_sq_dists(points, centroids[ri : ri + 1], assignment[ri : ri + 1]).sum(), 0.0
+    return assignment, flat, inertia, slack, repaired
+
+
+def _check_inertia(points: np.ndarray, current: np.ndarray, assignment: np.ndarray, upper: np.ndarray,
+                   prior: np.ndarray, previous: np.ndarray, lower: np.ndarray) -> None:
+    """Raise if a restart's exact inertia under (current, assignment) passes
+    (1 + 1e-12) times that under (prior, previous), plus 1e-12. They are
+    computed only where upper, above the first, and lower, below the second,
+    leave that open."""
+    bound = lower * (1.0 + 1e-12) + 1e-12
+    unsure = np.flatnonzero(~((upper <= bound) & (bound < np.inf)))  # NaN or inf is never sure
+    if unsure.size:
+        now = _own_sq_dists(points, current[unsure], assignment[unsure]).sum(axis=1)
+        last = _own_sq_dists(points, prior[unsure], previous[unsure]).sum(axis=1)
+        grew = np.flatnonzero(now > last * (1.0 + 1e-12) + 1e-12)
+        if grew.size:
+            raise RuntimeError(f"k-means inertia increased: {float(last[grew[0]])!r} -> {float(now[grew[0]])!r}")
 
 
 def _settled(assignment: np.ndarray, previous: np.ndarray, repaired: np.ndarray) -> np.ndarray:
@@ -215,8 +238,8 @@ def _settled(assignment: np.ndarray, previous: np.ndarray, repaired: np.ndarray)
     return ~repaired & np.all(assignment == previous, axis=1)
 
 
-def _cluster_means(points: np.ndarray, rows: np.ndarray, assignment: np.ndarray, k: int) -> np.ndarray:
-    """Every restart's centroid update: (r, n) assignment gives (r, k, d) means
+def _cluster_means(rows: np.ndarray, flat: np.ndarray, k: int) -> np.ndarray:
+    """Every restart's centroid update: (r, n) flat indices give (r, k, d) means
     with the bits of points[assignment[ri] == c].mean(axis=0); rows holds
     points once per restart. For d > 1 SciPy's compiled update sums each
     cluster's rows in order from 0.0, as NumPy sums an (m, d > 1) block; one
@@ -224,16 +247,16 @@ def _cluster_means(points: np.ndarray, rows: np.ndarray, assignment: np.ndarray,
     compiled routine trusts its labels (one below 0 writes outside its buffers),
     so they are checked first; an empty cluster raises instead of giving NaN.
     """
-    r, n = assignment.shape
-    d = points.shape[1]
-    if not (assignment.min() >= 0 and assignment.max() < k):
+    r, n = flat.shape
+    d = rows.shape[1]
+    first = k * np.arange(r)  # restart ri's labels are first[ri] + [0, k)
+    if not (np.all(flat.min(axis=1) >= first) and np.all(flat.max(axis=1) < first + k)):
         raise RuntimeError(f"k-means labels outside [0, {k})")
-    flat = _flat_clusters(assignment, k)
     if d > 1:
-        means, has_members = update_cluster_means(rows[: r * n], flat, r * k)
+        means, has_members = update_cluster_means(rows[: r * n], flat.ravel(), r * k)
     else:
-        counts = np.bincount(flat, minlength=r * k)
-        sums = np.array([points[assignment[ri] == c].sum(axis=0) for ri in range(r) for c in range(k)])
+        counts = np.bincount(flat.ravel(), minlength=r * k)
+        sums = np.array([rows[:n][flat[ri] == first[ri] + c].sum(axis=0) for ri in range(r) for c in range(k)])
         means, has_members = sums / np.maximum(counts, 1)[:, None], counts > 0
     if not np.all(has_members):
         raise RuntimeError("k-means update on an empty cluster")
@@ -254,9 +277,10 @@ def kmeans(points: np.ndarray, k: int, rng: Rng, max_iter: int = 100, tol: float
     Lloyd steps draw nothing, so the rng stream is that of running the
     restarts one after another. The restarts then run as one batch, each
     leaving it once its largest centroid shift is below tol or its assignment
-    repeats. Assignments use the Gram ranking with an exact re-rank of
-    near-ties (see the module docstring), so results are bit for bit those of
-    running each restart alone with exact distances.
+    repeats. Assignments and the inertia check read the Gram values, exact
+    only where their rounding leaves the outcome open (see the module
+    docstring), so results and raised checks are bit for bit those of running
+    each restart alone with exact distances.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -274,44 +298,39 @@ def kmeans(points: np.ndarray, k: int, rng: Rng, max_iter: int = 100, tol: float
     sq_norms = np.einsum("nd,nd->n", points, points)
     centroids = _seed_restarts(points, sq_norms, k, n_init, rng)
     rows = np.tile(points, (n_init, 1))
-    prev_inertia = np.full(n_init, np.inf)
+    lower = np.empty(n_init)  # at most each active restart's last exact inertia, where finite
     assignment_of = np.empty((n_init, n), dtype=np.int64)
-    inertia_of = np.empty(n_init)
     retired = np.zeros(n_init, dtype=bool)
     active = np.arange(n_init)
-    previous = None  # the active restarts' last assignment; seeds are means of none
+    previous = prior = None  # the active restarts' last assignment and centroids; seeds are means of none
     for _ in range(max_iter):
         current = centroids[active]
-        assignment, inertia, repaired = _assign(points, sq_norms, current)
-        grew = np.flatnonzero(inertia > prev_inertia[active] * (1.0 + 1e-12) + 1e-12)
-        if grew.size:
-            ri = grew[0]
-            raise RuntimeError(
-                f"k-means inertia increased: {float(prev_inertia[active[ri]])!r} -> {float(inertia[ri])!r}"
-            )
-        prev_inertia[active] = inertia
-
+        assignment, flat, inertia, slack, repaired = _assign(points, sq_norms, current)
         if previous is not None:
+            _check_inertia(points, current, assignment, inertia + slack, prior, previous, lower[active])
             done = _settled(assignment, previous, repaired)
-            assignment_of[active[done]], inertia_of[active[done]] = assignment[done], inertia[done]
-            retired[active[done]] = True
+        lower[active] = inertia - slack
+        if previous is not None and done.any():
+            assignment_of[active[done]], retired[active[done]] = assignment[done], True
             active, current, assignment = active[~done], current[~done], assignment[~done]
+            flat = _flat_clusters(assignment, k)
             if active.size == 0:
                 break
 
-        updated = _cluster_means(points, rows, assignment, k)
+        updated = _cluster_means(rows, flat, k)
         shift = np.max(np.linalg.norm(updated - current, axis=2), axis=1)
         centroids[active] = updated
         moving = ~(shift < tol)
-        active, previous = active[moving], assignment[moving]
+        active, previous, prior = active[moving], assignment[moving], current[moving]
         if active.size == 0:
             break
 
     rest = np.flatnonzero(~retired)
     if rest.size:
         final = centroids[rest]
-        assignment_of[rest], inertia_of[rest], _ = _assign(points, sq_norms, final)
+        assignment_of[rest] = _assign(points, sq_norms, final)[0]
         centroids[rest] = final  # keep the repairs
+    inertia_of = _own_sq_dists(points, centroids, assignment_of).sum(axis=1)
     best = int(np.argmin(inertia_of))  # first restart on ties
     return KMeansResult(
         centroids=centroids[best].copy(), assignment=assignment_of[best].copy(), inertia=float(inertia_of[best])

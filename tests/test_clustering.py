@@ -40,9 +40,11 @@ class ScriptedRng(Rng):
 def calls(monkeypatch):
     """Count the calls of clustering's exact re-rank, empty-cluster repair and
     lock-step seeding pass (one more per draw that randint rejects), the later
-    seeding picks made exactly (a restart's first pick always is), and the
-    restarts retired early."""
-    counts = {"_sq_dists": 0, "_repair_empty": 0, "_lockstep_picks": 0, "_exact_pick": 0, "retired": 0}
+    seeding picks made exactly (a restart's first pick always is), the
+    restarts retired early and the restarts' exact inertia evaluations: one
+    per restart, and two more per restart whose check falls back to them."""
+    counts = {"_sq_dists": 0, "_repair_empty": 0, "_lockstep_picks": 0, "_exact_pick": 0, "retired": 0,
+              "exact_inertia": 0}
     for name in ("_sq_dists", "_repair_empty", "_lockstep_picks"):
         original = getattr(clustering, name)
 
@@ -66,6 +68,13 @@ def calls(monkeypatch):
         return done
 
     monkeypatch.setattr(clustering, "_settled", counted_settled)
+    own_sq_dists = clustering._own_sq_dists
+
+    def counted_own_sq_dists(points, centroids, assignment):
+        counts["exact_inertia"] += assignment.shape[0]
+        return own_sq_dists(points, centroids, assignment)
+
+    monkeypatch.setattr(clustering, "_own_sq_dists", counted_own_sq_dists)
     return counts
 
 
@@ -185,6 +194,10 @@ class TestKMeansMatchesReference:
         for k in (2, 6, 18):
             assert_matches_reference(points, k, k)
         assert calls["_exact_pick"] == 0  # every later pick vouched for in lock-step
+        # One exact inertia per restart: the slack decides every check, so
+        # none falls back to exact inertias, and no repair needs one.
+        assert calls["_repair_empty"] == 0
+        assert calls["exact_inertia"] == 3 * 10
 
     def test_points_far_from_the_origin(self, calls):
         # |x|^2 ~ 3e12 swamps distances ~1e-4 in the Gram form, so the ranking
@@ -256,6 +269,63 @@ class TestKMeansMatchesReference:
         assert_matches_reference(points, 2, 5, make_rng=lambda seed: ScriptedRng(seed, script), n_init=1)
         assert calls["_exact_pick"] == 1
 
+    def test_certified_check_agrees_with_the_exact_one(self, monkeypatch, calls):
+        # Beside every check, the decision of its Gram bounds and the exact
+        # inertia of both iterations: a restart the bounds pass must pass
+        # exactly and lie within them, and the check computes exact inertias
+        # for every other restart, two each.
+        checks = []
+        check_inertia, own_sq_dists = clustering._check_inertia, clustering._own_sq_dists
+
+        def recorded(points, current, assignment, upper, prior, previous, lower):
+            before = calls["exact_inertia"]
+            check_inertia(points, current, assignment, upper, prior, previous, lower)
+            bound = lower * (1.0 + 1e-12) + 1e-12
+            certified = (upper <= bound) & (bound < np.inf)
+            assert calls["exact_inertia"] - before == 2 * np.count_nonzero(~certified)
+            now = own_sq_dists(points, current, assignment).sum(axis=1)
+            last = own_sq_dists(points, prior, previous).sum(axis=1)
+            checks.append((certified, ~(now > last * (1.0 + 1e-12) + 1e-12), now, upper, last, lower))
+
+        monkeypatch.setattr(clustering, "_check_inertia", recorded)
+        cases = [random_case(seed) for seed in range(40)]
+        cases.append((1e6 + 1e-2 * np.random.default_rng(6).normal(size=(200, 3)), 5, {}))  # far from the origin
+        cases.append((1e200 * np.random.default_rng(10).normal(size=(9, 2)), 3, {}))  # |x|^2 overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            for seed, (points, k, kwargs) in enumerate(cases):
+                kmeans(points, k, Rng(seed), **kwargs)
+        certified, exact, now, upper, last, lower = (np.concatenate(col) for col in zip(*checks))
+        assert np.all(exact[certified])
+        assert np.all(now[certified] <= upper[certified])
+        assert np.all(last[certified] >= lower[certified])
+        assert certified.any() and not certified.all()  # the exact fallback fired
+
+    def test_an_inertia_increase_raises_with_the_exact_values(self, monkeypatch):
+        # Three blobs 100 apart; every update moves each centroid by 1, which
+        # keeps the assignment and raises the inertia by about n.
+        centers = np.array([[0.0, 0.0], [100.0, 0.0], [0.0, 100.0]])
+        points = np.repeat(centers, 10, axis=0) + 0.1 * np.random.default_rng(3).normal(size=(30, 2))
+        seeds = clustering._seed_restarts(points, np.einsum("nd,nd->n", points, points), 3, 1, Rng(0))
+        assignment = np.argmin(clustering._sq_dists(points, seeds[0]), axis=1)[None]
+        moved = clustering._cluster_means(points, assignment, 3) + 1.0
+        assert np.array_equal(np.argmin(clustering._sq_dists(points, moved[0]), axis=1), assignment[0])
+        last, now = (float(clustering._own_sq_dists(points, c, assignment).sum()) for c in (seeds, moved))
+        cluster_means = clustering._cluster_means
+        monkeypatch.setattr(clustering, "_cluster_means", lambda rows, flat, k: cluster_means(rows, flat, k) + 1.0)
+        with pytest.raises(RuntimeError) as raised:
+            kmeans(points, 3, Rng(0), n_init=1)
+        assert str(raised.value) == f"k-means inertia increased: {last!r} -> {now!r}"
+
+    @pytest.mark.parametrize("lower", [np.inf, np.nan])
+    def test_bounds_that_are_not_finite_settle_nothing(self, lower):
+        # The Gram bounds claim a pass, but an infinite or NaN bound on the
+        # last inertia says nothing: the exact inertias, 0.5 then 1.0, decide.
+        points = line_points([0.0, 1.0, 3.0])
+        assignment = np.array([[0, 0, 1]])
+        prior, current = np.array([[[0.5], [3.0]]]), np.array([[[0.0], [3.0]]])
+        with pytest.raises(RuntimeError, match=r"k-means inertia increased: 0\.5 -> 1\.0$"):
+            clustering._check_inertia(points, current, assignment, np.zeros(1), prior, assignment, np.array([lower]))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_rejected(self, bad):
         points = np.random.default_rng(0).normal(size=(6, 2))
@@ -276,7 +346,7 @@ def covering_assignment(rng, r, n, k):
 def assert_means_match_bincount(points, assignment, k, n_init):
     """_cluster_means over rows tiled for n_init restarts gives the bincount
     update's bits, signed zeros included."""
-    got = clustering._cluster_means(points, np.tile(points, (n_init, 1)), assignment, k)
+    got = clustering._cluster_means(np.tile(points, (n_init, 1)), clustering._flat_clusters(assignment, k), k)
     want = bincount_cluster_means(points, assignment, k)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -326,19 +396,23 @@ class TestClusterMeansMatchesBincount:
     @pytest.mark.parametrize("d", [1, 3])
     @pytest.mark.parametrize("bad", [-1, 4])
     def test_labels_outside_the_clusters_raise(self, d, bad):
+        # Each restart's labels are checked, not only the flat range: -1 in
+        # restart 1 and 4 in restart 0 are flat indices of the other restart.
         rng = np.random.default_rng(0)
         points = rng.normal(size=(12, d))
-        assignment = covering_assignment(rng, 2, 12, 4)
-        assignment[1, 5] = bad
-        with pytest.raises(RuntimeError, match="labels outside"):
-            clustering._cluster_means(points, np.tile(points, (2, 1)), assignment, 4)
+        for restart in (1, 0):
+            assignment = covering_assignment(rng, 2, 12, 4)
+            assignment[restart, 5] = bad
+            flat = clustering._flat_clusters(assignment, 4)
+            with pytest.raises(RuntimeError, match=r"labels outside \[0, 4\)"):
+                clustering._cluster_means(np.tile(points, (2, 1)), flat, 4)
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_an_empty_cluster_raises(self, d):
         points = np.random.default_rng(0).normal(size=(6, d))
         assignment = np.array([[0, 1, 0, 1, 0, 1]])
         with pytest.raises(RuntimeError, match="empty cluster"):
-            clustering._cluster_means(points, points, assignment, 3)
+            clustering._cluster_means(points, assignment, 3)
 
 
 class TestSilhouette:
