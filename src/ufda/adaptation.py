@@ -164,7 +164,7 @@ def pretrain_source(
     return model
 
 
-def adapt(model: AdaptModel, target: FeatureSet | np.ndarray, config: AdaptConfig) -> tuple[AdaptModel, AdaptTrace]:
+def adapt(model: AdaptModel, target: FeatureSet, config: AdaptConfig) -> tuple[AdaptModel, AdaptTrace]:
     """Run the adaptation loop on an unlabeled view of the target set.
 
     The input model is left untouched; the returned model is an adapted copy.
@@ -173,7 +173,7 @@ def adapt(model: AdaptModel, target: FeatureSet | np.ndarray, config: AdaptConfi
     raised once adaptation has started is re-raised naming the epoch, the
     batch and the phase it came from.
     """
-    inputs = target.features if isinstance(target, FeatureSet) else np.asarray(target, dtype=np.float64)
+    inputs = target.features
     if inputs.shape[0] == 0:
         raise ValueError("target set is empty")
     if not model.classifier_frozen:

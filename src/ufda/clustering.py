@@ -25,7 +25,7 @@ A restart is retired once an assignment needs no empty-cluster repair and
 equals the one before it: its centroids are the means of that assignment, so
 another update would return them bit for bit and the final re-assignment would
 return the same assignment and inertia. Only the other restarts, stopped by the
-centroid shift or by max_iter, are re-assigned after the loop.
+centroid shift or by KMEANS_MAX_ITER, are re-assigned after the loop.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ from scipy.spatial.distance import cdist
 from .numerics import Rng, l2_normalize_rows
 
 SILHOUETTE_SUBSAMPLE = 2048
+KMEANS_MAX_ITER = 100
+KMEANS_TOL = 1e-6
 
 # Gram values whose gap is at most this times (|x|^2 + max |c|^2) are re-ranked
 # exactly. Either formula's rounding error is a few d * 1e-16 of that scale, so
@@ -263,8 +265,7 @@ def _cluster_means(rows: np.ndarray, flat: np.ndarray, k: int) -> np.ndarray:
     return means.reshape(r, k, d)
 
 
-def kmeans(points: np.ndarray, k: int, rng: Rng, max_iter: int = 100, tol: float = 1e-6,
-           n_init: int = 10) -> KMeansResult:
+def kmeans(points: np.ndarray, k: int, rng: Rng, n_init: int = 10) -> KMeansResult:
     """Best of n_init k-means++ restarts, deterministic given the rng.
 
     Assignment ties go to the smaller cluster index; empty clusters are
@@ -275,12 +276,13 @@ def kmeans(points: np.ndarray, k: int, rng: Rng, max_iter: int = 100, tol: float
     All seeds are picked first, in lock-step, with each pick the rounding
     guard flags made again exactly and each draw randint rejects dropped.
     Lloyd steps draw nothing, so the rng stream is that of running the
-    restarts one after another. The restarts then run as one batch, each
-    leaving it once its largest centroid shift is below tol or its assignment
-    repeats. Assignments and the inertia check read the Gram values, exact
-    only where their rounding leaves the outcome open (see the module
-    docstring), so results and raised checks are bit for bit those of running
-    each restart alone with exact distances.
+    restarts one after another. The restarts then run as one batch of at
+    most KMEANS_MAX_ITER Lloyd steps, each leaving it once its largest
+    centroid shift is below KMEANS_TOL or its assignment repeats. Assignments
+    and the inertia check read the Gram values, exact only where their
+    rounding leaves the outcome open (see the module docstring), so results
+    and raised checks are bit for bit those of running each restart alone
+    with exact distances.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -303,7 +305,7 @@ def kmeans(points: np.ndarray, k: int, rng: Rng, max_iter: int = 100, tol: float
     retired = np.zeros(n_init, dtype=bool)
     active = np.arange(n_init)
     previous = prior = None  # the active restarts' last assignment and centroids; seeds are means of none
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         current = centroids[active]
         assignment, flat, inertia, slack, repaired = _assign(points, sq_norms, current)
         if previous is not None:
@@ -320,7 +322,7 @@ def kmeans(points: np.ndarray, k: int, rng: Rng, max_iter: int = 100, tol: float
         updated = _cluster_means(rows, flat, k)
         shift = np.max(np.linalg.norm(updated - current, axis=2), axis=1)
         centroids[active] = updated
-        moving = ~(shift < tol)
+        moving = ~(shift < KMEANS_TOL)
         active, previous, prior = active[moving], assignment[moving], current[moving]
         if active.size == 0:
             break
@@ -337,23 +339,18 @@ def kmeans(points: np.ndarray, k: int, rng: Rng, max_iter: int = 100, tol: float
     )
 
 
-def silhouette(points: np.ndarray, assignment: np.ndarray, dist: np.ndarray | None = None) -> np.ndarray:
-    """Per-point silhouette s = (b - a) / max(a, b) under Euclidean distance.
+def silhouette(dist: np.ndarray, assignment: np.ndarray) -> np.ndarray:
+    """Per-point silhouette s = (b - a) / max(a, b) of an assignment, from
+    the (n, n) matrix of the points' pairwise Euclidean distances.
 
     a is the mean intra-cluster distance excluding self; b the smallest mean
     distance to another cluster. Singleton clusters and a = b = 0 give s = 0.
-    dist, when given, is cdist(points, points), which a caller scoring several
-    assignments of the same points computes once.
     """
-    points = np.asarray(points, dtype=np.float64)
     assignment = np.asarray(assignment)
     labels = np.unique(assignment)
     if labels.shape[0] < 2:
         raise ValueError("silhouette needs at least 2 non-empty clusters")
-    n = points.shape[0]
-    if dist is None:
-        # cdist keeps full precision; the Gram-matrix shortcut loses ~1e-9.
-        dist = cdist(points, points)
+    n = assignment.shape[0]
 
     sums = np.stack([dist[:, assignment == lab].sum(axis=1) for lab in labels], axis=1)
     counts = np.array([(assignment == lab).sum() for lab in labels])
@@ -419,10 +416,10 @@ def estimate_ct(features: np.ndarray, n_source_classes: int, rng: Rng) -> CtEsti
     if n > SILHOUETTE_SUBSAMPLE:
         sample = sample[rng.sample_without_replacement(n, SILHOUETTE_SUBSAMPLE)]
     cands = candidate_counts(n_source_classes, sample.shape[0])
-    dist = cdist(sample, sample)
+    dist = cdist(sample, sample)  # full precision; the Gram-matrix shortcut loses ~1e-9
 
     # k-means repairs every empty cluster and k >= 2, so each silhouette sees
     # at least two clusters.
-    means = [float(silhouette(sample, kmeans(sample, k, rng.split()).assignment, dist).mean()) for k in cands]
+    means = [float(silhouette(dist, kmeans(sample, k, rng.split()).assignment).mean()) for k in cands]
     best = int(np.argmax(means))  # first max -> smallest candidate on ties
     return CtEstimate(candidates=cands, mean_silhouettes=means, chosen=cands[best])

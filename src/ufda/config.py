@@ -70,7 +70,7 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 _PARSERS = {"int": int, "float": float, "str": str}
 
 
-def parse_config_text(text: str, path: str = "<config>") -> dict:
+def parse_config_text(text: str, path: str) -> dict:
     """Parse `key = value` lines (# comments and blank lines allowed) into a
     typed dict; unknown keys are rejected."""
     values = {}
@@ -93,7 +93,7 @@ def parse_config_text(text: str, path: str = "<config>") -> dict:
     return values
 
 
-def load_run_config(path: str | None, overrides: dict | None = None, preset: str | None = None) -> RunConfig:
+def load_run_config(path: str | None, overrides: dict, preset: str | None) -> RunConfig:
     """Defaults <- the preset's scenario keys <- config file <- overrides.
 
     None-valued overrides are ignored so unset CLI flags fall through."""
@@ -109,7 +109,7 @@ def load_run_config(path: str | None, overrides: dict | None = None, preset: str
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
         values.update(parse_config_text(text, path))
-    for key, value in (overrides or {}).items():
+    for key, value in overrides.items():
         if value is None:
             continue
         if key not in _FIELD_TYPES:

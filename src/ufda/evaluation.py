@@ -138,8 +138,9 @@ def evaluate(
     features: np.ndarray,
     labels: np.ndarray,
     omega: float,
-    n_private: int | None = None,
-    rng: Rng | None = None,
+    *,
+    n_private: int | None,
+    rng: Rng,
 ) -> EvalReport:
     """Full report for a labeled target set, from one forward pass.
 
@@ -158,9 +159,9 @@ def evaluate(
     unknown_rejected / n_unknown, h_score their harmonic mean (0 when both
     are 0), closed_acc = (known_correct + unknown_rejected) / n_samples. A
     rate over no samples is NaN, and h_score is NaN unless both sides exist.
-    NCD accuracy clusters the unknown samples' features from the same pass;
-    it is computed only when n_private (and an rng) is given and some
-    sample is unknown.
+    NCD accuracy clusters the unknown samples' features from the same pass
+    into n_private clusters, with rng; it is computed only when n_private is
+    not None and some sample is unknown.
     """
     if not 0.0 < omega <= 1.0:
         raise ValueError("omega must be in (0, 1]")
@@ -197,8 +198,6 @@ def evaluate(
 
     ncd = math.nan
     if n_private is not None and n_unknown > 0:
-        if rng is None:
-            raise ValueError("ncd accuracy needs an rng")
         ncd = ncd_accuracy(fwd.features[unknown_mask], labels[unknown_mask], n_private, rng)
 
     return EvalReport(

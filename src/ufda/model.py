@@ -123,29 +123,21 @@ def loss_source_batch(probs: np.ndarray, labels: np.ndarray, alpha: float) -> tu
 def backward(
     model: AdaptModel,
     fwd: BatchForward,
-    d_logits: np.ndarray | None = None,
+    d_logits: np.ndarray,
     d_feature: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
-    """Reverse-mode pass. d_logits / d_feature hold per-sample loss gradients
-    at the logit and feature outputs. Returns the batch-averaged gradient of
-    each trainable parameter, keyed by name; a frozen classifier has none."""
-    if d_logits is None and d_feature is None:
-        raise ValueError("backward needs at least one output gradient")
+    """Reverse-mode pass. d_logits holds the per-sample loss gradients at the
+    logits and d_feature, when given, those at the features. Returns the
+    batch-averaged gradient of each trainable parameter, keyed by name; a
+    frozen classifier has none."""
     b = fwd.x.shape[0]
     grads: dict[str, np.ndarray] = {}
 
-    if d_logits is not None:
-        d_logits = np.asarray(d_logits, dtype=np.float64)
-        d_feat = d_logits @ model.wc.T
-        if not model.classifier_frozen:
-            grads["wc"] = fwd.features.T @ d_logits / b
-            grads["bc"] = d_logits.mean(axis=0)
-    else:
-        d_feat = np.zeros_like(fwd.features)
-        if not model.classifier_frozen:
-            grads["wc"] = np.zeros_like(model.wc)
-            grads["bc"] = np.zeros_like(model.bc)
-
+    d_logits = np.asarray(d_logits, dtype=np.float64)
+    d_feat = d_logits @ model.wc.T
+    if not model.classifier_frozen:
+        grads["wc"] = fwd.features.T @ d_logits / b
+        grads["bc"] = d_logits.mean(axis=0)
     if d_feature is not None:
         d_feat = d_feat + np.asarray(d_feature, dtype=np.float64)
 

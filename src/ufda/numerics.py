@@ -80,8 +80,8 @@ class Rng:
             if draw < limit:
                 return draw % n
 
-    def normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
-        """Standard Box-Muller draw (with cached spare)."""
+    def normal(self) -> float:
+        """Standard normal Box-Muller draw (with cached spare)."""
         if self._spare_normal is not None:
             z = self._spare_normal
             self._spare_normal = None
@@ -94,14 +94,15 @@ class Rng:
             theta = 2.0 * math.pi * u2
             z = r * math.cos(theta)
             self._spare_normal = r * math.sin(theta)
-        return mu + sigma * z
+        return z
 
-    def normal_array(self, shape: int | tuple[int, ...], mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
+    def normal_array(self, shape: int | tuple[int, ...], sigma: float = 1.0) -> np.ndarray:
+        """Zero-mean normal draws with standard deviation sigma, in row-major order."""
         out = np.empty(shape, dtype=np.float64)
         flat = out.reshape(-1)
         for i in range(flat.shape[0]):
-            flat[i] = self.normal(mu, sigma)
-        return out
+            flat[i] = self.normal()
+        return sigma * out + 0.0  # sigma = 0 makes a negative draw -0.0; adding 0.0 makes it +0.0
 
     def uniform_array(self, shape: int | tuple[int, ...], lo: float, hi: float) -> np.ndarray:
         out = np.empty(shape, dtype=np.float64)

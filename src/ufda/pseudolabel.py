@@ -10,13 +10,13 @@ the best suppressed score.
 
 K is the same for every class, so every negative set has N - K rows and the
 prototypes of all classes are three arrays: positives (C, d), negatives
-(C, M, d) and suppression weights (C,). Both functions take L2-normalized
-feature rows.
+(C, M, d) and suppression weights (C,). The pipeline sets M = C_t and
+K = floor(N / C_t) with 2 <= C_t < N, so 1 <= M <= N - K always holds. Both
+functions take L2-normalized feature rows.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,13 +56,10 @@ def build_all_prototypes(
 
     features must be L2-normalized rows. Class c's positive set is the k
     largest column-c probabilities (ties: smaller index); the rest, in
-    dataset order, is clustered by one k-means call per class, in class
-    order, each on its own rng sub-stream. m (the negative prototype count)
-    shrinks to the negative-set size N - k with a warning when there are too
-    few negatives for the requested k-means.
+    dataset order, is clustered into m negative prototypes by one k-means
+    call per class, in class order, each on its own rng sub-stream; m must
+    lie in [1, N - k].
     """
-    if m < 1:
-        raise ValueError("need at least one negative prototype")
     if not 0.0 < rho <= 1.0:
         raise ValueError("rho must be in (0, 1]")
     features = np.asarray(features, dtype=np.float64)
@@ -70,6 +67,8 @@ def build_all_prototypes(
     n, n_classes = probs.shape
     if not 1 <= k <= n:
         raise ValueError(f"top-k count {k} out of range [1, {n}]")
+    if not 1 <= m <= n - k:
+        raise ValueError(f"negative prototype count {m} out of range [1, {n - k}]")
 
     order = np.argsort(-probs.T, axis=1, kind="stable")  # (C, N), one ranking per class
     top = order[:, :k]
@@ -78,17 +77,9 @@ def build_all_prototypes(
     confidence = probs[top, np.arange(n_classes)[:, None]].mean(axis=1)
     epsilon = rho + (1.0 - rho) * confidence
 
-    m_eff = min(m, n - k)
-    if 0 < m_eff < m:
-        warnings.warn(
-            f"negative sets have {n - k} samples, reducing negative prototypes from {m} to {m_eff}",
-            stacklevel=2,
-        )
-    negatives = np.empty((n_classes, m_eff, features.shape[1]))
+    negatives = np.empty((n_classes, m, features.shape[1]))
     for c in range(n_classes):
-        class_rng = rng.split()  # split even with no negatives: one sub-stream per class
-        if m_eff:
-            negatives[c] = kmeans(features[rest[c]], m_eff, class_rng).centroids
+        negatives[c] = kmeans(features[rest[c]], m, rng.split()).centroids
     return Prototypes(positives=positives, negatives=negatives, epsilon=epsilon)
 
 
@@ -107,11 +98,8 @@ def assign_pseudo_labels(features: np.ndarray, prototypes: Prototypes) -> Pseudo
 
     pos_unit = l2_normalize_rows(prototypes.positives)
     pos_scores = prototypes.epsilon * np.clip(feat_unit @ pos_unit.T, -1.0, 1.0)
-    if m == 0:
-        neg_best = np.full((n, n_classes), -np.inf)
-    else:
-        neg_unit = l2_normalize_rows(prototypes.negatives.reshape(n_classes * m, d))
-        neg_best = np.clip(feat_unit @ neg_unit.T, -1.0, 1.0).reshape(n, n_classes, m).max(axis=2)
+    neg_unit = l2_normalize_rows(prototypes.negatives.reshape(n_classes * m, d))
+    neg_best = np.clip(feat_unit @ neg_unit.T, -1.0, 1.0).reshape(n, n_classes, m).max(axis=2)
 
     fired = pos_scores >= neg_best
     masked = np.where(fired, pos_scores, -np.inf)

@@ -232,7 +232,7 @@ def prototypes_direct(features: np.ndarray, probs: np.ndarray, k: int, m: int, r
     positive is their mean, epsilon = rho + (1 - rho) * their mean
     confidence, and the negatives are k-means centroids of the other indices
     in ascending order, one call per class in class order, each on its own
-    rng.split(); m shrinks to the negative-set size."""
+    rng.split()."""
     n, n_classes = probs.shape
     positives, negatives, epsilon = [], [], []
     for c in range(n_classes):
@@ -240,12 +240,7 @@ def prototypes_direct(features: np.ndarray, probs: np.ndarray, k: int, m: int, r
         top, rest = ranked[:k], sorted(ranked[k:])
         positives.append(features[top].mean(axis=0))
         epsilon.append(rho + (1.0 - rho) * float(np.mean(probs[top, c])))
-        class_rng = rng.split()
-        m_eff = min(m, len(rest))
-        if m_eff:
-            negatives.append(kmeans(features[rest], m_eff, class_rng).centroids)
-        else:
-            negatives.append(np.empty((0, features.shape[1])))
+        negatives.append(kmeans(features[rest], m, rng.split()).centroids)
     return np.array(positives), np.array(negatives), np.array(epsilon)
 
 

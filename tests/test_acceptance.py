@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from helpers import (
     contrastive_frozen_pairs,
@@ -52,7 +53,7 @@ def test_criterion_1_silhouette_oracle():
         assignment = rng.integers(0, k, size=n)
         if len(np.unique(assignment)) < 2:
             assignment[0], assignment[1] = 0, 1
-        diff = np.max(np.abs(silhouette(pts, assignment) - silhouette_direct(pts, assignment)))
+        diff = np.max(np.abs(silhouette(cdist(pts, pts), assignment) - silhouette_direct(pts, assignment)))
         worst = max(worst, float(diff))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-9 and elapsed < 5.0
@@ -183,7 +184,7 @@ def test_criterion_4_gradient_checks():
 
         fwd = forward_batch(model, x)
         _, d_anchor = loss_contrastive(fwd.features, pairs, bank)
-        grads = backward(model, fwd, d_feature=d_anchor)
+        grads = backward(model, fwd, np.zeros_like(fwd.logits), d_feature=d_anchor)
         analytic = np.concatenate([grads.get(n).ravel() for n in enc_names])
         worst["contrastive"] = max(worst["contrastive"], rel_err(analytic, fd_gradient(model, enc_names, f_con)))
 
@@ -199,7 +200,7 @@ def test_criterion_4_gradient_checks():
 
     fwd = forward_batch(model, x)
     _, d_anchor = loss_contrastive(fwd.features, pairs, bank)
-    grads = backward(model, fwd, d_feature=d_anchor)
+    grads = backward(model, fwd, np.zeros_like(fwd.logits), d_feature=d_anchor)
     analytic = np.concatenate([grads.get(n).ravel() for n in enc_names])
     fd_frozen = fd_gradient(model, enc_names, lambda m: contrastive_frozen_pairs(
         forward_batch(m, x).features, pairs, bank, fwd0.features))

@@ -39,7 +39,7 @@ class TestPretrain:
         source = two_gaussian_source()
         config = AdaptConfig(seed=0, epochs=50, lr=0.05, batch_size=16)
         model = pretrain_source(source, toy_dims(), config)
-        report = evaluate(model, source.features, source.labels, 0.9999999)
+        report = evaluate(model, source.features, source.labels, 0.9999999, n_private=None, rng=Rng(0))
         assert report.closed_acc == 1.0
 
     def test_zero_epochs_keeps_initialization(self):
@@ -115,7 +115,7 @@ class TestAdapt:
     def test_empty_target_rejected(self):
         model, _ = pretrained_toy()
         with pytest.raises(ValueError, match="empty"):
-            adapt(model, np.zeros((0, 16)), AdaptConfig(seed=0, epochs=1))
+            adapt(model, FeatureSet(np.zeros((0, 16)), np.zeros(0), role="target"), AdaptConfig(seed=0, epochs=1))
 
     def test_divergence_names_epoch_batch_and_phase(self):
         model, target = pretrained_toy()

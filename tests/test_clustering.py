@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from helpers import bincount_cluster_means, exhaustive_kmeans_optimum, reference_kmeans, silhouette_direct
 from ufda import clustering
@@ -13,12 +14,20 @@ def line_points(values):
     return np.array([[v] for v in values], dtype=float)
 
 
+def kmeans_with(points, k, rng, n_init=10, max_iter=clustering.KMEANS_MAX_ITER):
+    """kmeans with KMEANS_MAX_ITER set to max_iter for the call."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(clustering, "KMEANS_MAX_ITER", max_iter)
+        return kmeans(points, k, rng, n_init=n_init)
+
+
 def assert_matches_reference(points, k, seed, make_rng=Rng, **kwargs):
     """Same assignment and centroids, inertia within 1e-12 relative, and the
-    rng left at the same place as the per-restart reference k-means."""
+    rng left at the same place as the per-restart reference k-means; kwargs
+    are n_init and max_iter."""
     want_rng, got_rng = make_rng(seed), make_rng(seed)
     want = reference_kmeans(points, k, want_rng, **kwargs)
-    got = kmeans(points, k, got_rng, **kwargs)
+    got = kmeans_with(points, k, got_rng, **kwargs)
     assert np.array_equal(got.assignment, want.assignment)
     assert np.array_equal(got.centroids, want.centroids)
     assert got.inertia == want.inertia or abs(got.inertia - want.inertia) <= 1e-12 * abs(want.inertia)
@@ -293,7 +302,7 @@ class TestKMeansMatchesReference:
         cases.append((1e200 * np.random.default_rng(10).normal(size=(9, 2)), 3, {}))  # |x|^2 overflows
         with np.errstate(over="ignore", invalid="ignore"):
             for seed, (points, k, kwargs) in enumerate(cases):
-                kmeans(points, k, Rng(seed), **kwargs)
+                kmeans_with(points, k, Rng(seed), **kwargs)
         certified, exact, now, upper, last, lower = (np.concatenate(col) for col in zip(*checks))
         assert np.all(exact[certified])
         assert np.all(now[certified] <= upper[certified])
@@ -418,23 +427,23 @@ class TestClusterMeansMatchesBincount:
 class TestSilhouette:
     def test_two_pair_line_instance(self):
         pts = line_points([0.0, 1.0, 10.0, 11.0])
-        scores = silhouette(pts, np.array([0, 0, 1, 1]))
+        scores = silhouette(cdist(pts, pts), np.array([0, 0, 1, 1]))
         # point 0: a=1, b=10.5 -> (10.5-1)/10.5
         assert scores[0] == pytest.approx(0.9047619047619048, abs=1e-6)
 
     def test_singleton_cluster_scores_zero(self):
         pts = line_points([0.0, 1.0, 50.0])
-        scores = silhouette(pts, np.array([0, 0, 1]))
+        scores = silhouette(cdist(pts, pts), np.array([0, 0, 1]))
         assert scores[2] == 0.0
 
     def test_identical_points_score_zero(self):
         pts = np.ones((6, 2))
-        scores = silhouette(pts, np.array([0, 0, 0, 1, 1, 1]))
+        scores = silhouette(cdist(pts, pts), np.array([0, 0, 0, 1, 1, 1]))
         assert np.all(scores == 0.0)
 
     def test_single_cluster_rejected(self):
         with pytest.raises(ValueError):
-            silhouette(np.ones((3, 1)), np.zeros(3, dtype=int))
+            silhouette(np.zeros((3, 3)), np.zeros(3, dtype=int))
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(0, 2**32 - 1))
@@ -447,7 +456,7 @@ class TestSilhouette:
         if len(np.unique(assignment)) < 2:
             assignment[0] = 0
             assignment[1] = 1
-        got = silhouette(pts, assignment)
+        got = silhouette(cdist(pts, pts), assignment)
         want = silhouette_direct(pts, assignment)
         assert np.max(np.abs(got - want)) < 1e-9
 
@@ -502,7 +511,7 @@ class TestEstimateCt:
         want = []
         for k in est.candidates:
             assignment = kmeans(normed[sub], k, rng.split()).assignment
-            want.append(float(silhouette(normed[sub], assignment).mean()))
+            want.append(float(silhouette(cdist(normed[sub], normed[sub]), assignment).mean()))
         assert est.mean_silhouettes == want
         assert est.chosen == est.candidates[int(np.argmax(want))]
 
@@ -549,7 +558,7 @@ class TestEstimateCt:
             estimate_ct(np.ones((3, 2)), 4, Rng(0))
 
     def test_tie_breaks_to_smallest_candidate(self, monkeypatch):
-        monkeypatch.setattr(clustering, "silhouette", lambda points, assignment, dist: np.zeros(len(points)))
+        monkeypatch.setattr(clustering, "silhouette", lambda dist, assignment: np.zeros(len(assignment)))
         est = estimate_ct(self.three_blobs(), 6, Rng(0))
         assert est.mean_silhouettes == [0.0] * len(est.candidates)
         assert est.chosen == est.candidates[0]

@@ -180,7 +180,7 @@ class TestLossContrastive:
             assert value == pytest.approx(loss_fn(model), abs=1e-12)
             from ufda.model import backward
 
-            grads = backward(model, fwd, d_feature=d_anchor)
+            grads = backward(model, fwd, np.zeros_like(fwd.logits), d_feature=d_anchor)
             analytic = np.concatenate([grads.get(n).ravel() for n in names])
             numeric = fd_gradient(model, names, loss_fn)
             assert rel_err(analytic, numeric) < 1e-4
@@ -216,7 +216,7 @@ class TestStopGradient:
 
         fwd = forward_batch(model, x)
         _, d_anchor = loss_contrastive(fwd.features, pairs, bank)
-        grads = backward(model, fwd, d_feature=d_anchor)
+        grads = backward(model, fwd, np.zeros_like(fwd.logits), d_feature=d_anchor)
         analytic = np.concatenate([grads.get(n).ravel() for n in names])
 
         def frozen_loss(m):

@@ -42,10 +42,10 @@ def probe_model(probs_rows):
     )
 
 
-def probe_report(probs_rows, labels, omega, **kwargs):
-    """Evaluate the probe model of probs_rows on its basis-vector inputs."""
+def probe_report(probs_rows, labels, omega):
+    """Evaluate the probe model of probs_rows on its basis-vector inputs, without NCD."""
     n = len(probs_rows)
-    return evaluate(probe_model(probs_rows), np.eye(n, n), np.asarray(labels), omega, **kwargs)
+    return evaluate(probe_model(probs_rows), np.eye(n, n), np.asarray(labels), omega, n_private=None, rng=Rng(0))
 
 
 def report_from_predictions(preds, truth, n_classes=2):
@@ -237,7 +237,7 @@ class TestEvaluate:
     def test_closed_accuracy_counts_unknown_predictions_as_errors(self):
         model = probe_model([[0.99, 0.01], [0.5, 0.5], [0.01, 0.99]])
         labels = np.array([0, 0, 1])
-        report = evaluate(model, np.eye(3, 3), labels, 0.55)
+        report = evaluate(model, np.eye(3, 3), labels, 0.55, n_private=None, rng=Rng(0))
         assert report.closed_acc == pytest.approx(2.0 / 3.0)
         assert np.isnan(report.h_score)
         assert np.isnan(report.ncd_acc)
@@ -248,7 +248,7 @@ class TestEvaluate:
             [0.55, 0.45], [0.45, 0.55],   # two unknown, high entropy
         ])
         labels = np.array([0, 1, 5, 6])
-        report = evaluate(model, np.eye(4, 4), labels, 0.55)
+        report = evaluate(model, np.eye(4, 4), labels, 0.55, n_private=None, rng=Rng(0))
         assert report.known_acc == 1.0
         assert report.unknown_acc == 1.0
         assert report.h_score == 1.0
@@ -257,7 +257,7 @@ class TestEvaluate:
 
     def test_machine_lines_fixed_key_set(self):
         model = probe_model([[0.9, 0.1]])
-        report = evaluate(model, np.eye(1, 1), np.array([0]), 0.55)
+        report = evaluate(model, np.eye(1, 1), np.array([0]), 0.55, n_private=None, rng=Rng(0))
         lines = report.machine_lines()
         keys = [line.split("\t")[0] for line in lines]
         assert keys == [
@@ -272,15 +272,15 @@ class TestEvaluate:
     def test_misaligned_labels_rejected(self):
         model = probe_model([[0.9, 0.1], [0.2, 0.8]])
         with pytest.raises(ValueError, match="do not align"):
-            evaluate(model, np.eye(2, 2), np.array([0]), 0.55)
+            evaluate(model, np.eye(2, 2), np.array([0]), 0.55, n_private=None, rng=Rng(0))
         with pytest.raises(ValueError, match="do not align"):
-            evaluate(model, np.eye(2, 2), np.array([[0, 1]]), 0.55)
+            evaluate(model, np.eye(2, 2), np.array([[0, 1]]), 0.55, n_private=None, rng=Rng(0))
 
     def test_negative_labels_rejected(self):
         # a -1 label would be counted as a known sample
         model = probe_model([[0.5, 0.5], [0.9, 0.1]])
         with pytest.raises(ValueError, match="non-negative"):
-            evaluate(model, np.ones((2, 2)), np.array([-1, 0]), 1.0)
+            evaluate(model, np.ones((2, 2)), np.array([-1, 0]), 1.0, n_private=None, rng=Rng(0))
 
     def test_empty_target_gives_nan_rates(self):
         report = evaluate(probe_model([[0.9, 0.1]]), np.zeros((0, 1)), np.zeros(0, dtype=int), 0.55,
@@ -344,7 +344,7 @@ class TestEvaluateMatchesOracle:
             "reject_all": positive.min() if positive.size == n and n else 1.0,
         }[omega_rule]
 
-        report = evaluate(model, features, labels, float(omega))
+        report = evaluate(model, features, labels, float(omega), n_private=None, rng=Rng(0))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # the mean over an empty target
             expected = pipeline.oracle_report(model, features, labels, float(omega))

@@ -247,6 +247,15 @@ class TestRng:
         assert abs(draws.mean()) < 0.03
         assert abs(draws.std() - 1.0) < 0.03
 
+    @pytest.mark.parametrize("sigma", [1.0, 2.5, 0.0])
+    def test_normal_array_scales_draws_in_row_major_order(self, sigma):
+        got = Rng(5).normal_array((3, 4), sigma=sigma)
+        ref = Rng(5)
+        want = np.array([0.0 + sigma * ref.normal() for _ in range(12)]).reshape(3, 4)
+        assert got.tobytes() == want.tobytes()
+        if sigma == 0.0:
+            assert not np.signbit(got).any()  # +0.0, not -0.0, for a negative draw
+
     def test_uniform_array_row_major_order(self):
         a = Rng(4).uniform_array((2, 3), 0.0, 1.0)
         b = Rng(4)

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import prototypes_direct, pseudo_label_direct
+from ufda.clustering import SILHOUETTE_SUBSAMPLE, candidate_counts
 from ufda.model import cross_entropy_rows
 from ufda.numerics import Rng, l2_normalize_rows
 from ufda.pseudolabel import (
@@ -44,6 +44,24 @@ class TestTopK:
             with pytest.raises(ValueError, match="top-k count"):
                 build_all_prototypes(np.eye(3), probs, k, 1, 0.75, Rng(0))
 
+    def test_negatives_always_fit_in_the_rest(self):
+        # The ct sweep keeps C_t in [2, min(N, SILHOUETTE_SUBSAMPLE) - 1], and the
+        # pipeline asks for M = C_t negatives among N - K rows, K = topk_count(N, C_t).
+        n = np.arange(4, 3001)
+        ct = np.arange(2, SILHOUETTE_SUBSAMPLE)
+        rows, cols = np.nonzero(ct[None, :] < np.minimum(n, SILHOUETTE_SUBSAMPLE)[:, None])
+        n_of, ct_of = n[rows], ct[cols]
+        k_of = np.frompyfunc(topk_count, 2, 1)(n_of, ct_of).astype(np.int64)
+        assert np.all(n_of - k_of >= ct_of)
+        for n_points in (4, 5, 100, SILHOUETTE_SUBSAMPLE):
+            assert max(candidate_counts(1000, n_points)) == n_points - 1  # 3 * C_s clamped
+
+    def test_bad_m_rejected(self):
+        probs = np.full((5, 2), 0.5)
+        for m in (0, 3):  # the rest holds 5 - 3 = 2 rows
+            with pytest.raises(ValueError, match=rf"negative prototype count {m} out of range \[1, 2\]"):
+                build_all_prototypes(np.eye(5), probs, 3, m, 0.75, Rng(0))
+
 
 class TestBuildPrototypes:
     def unit_rows(self, seed, n=12, d=4):
@@ -76,29 +94,6 @@ class TestBuildPrototypes:
         protos = build_all_prototypes(feats, probs, 2, 2, 0.75, Rng(0))
         assert np.allclose(protos.positives[0], feats[[1, 4]].mean(axis=0))
 
-    def test_small_negative_set_shrinks_m_with_warning(self):
-        feats = self.unit_rows(5, n=4)
-        probs = np.full((4, 2), 0.5)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            protos = build_all_prototypes(feats, probs, 3, 5, 0.75, Rng(0))
-        assert [str(w.message) for w in caught] == [
-            "negative sets have 1 samples, reducing negative prototypes from 5 to 1"
-        ]
-        assert protos.negatives.shape == (2, 1, 4)
-
-    def test_no_negatives_when_k_is_n(self):
-        feats = self.unit_rows(6, n=5)
-        probs = np.full((5, 3), 1.0 / 3.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            protos = build_all_prototypes(feats, probs, 5, 2, 0.75, Rng(0))
-        assert protos.negatives.shape == (3, 0, 4)
-        # every sample fires every class; the ambiguity filter keeps class 0
-        out = assign_pseudo_labels(feats, protos)
-        assert out.fired.all()
-        assert np.all(out.labels == 0)
-
     def test_per_class_construction_is_deterministic(self):
         feats = self.unit_rows(6, n=20)
         probs = np.random.default_rng(7).dirichlet(np.ones(4), size=20)
@@ -112,10 +107,8 @@ class TestPrototypesMatchDirect:
     """build_all_prototypes against the per-class restatement in helpers."""
 
     def check(self, feats, probs, k, m, rho, seed):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            got = build_all_prototypes(feats, probs, k, m, rho, Rng(seed))
-            want = prototypes_direct(feats, probs, k, m, rho, Rng(seed))
+        got = build_all_prototypes(feats, probs, k, m, rho, Rng(seed))
+        want = prototypes_direct(feats, probs, k, m, rho, Rng(seed))
         assert np.array_equal(got.positives, want[0])
         assert np.array_equal(got.negatives, want[1])
         assert np.array_equal(got.epsilon, want[2])
@@ -137,30 +130,16 @@ class TestPrototypesMatchDirect:
         if tied:
             logits = np.round(logits)  # many equal probabilities
         probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
-        k = int(rng.integers(1, n + 1))
+        m = min(m, n - 1)  # leave a row for the top-k
+        k = int(rng.integers(1, n - m + 1))  # m negatives fit in the n - k rest
         self.check(feats, probs, k, m, rho, seed)
 
-    @settings(deadline=None, max_examples=20)
-    @given(st.integers(0, 2**32 - 1), st.integers(4, 20))
-    def test_k_equals_n_has_no_negatives(self, seed, n):
-        rng = np.random.default_rng(seed)
-        feats = l2_normalize_rows(rng.normal(size=(n, 3)))
-        probs = rng.dirichlet(np.ones(3), size=n)
-        self.check(feats, probs, n, 3, 0.75, seed)
-
-    def test_shrunk_negative_count(self):
-        rng = np.random.default_rng(31)
-        feats = l2_normalize_rows(rng.normal(size=(9, 3)))
-        probs = rng.dirichlet(np.ones(4), size=9)
-        with pytest.warns(UserWarning, match="reducing negative prototypes from 6 to 2"):
-            build_all_prototypes(feats, probs, 7, 6, 0.75, Rng(8))
-        self.check(feats, probs, 7, 6, 0.75, 8)
-
     def test_rng_split_per_class_even_without_negatives(self):
+        # One split per class, whatever the k-means calls read from their own streams.
         feats = l2_normalize_rows(np.random.default_rng(32).normal(size=(6, 3)))
         probs = np.full((6, 4), 0.25)
         rng = Rng(9)
-        build_all_prototypes(feats, probs, 6, 2, 0.75, rng)
+        build_all_prototypes(feats, probs, 4, 2, 0.75, rng)
         ref = Rng(9)
         for _ in range(4):
             ref.split()
