@@ -64,6 +64,12 @@ def run_one(preset_name, seed, variants, config_path=None):
     return rows
 
 
+def tsv_row(row):
+    """One run_one row as the --out file holds it, floats by repr."""
+    name, seed, tag, h, closed, ncd = row
+    return f"{name}\t{seed}\t{tag}\t{h!r}\t{closed!r}\t{ncd!r}\n"
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--preset", choices=sorted(PRESETS), help="run one preset instead of all")
@@ -102,8 +108,7 @@ def main():
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write("preset\tseed\tmodel\th_score\tclosed_acc\tncd_acc\n")
-            for name, seed, tag, h, closed, ncd in all_rows:
-                f.write(f"{name}\t{seed}\t{tag}\t{h!r}\t{closed!r}\t{ncd!r}\n")
+            f.writelines(tsv_row(row) for row in all_rows)
         print(f"wrote {args.out}")
     return 0
 

@@ -31,6 +31,15 @@ class CliError(RuntimeError):
         self.code = code
 
 
+# A file that exists but cannot be read or parsed; the error names its path.
+_UNREADABLE = (FeatureFileError, CheckpointError, OSError, UnicodeDecodeError)
+
+
+def _reason(exc: Exception) -> str:
+    """exc's message without the path, which the caller names once."""
+    return getattr(exc, "strerror", None) or str(exc)
+
+
 def _load(loader, path_text: str, what: str):
     if not path_text:
         raise CliError(f"missing {what} path", code=2)
@@ -39,8 +48,15 @@ def _load(loader, path_text: str, what: str):
         raise CliError(f"{what} not found: {path}")
     try:
         return loader(path)
-    except (FeatureFileError, CheckpointError) as exc:
-        raise CliError(f"{path}: {exc}") from None
+    except _UNREADABLE as exc:
+        raise CliError(f"{path}: {_reason(exc)}") from None
+
+
+def _make_out(out: Path) -> None:
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"{out}: {_reason(exc)}") from None
 
 
 def _load_model_and_target(cfg):
@@ -55,7 +71,7 @@ def _load_model_and_target(cfg):
 
 def cmd_gen(cfg, out: Path) -> None:
     source, target = generate(cfg.scenario())
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out(out)
     save_featureset(source, out / "source.ufd")
     save_featureset(target, out / "target.ufd")
     print(f"wrote {out / 'source.ufd'} ({len(source)} samples) and {out / 'target.ufd'} ({len(target)} samples)")
@@ -71,7 +87,7 @@ def cmd_pretrain(cfg, out: Path) -> None:
     dims = cfg.model_dims(d_in=source.features.shape[1], n_classes=n_classes)
     log_lines: list[str] = []
     model = pretrain_source(source, dims, cfg.adapt_config(), log_fn=log_lines.append)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out(out)
     save_model(model, out / "model.ufdmodel")
     (out / "train.log").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
     print(f"wrote {out / 'model.ufdmodel'} (classes={n_classes})")
@@ -80,7 +96,7 @@ def cmd_pretrain(cfg, out: Path) -> None:
 def cmd_adapt(cfg, out: Path) -> None:
     model, target = _load_model_and_target(cfg)
     adapted, trace = adapt(model, target, cfg.adapt_config())
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out(out)
     save_model(adapted, out / "adapted.ufdmodel")
     trace.save(out / "trace.tsv")
     print(f"wrote {out / 'adapted.ufdmodel'} after {len(trace.epochs)} epochs (variant={cfg.variant})")
@@ -90,7 +106,7 @@ def cmd_eval(cfg, out: Path) -> None:
     model, target = _load_model_and_target(cfg)
     n_private = novel_class_count(target.labels, model.dims.n_classes)
     report = evaluate(model, target.features, target.labels, cfg.omega, n_private=n_private, rng=Rng(cfg.seed))
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out(out)
     (out / "report.tsv").write_text("\n".join(report.machine_lines()) + "\n", encoding="utf-8")
     print(report.human_table())
 
@@ -102,9 +118,7 @@ def cmd_report(args) -> int:
     order: list[str] = []
     for path_text in args.reports:
         path = Path(path_text)
-        if not path.exists():
-            raise CliError(f"report file not found: {path}")
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = _load(lambda p: p.read_text(encoding="utf-8"), path_text, "report file").splitlines()
         if not any(line.strip() for line in lines):
             raise CliError(f"{path}: file has no metrics")
         for lineno, line in enumerate(lines, start=1):
@@ -132,10 +146,11 @@ def cmd_report(args) -> int:
         std = float(vals.std(ddof=1)) if vals.shape[0] > 1 else 0.0
         human.append(f"{name.ljust(width)}  {mean:<8.4f}  {std:<8.4f}  {vals.shape[0]}")
         machine.append(f"{name}\t{mean!r}\t{std!r}\t{vals.shape[0]}")
+    out = Path(args.out_dir) if args.out_dir else None
+    if out:
+        _make_out(out)  # before the table, so a failing --out prints only the error
     print("\n".join(human))
-    if args.out_dir:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out:
         (out / "summary.tsv").write_text("\n".join(machine) + "\n", encoding="utf-8")
     return 0
 

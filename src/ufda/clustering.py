@@ -15,11 +15,10 @@ are SciPy's compiled row-order update, bit for bit a per-cluster mean for
 d > 1; d = 1 is summed per cluster, as NumPy sums one column pairwise.
 
 k-means++ seeding runs all restarts in lock-step on n_init * k raw draws,
-taken up front in the order that seeding one restart at a time reads them;
-each round's D^2 to the new picks comes from one Gram product, clipped at 0.
-First picks, and picks whose D^2 total or threshold the rounding bound cannot
-vouch for, are made with the exact difference formula. A draw that randint
-rejects is dropped, one more is read, and the picks are made again.
+taken up front in the order that seeding one restart at a time reads them.
+Its D^2 comes from Gram products over the points centred once per call, whose
+rounding scales with their spread. A draw that randint rejects is dropped, one
+more is read, and the picks are made again.
 
 A restart is retired once an assignment needs no empty-cluster repair and
 equals the one before it: its centroids are the means of that assignment, so
@@ -36,7 +35,7 @@ import numpy as np
 from scipy.cluster._vq import update_cluster_means
 from scipy.spatial.distance import cdist
 
-from .numerics import Rng, l2_normalize_rows
+from .numerics import Rng, bounded_draw, l2_normalize_rows
 
 SILHOUETTE_SUBSAMPLE = 2048
 KMEANS_MAX_ITER = 100
@@ -46,20 +45,10 @@ KMEANS_TOL = 1e-6
 # exactly. Either formula's rounding error is a few d * 1e-16 of that scale, so
 # the bound holds with a wide margin for any d below 10^5.
 #
-# Seeding uses the same bound summed over the rows: tol = _TIE_RTOL * S with
-# S = sum_x (|x|^2 + max |x|^2) (centroids are points, so max |c|^2 <= max |x|^2).
-# Each form's D^2 entry is within 2 (d + 2) u (|x|^2 + max |x|^2) of the true
-# value (u = 2^-53), and a running sum or total of n entries, all below
-# 2 (|x|^2 + max |x|^2), adds at most 2 n u S. So the two forms' running sums,
-# totals and thresholds differ by less than 8 (d + n + 3) u S, which is below
-# tol for any d + n under 10^6, as long as nothing overflows (a restart with
-# an infinite or NaN total picks exactly). A total above tol is then positive
-# in both forms, and a threshold more than tol from every running-sum entry
-# lands between the same two entries in both.
-#
 # A restart's Gram inertia, its best Gram values plus sum |x|^2, is within
-# (4 (d + 2) + 5 n) u S of its exact inertia: below _TIE_RTOL * S for any d + n
-# under 10^6, and its slack is three times that.
+# (4 (d + 2) + 5 n) u S of its exact inertia (u = 2^-53, S = sum_x (|x|^2 +
+# max |c|^2)): below _TIE_RTOL * S for any d + n under 10^6, and its slack is
+# three times that.
 _TIE_RTOL = 1e-9
 
 
@@ -121,61 +110,47 @@ def _nearest(points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) ->
     return assignment, best.sum(axis=1) + sq_total, 3.0 * _TIE_RTOL * (sq_total + n * c_max)
 
 
-def _exact_pick(points: np.ndarray, picks: np.ndarray, draw: int) -> int | None:
-    """One restart's next k-means++ pick from its earlier picks (row indices)
-    and one raw draw, by the exact difference formula: D^2-weighted, or where
-    there are no picks or the D^2 total is 0, randint's (None if it rejects)."""
-    n = points.shape[0]
-    total = 0.0
-    if len(picks):
-        d2 = np.min([np.sum((points - points[p]) ** 2, axis=1) for p in picks], axis=0)
-        total = float(d2.sum())
-    if total <= 0.0:
-        return None if draw >= (1 << 64) - (1 << 64) % n else draw % n
-    idx = int(np.searchsorted(np.cumsum(d2), (draw >> 11) * 2.0**-53 * total, side="right"))
-    return min(idx, n - 1)
-
-
-def _lockstep_picks(points: np.ndarray, sq_norms: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, int | None]:
+def _lockstep_picks(points: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, int | None]:
     """The k-means++ picks of every restart, (r, k) row indices from (r, k) raw
-    draws, with one Gram product per round, and the flat index of the earliest
-    draw randint rejects (None if none is). First picks, and the picks the
-    rounding guard (see _TIE_RTOL) cannot vouch for, are made by _exact_pick."""
+    draws, and the flat index of the earliest draw randint rejects (None if
+    none is). A pick is the count of running D^2 sums at or below the draw's
+    fraction of the last; a first pick, or one whose D^2 total is not above 0
+    (0 or NaN), is randint's from its draw."""
     n = points.shape[0]
     r, k = draws.shape
     chosen = np.zeros((r, k), dtype=np.int64)
+    # Centred, D^2 is the same but its Gram rounding scales with the spread, not
+    # with |x|^2; a power-of-two scale is exact and keeps every square finite.
+    centred = points - points.mean(axis=0)
+    centred = np.ldexp(centred, -np.frexp(np.abs(centred).max(initial=0.0))[1])
+    sq_norms = np.einsum("nd,nd->n", centred, centred)
     fractions = (draws >> 11).astype(np.float64) * 2.0**-53
-    tol = _TIE_RTOL * (sq_norms.sum() + n * sq_norms.max())
     d2 = np.full((r, n), np.inf)
-    unsure = np.ones(r, dtype=bool)  # every first pick is exact
+    total = np.zeros(r)  # every first pick is randint's
     rejected = []
     for j in range(k):
         if j:
             picked = chosen[:, j - 1]
-            dist = sq_norms - 2.0 * (points[picked] @ points.T) + sq_norms[picked][:, None]
+            dist = sq_norms - 2.0 * (centred[picked] @ centred.T) + sq_norms[picked][:, None]
             np.minimum(d2, np.maximum(dist, 0.0, out=dist), out=d2)
-            total = d2.sum(axis=1)
+            d2[np.arange(r), picked] = 0.0  # so a row is picked again only once no D^2 is above 0
             running = np.cumsum(d2, axis=1)
-            threshold = fractions[:, j] * total
-            picks = np.count_nonzero(running <= (threshold + tol)[:, None], axis=1)
-            unsure = ~(np.isfinite(total) & (total > tol))
-            unsure |= picks != np.count_nonzero(running <= (threshold - tol)[:, None], axis=1)
-            chosen[:, j] = np.minimum(picks, n - 1)
-        for ri in np.flatnonzero(unsure):
-            pick = _exact_pick(points, chosen[ri, :j], int(draws[ri, j]))
-            if pick is None:
+            total = running[:, -1]  # a threshold lies below it, in a row whose D^2 is above 0
+            chosen[:, j] = np.minimum(np.count_nonzero(running <= (fractions[:, j] * total)[:, None], axis=1), n - 1)
+        for ri in np.flatnonzero(~(total > 0.0)):
+            if (pick := bounded_draw(int(draws[ri, j]), n)) is None:
                 rejected.append(ri * k + j)  # later picks of this restart are void
             else:
                 chosen[ri, j] = pick
     return chosen, min(rejected, default=None)
 
 
-def _seed_restarts(points: np.ndarray, sq_norms: np.ndarray, k: int, n_init: int, rng: Rng) -> np.ndarray:
+def _seed_restarts(points: np.ndarray, k: int, n_init: int, rng: Rng) -> np.ndarray:
     """(n_init, k, d) seeds, and the rng state, of k-means++ seeding the restarts
     one after another: each pick reads one raw draw, or more where randint rejects."""
     draws = [rng.next_u64() for _ in range(n_init * k)]
     while True:
-        chosen, rejected = _lockstep_picks(points, sq_norms, np.array(draws, dtype=np.uint64).reshape(n_init, k))
+        chosen, rejected = _lockstep_picks(points, np.array(draws, dtype=np.uint64).reshape(n_init, k))
         if rejected is None:
             return points[chosen]
         del draws[rejected]  # the picks before it read the same draws again
@@ -273,16 +248,16 @@ def kmeans(points: np.ndarray, k: int, rng: Rng, n_init: int = 10) -> KMeansResu
     run's iterations (RuntimeError otherwise); the restart with the lowest
     final inertia wins (first on ties).
 
-    All seeds are picked first, in lock-step, with each pick the rounding
-    guard flags made again exactly and each draw randint rejects dropped.
-    Lloyd steps draw nothing, so the rng stream is that of running the
-    restarts one after another. The restarts then run as one batch of at
-    most KMEANS_MAX_ITER Lloyd steps, each leaving it once its largest
-    centroid shift is below KMEANS_TOL or its assignment repeats. Assignments
-    and the inertia check read the Gram values, exact only where their
-    rounding leaves the outcome open (see the module docstring), so results
-    and raised checks are bit for bit those of running each restart alone
-    with exact distances.
+    All seeds are picked first, in lock-step, by k-means++ over centred Gram
+    D^2, with each draw randint rejects dropped. Lloyd steps draw nothing, so
+    the rng stream is that of seeding and running the restarts one after
+    another. The restarts then run as one batch of at most KMEANS_MAX_ITER
+    Lloyd steps, each leaving it once its largest centroid shift is below
+    KMEANS_TOL or its assignment repeats. Assignments and the inertia check
+    read the Gram values, exact only where their rounding leaves the outcome
+    open (see the module docstring), so from the same seeds, results and
+    raised checks are bit for bit those of running each restart alone with
+    exact distances.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -298,7 +273,7 @@ def kmeans(points: np.ndarray, k: int, rng: Rng, n_init: int = 10) -> KMeansResu
         raise ValueError("points must be finite")
 
     sq_norms = np.einsum("nd,nd->n", points, points)
-    centroids = _seed_restarts(points, sq_norms, k, n_init, rng)
+    centroids = _seed_restarts(points, k, n_init, rng)
     rows = np.tile(points, (n_init, 1))
     lower = np.empty(n_init)  # at most each active restart's last exact inertia, where finite
     assignment_of = np.empty((n_init, n), dtype=np.int64)

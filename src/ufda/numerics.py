@@ -23,6 +23,13 @@ def _splitmix64(x: int) -> tuple[int, int]:
     return x, z ^ (z >> 31)
 
 
+def bounded_draw(draw: int, n: int) -> int | None:
+    """randint(n)'s value from one raw 64-bit draw, or None where it rejects
+    the draw: draws at or above the largest multiple of n up to 2^64 are
+    rejected, so every value in [0, n) is equally likely."""
+    return draw % n if draw < (1 << 64) - (1 << 64) % n else None
+
+
 def _rotl(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & _MASK64
 
@@ -74,11 +81,10 @@ class Rng:
         """Uniform integer in [0, n), unbiased via rejection sampling."""
         if n <= 0:
             raise ValueError("randint bound must be positive")
-        limit = _MASK64 + 1 - ((_MASK64 + 1) % n)
         while True:
-            draw = self.next_u64()
-            if draw < limit:
-                return draw % n
+            value = bounded_draw(self.next_u64(), n)
+            if value is not None:
+                return value
 
     def normal(self) -> float:
         """Standard normal Box-Muller draw (with cached spare)."""

@@ -2,12 +2,15 @@
 
 Everything here is written as literal, brute-force restatements of the
 definitions so it stays independent of the library implementations it checks.
+The one exception is load_run_benchmark, which imports the benchmark script.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -130,10 +133,12 @@ def _reference_lloyd_run(points: np.ndarray, k: int, rng, max_iter: int, tol: fl
 
 def reference_kmeans(points: np.ndarray, k: int, rng, max_iter: int = 100, tol: float = 1e-6,
                      n_init: int = 10) -> KMeansResult:
-    """The per-restart k-means that clustering.kmeans must reproduce: each
-    restart seeds with k-means++ and runs its own Lloyd loop over the full
-    (n, k, d) difference tensor, with one mean per cluster; the first restart
-    with the lowest final inertia wins."""
+    """The per-restart k-means that clustering.kmeans is checked against: each
+    restart seeds with k-means++ on exact D^2 and runs its own Lloyd loop over
+    the full (n, k, d) difference tensor, with one mean per cluster; the first
+    restart with the lowest final inertia wins. kmeans seeds on centred Gram
+    D^2, so the two part only where rounding moves a pick across a running-sum
+    entry, or where squares overflow."""
     points = np.asarray(points, dtype=np.float64)
     best = None
     for _ in range(n_init):
@@ -312,3 +317,12 @@ def random_model(rng: np.random.Generator, d_in=4, d_hidden=5, d_feat=3, n_class
         bc=rng.normal(size=n_classes) * 0.3,
         classifier_frozen=frozen,
     )
+
+
+def load_run_benchmark():
+    """scripts/run_benchmark.py as a module, for its run_one and tsv_row."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_benchmark.py"
+    spec = importlib.util.spec_from_file_location("run_benchmark", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -4,10 +4,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.
 """
 
-import importlib.util
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +17,7 @@ from helpers import (
     exhaustive_kmeans_optimum,
     fd_gradient,
     knn_direct,
+    load_run_benchmark,
     random_model,
     rel_err,
     silhouette_direct,
@@ -298,14 +297,6 @@ def test_criterion_7_ct_recovery():
     elapsed = time.perf_counter() - t0
     ok = hits >= 9 and elapsed < 10.0
     report(7, ok, f"estimate_ct picked 3 on well-separated 3-cluster data in {hits}/10 seeds, {elapsed:.2f}s")
-
-
-def load_run_benchmark():
-    path = Path(__file__).resolve().parent.parent / "scripts" / "run_benchmark.py"
-    spec = importlib.util.spec_from_file_location("run_benchmark", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_criterion_8_end_to_end_opda():

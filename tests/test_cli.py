@@ -1,4 +1,5 @@
 import argparse
+import errno
 import os
 import warnings
 from dataclasses import fields
@@ -446,6 +447,49 @@ class TestBadInputFiles:
         assert code == 1
         assert err == f"error: {path}: source set is empty\n"
         assert not (tmp_path / "o").exists()
+
+
+class TestUnreadablePaths:
+    """A path that exists but cannot be read, or an --out that cannot be made a
+    directory, is one 'error: <path>: <reason>' line, exit 1, nothing written."""
+
+    def test_directory_as_eval_input(self, tmp_path, capsys):
+        code, out, err = run(capsys, "eval", str(tmp_path), str(tmp_path), "--out", str(tmp_path / "o"))
+        assert (code, out) == (1, "")
+        assert err == f"error: {tmp_path}: {os.strerror(errno.EISDIR)}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_directory_as_report_input(self, tmp_path, capsys):
+        code, out, err = run(capsys, "report", str(tmp_path), "--out", str(tmp_path / "o"))
+        assert (code, out) == (1, "")
+        assert err == f"error: {tmp_path}: {os.strerror(errno.EISDIR)}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_non_utf8_feature_file_names_its_path(self, tmp_path, capsys):
+        path = tmp_path / "source.ufd"
+        path.write_bytes(b"UFD v1\nn=1 d=1 role=source\n0 \xff\n")
+        code, out, err = run(capsys, "pretrain", str(path), "--out", str(tmp_path / "o"))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_gen_out_is_an_existing_file(self, tmp_path, capsys):
+        path = tmp_path / "taken"
+        path.write_text("keep\n")
+        code, out, err = run(capsys, "gen", "--preset", "opda-toy", "--out", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: {os.strerror(errno.EEXIST)}\n"
+        assert path.read_text() == "keep\n"
+
+    def test_report_out_is_an_existing_file(self, tmp_path, capsys):
+        (tmp_path / "rep.tsv").write_text("h_score\t0.5\n")
+        path = tmp_path / "taken"
+        path.write_text("keep\n")
+        code, out, err = run(capsys, "report", str(tmp_path / "rep.tsv"), "--out", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: {os.strerror(errno.EEXIST)}\n"
+        assert path.read_text() == "keep\n"
 
 
 class TestReport:

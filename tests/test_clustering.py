@@ -7,7 +7,7 @@ from scipy.spatial.distance import cdist
 from helpers import bincount_cluster_means, exhaustive_kmeans_optimum, reference_kmeans, silhouette_direct
 from ufda import clustering
 from ufda.clustering import candidate_counts, estimate_ct, kmeans, silhouette
-from ufda.numerics import Rng, l2_normalize_rows
+from ufda.numerics import Rng, bounded_draw, l2_normalize_rows
 
 
 def line_points(values):
@@ -48,12 +48,10 @@ class ScriptedRng(Rng):
 @pytest.fixture()
 def calls(monkeypatch):
     """Count the calls of clustering's exact re-rank, empty-cluster repair and
-    lock-step seeding pass (one more per draw that randint rejects), the later
-    seeding picks made exactly (a restart's first pick always is), the
+    lock-step seeding pass (one more per draw that randint rejects), the
     restarts retired early and the restarts' exact inertia evaluations: one
     per restart, and two more per restart whose check falls back to them."""
-    counts = {"_sq_dists": 0, "_repair_empty": 0, "_lockstep_picks": 0, "_exact_pick": 0, "retired": 0,
-              "exact_inertia": 0}
+    counts = {"_sq_dists": 0, "_repair_empty": 0, "_lockstep_picks": 0, "retired": 0, "exact_inertia": 0}
     for name in ("_sq_dists", "_repair_empty", "_lockstep_picks"):
         original = getattr(clustering, name)
 
@@ -62,13 +60,6 @@ def calls(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(clustering, name, counted)
-    exact_pick = clustering._exact_pick
-
-    def counted_exact_pick(points, picks, draw):
-        counts["_exact_pick"] += len(picks) > 0
-        return exact_pick(points, picks, draw)
-
-    monkeypatch.setattr(clustering, "_exact_pick", counted_exact_pick)
     settled = clustering._settled
 
     def counted_settled(assignment, previous, repaired):
@@ -95,6 +86,15 @@ def random_case(seed):
     k = int(rng.integers(1, min(n, 8) + 1))
     points = rng.normal(size=(n, d)) * float(rng.choice([1e-3, 1.0, 1e3]))
     return points, k, {"n_init": int(rng.integers(1, 11)), "max_iter": int(rng.choice([0, 1, 2, 3, 100]))}
+
+
+def lattice_points(data, n_values):
+    """Rows of small integers, n drawn from n_values, d from 1 to 3: few
+    distinct coordinates give duplicated rows and tied D^2."""
+    n = data.draw(st.sampled_from(n_values))
+    d = data.draw(st.integers(1, 3))
+    return np.array(data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d), min_size=n, max_size=n)),
+                    dtype=float)
 
 
 class TestKMeans:
@@ -166,12 +166,9 @@ class TestKMeansMatchesReference:
     @settings(deadline=None, max_examples=60)
     @given(st.data())
     def test_small_integer_lattices(self, data):
-        # Few distinct coordinates give duplicates and exact distance ties.
-        n = data.draw(st.integers(1, 16))
-        d = data.draw(st.integers(1, 3))
-        rows = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d), min_size=n, max_size=n))
-        k = data.draw(st.integers(1, n))
-        assert_matches_reference(np.array(rows, dtype=float), k, data.draw(st.integers(0, 2**32 - 1)))
+        points = lattice_points(data, range(1, 17))
+        k = data.draw(st.integers(1, points.shape[0]))
+        assert_matches_reference(points, k, data.draw(st.integers(0, 2**32 - 1)))
 
     def test_duplicated_points_force_repair_and_rerank(self, calls):
         points = np.repeat(np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 0.0]]), 4, axis=0)
@@ -179,7 +176,6 @@ class TestKMeansMatchesReference:
             assert_matches_reference(points, 4, seed)
         assert calls["_repair_empty"] > 0
         assert calls["_sq_dists"] > 0
-        assert calls["_exact_pick"] > 0  # the fourth pick of every restart has a zero D^2 total
 
     def test_lattice_points_equidistant_from_two_centroids(self, calls):
         grid = np.array([[x, y] for x in range(5) for y in range(5)], dtype=float)
@@ -202,7 +198,6 @@ class TestKMeansMatchesReference:
         points = l2_normalize_rows(centers[rng.integers(0, 6, size=300)] + 0.3 * rng.normal(size=(300, 32)))
         for k in (2, 6, 18):
             assert_matches_reference(points, k, k)
-        assert calls["_exact_pick"] == 0  # every later pick vouched for in lock-step
         # One exact inertia per restart: the slack decides every check, so
         # none falls back to exact inertias, and no repair needs one.
         assert calls["_repair_empty"] == 0
@@ -215,16 +210,20 @@ class TestKMeansMatchesReference:
         for seed in range(3):
             assert_matches_reference(points, 5, seed)
         assert calls["_sq_dists"] > 0
-        assert calls["_exact_pick"] > 0  # D^2 totals lie within the seeding bound of 0
 
-    def test_points_whose_squares_overflow(self, calls):
-        # Finite points, but |x|^2 and the D^2 totals overflow to inf: the
-        # rounding bound says nothing there, so those picks are made exactly.
+    def test_points_whose_squares_overflow(self):
+        # Finite points whose |x|^2 overflows: seeding scales the centred
+        # points by a power of two, so it warns of nothing and its D^2 stays
+        # finite, and every restart picks distinct rows.
         points = 1e200 * np.random.default_rng(10).normal(size=(9, 2))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(all="raise"):
             for seed in range(3):
-                assert_matches_reference(points, 3, seed)
-        assert calls["_exact_pick"] > 0
+                rng = Rng(seed)
+                draws = np.array([rng.next_u64() for _ in range(10 * 3)], dtype=np.uint64).reshape(10, 3)
+                chosen, rejected = clustering._lockstep_picks(points, draws)
+                assert rejected is None
+                assert chosen.min() >= 0 and chosen.max() < 9
+                assert all(len(set(row)) == 3 for row in chosen.tolist())
 
     @pytest.mark.parametrize("at", [0, 3])
     def test_first_draw_of_a_restart_rejected_by_randint(self, calls, at):
@@ -262,21 +261,23 @@ class TestKMeansMatchesReference:
         assert_matches_reference(points, 3, 5, make_rng=lambda seed: ScriptedRng(seed, script), n_init=2)
         assert calls["_lockstep_picks"] == 2
 
-    def test_threshold_on_a_running_sum_entry(self, calls):
+    def test_threshold_on_a_running_sum_entry(self):
         # Script the second draw so that the exact threshold equals an exact
-        # running-sum entry: the Gram form cannot vouch for that pick.
+        # running-sum entry: the Gram form may round either way, so the pick
+        # is one of the two rows next to the entry.
         points = l2_normalize_rows(np.random.default_rng(9).normal(size=(8, 3)))
         d2 = np.sum((points - points[0]) ** 2, axis=1)
         total = float(d2.sum())
-        fraction = next(  # an entry in total's binade is a product m * 2^-53 * total
-            m
-            for entry in np.cumsum(d2)[:0:-1]
+        entry, fraction = next(  # an entry in total's binade is a product m * 2^-53 * total
+            (i, m)
+            for i, entry in reversed(list(enumerate(np.cumsum(d2))))
             for m in range(round(entry / total * 2.0**53) - 4, round(entry / total * 2.0**53) + 5)
             if m < 2**53 and m * 2.0**-53 * total == entry
         )
-        script = [0, fraction << 11]  # pick row 0, then a threshold on a running-sum entry
-        assert_matches_reference(points, 2, 5, make_rng=lambda seed: ScriptedRng(seed, script), n_init=1)
-        assert calls["_exact_pick"] == 1
+        draws = np.array([[0, fraction << 11]], dtype=np.uint64)  # pick row 0, then on the entry
+        chosen, rejected = clustering._lockstep_picks(points, draws)
+        assert rejected is None and chosen[0, 0] == 0
+        assert chosen[0, 1] in (entry, entry + 1)
 
     def test_certified_check_agrees_with_the_exact_one(self, monkeypatch, calls):
         # Beside every check, the decision of its Gram bounds and the exact
@@ -314,7 +315,7 @@ class TestKMeansMatchesReference:
         # keeps the assignment and raises the inertia by about n.
         centers = np.array([[0.0, 0.0], [100.0, 0.0], [0.0, 100.0]])
         points = np.repeat(centers, 10, axis=0) + 0.1 * np.random.default_rng(3).normal(size=(30, 2))
-        seeds = clustering._seed_restarts(points, np.einsum("nd,nd->n", points, points), 3, 1, Rng(0))
+        seeds = clustering._seed_restarts(points, 3, 1, Rng(0))
         assignment = np.argmin(clustering._sq_dists(points, seeds[0]), axis=1)[None]
         moved = clustering._cluster_means(points, assignment, 3) + 1.0
         assert np.array_equal(np.argmin(clustering._sq_dists(points, moved[0]), axis=1), assignment[0])
@@ -341,6 +342,71 @@ class TestKMeansMatchesReference:
         points[3, 1] = bad
         with pytest.raises(ValueError, match="points must be finite"):
             kmeans(points, 2, Rng(0))
+
+
+class TestSeeding:
+    @settings(deadline=None, max_examples=100)
+    @given(st.data())
+    def test_a_restart_with_k_distinct_rows_picks_k_distinct_rows(self, data):
+        # Picked rows weigh exactly 0 and a threshold lies below the D^2
+        # total, so a weighted pick never repeats a row.
+        scale = data.draw(st.sampled_from([1e-3, 1.0, 1e3]))
+        points = lattice_points(data, range(1, 17)) * scale + data.draw(st.sampled_from([0.0, 1e6]))
+        n = points.shape[0]
+        k = data.draw(st.integers(1, len(np.unique(points, axis=0))))
+        r = data.draw(st.integers(1, 4))
+        draws = np.array(data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=r * k, max_size=r * k)),
+                         dtype=np.uint64).reshape(r, k)
+        chosen, _ = clustering._lockstep_picks(points, draws)
+        for ri in range(r):
+            if bounded_draw(int(draws[ri, 0]), n) is not None:  # later picks are weighted, and take any draw
+                assert len(set(chosen[ri].tolist())) == k, (ri, chosen[ri])
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.data())
+    def test_a_scripted_fraction_picks_the_row_whose_interval_holds_it(self, data):
+        # A power-of-two count of integer rows keeps the centred Gram D^2
+        # exact, so the running sums are those of the integer D^2 from row 0,
+        # scaled by a power of two. The pick is the row i with
+        # cum[i - 1] <= threshold < cum[i], also where the threshold is an entry.
+        points = lattice_points(data, [1, 2, 4, 8, 16])
+        n = points.shape[0]
+        cum = np.cumsum(np.sum((points - points[0]) ** 2, axis=1)).astype(int).tolist()
+        total = cum[-1]
+        on_entries = [c * 2**53 // total + step for c in cum[:-1] for step in (-1, 0, 1)] if total else []
+        m = data.draw(st.one_of(st.integers(0, 2**53 - 1), st.sampled_from(on_entries or [0])).filter(
+            lambda m: 0 <= m < 2**53))
+        chosen, rejected = clustering._lockstep_picks(points, np.array([[0, m << 11]], dtype=np.uint64))
+        assert rejected is None and chosen[0, 0] == 0  # randint(n) takes draw 0 as row 0
+        if total:
+            threshold = m * 2.0**-53 * float(total)
+            assert chosen[0, 1] == next(i for i, c in enumerate(cum) if threshold < c)
+        else:
+            assert chosen[0, 1] == (m << 11) % n  # a zero total takes randint's pick
+
+    def test_the_top_draw_picks_the_last_row_that_weighs(self):
+        # The D^2 total is the last running sum, not a sum in another order
+        # that may round above it, so the largest fraction lands in the last
+        # row with D^2 above 0 and never runs past the end onto a picked row.
+        for seed in range(50):
+            points = np.random.default_rng(seed).normal(size=(33, 3))
+            chosen, _ = clustering._lockstep_picks(points, np.array([[32, 2**64 - 1]], dtype=np.uint64))
+            assert chosen[0].tolist() == [32, 31], seed
+
+    @pytest.mark.parametrize("n", [1, 7, 2**63 + 1])
+    def test_randint_and_seeding_share_the_rejection_rule(self, n):
+        # randint(n) rejects the draws at or above the largest multiple of n
+        # that fits in 64 bits, and reads one more; a seeding pick made by
+        # randint reads the same value from one draw, or reports the rejection.
+        limit = (2**64 // n) * n
+        for draw in sorted({0, limit - 1, limit, 2**64 - 1} - {2**64}):
+            want = draw % n if draw < limit else None
+            assert bounded_draw(draw, n) == want
+            assert ScriptedRng(0, [draw, 5]).randint(n) == (5 % n if want is None else want)
+            if n < 8:
+                chosen, rejected = clustering._lockstep_picks(np.arange(n, dtype=float)[:, None],
+                                                              np.array([[draw]], dtype=np.uint64))
+                assert (None if rejected == 0 else chosen[0, 0]) == want
 
 
 def covering_assignment(rng, r, n, k):

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from helpers import load_run_benchmark
+from ufda.adaptation import VARIANTS
 from ufda.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -92,3 +94,23 @@ def test_config_keys_the_script_owns_exit_2(tmp_path):
         assert repr(key) in done.stderr
         assert done.stdout == ""
         assert not out.exists()
+
+
+# run_one's rows as the --out file holds them, floats by repr, at two seeds.
+# Any change to them is an output change, which CHANGES.md must state.
+PINNED_ROWS = (
+    "opda-toy\t1\tsource-only\t0.1927710843373494\t0.5533333333333333\t1.0\n"
+    "opda-toy\t1\tglc\t0.6439694656488548\t0.655\t1.0\n"
+    "opda-toy\t1\tglcpp\t0.5707386363636363\t0.5866666666666667\t1.0\n"
+    "osda-toy\t5\tsource-only\t0.5374771480804388\t0.68375\t0.995\n"
+    "osda-toy\t5\tglc\t0.393574297188755\t0.6225\t0.9975\n"
+    "osda-toy\t5\tglcpp\t0.7823439878234398\t0.82125\t1.0\n"
+)
+
+
+def test_rows_equal_the_pinned_text():
+    script = load_run_benchmark()
+    rows = [row for preset, seed in (("opda-toy", 1), ("osda-toy", 5)) for row in script.run_one(preset, seed, VARIANTS)]
+    assert "".join(map(script.tsv_row, rows)) == PINNED_ROWS, (
+        "run_benchmark.py rows changed: state the change and its quality delta in CHANGES.md, then re-pin PINNED_ROWS"
+    )
