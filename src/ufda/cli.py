@@ -59,6 +59,18 @@ def _make_out(out: Path) -> None:
         raise CliError(f"{out}: {_reason(exc)}") from None
 
 
+def _write_lines(lines: list[str], path: Path) -> None:
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _save(path: Path, write, *args) -> None:
+    """write(*args, path), with a failed write reported as one error line naming path."""
+    try:
+        write(*args, path)
+    except OSError as exc:
+        raise CliError(f"{path}: {_reason(exc)}") from None
+
+
 def _load_model_and_target(cfg):
     model = _load(load_model, cfg.model_path, "model checkpoint")
     target = _load(load_featureset, cfg.target_path, "target file")
@@ -72,8 +84,8 @@ def _load_model_and_target(cfg):
 def cmd_gen(cfg, out: Path) -> None:
     source, target = generate(cfg.scenario())
     _make_out(out)
-    save_featureset(source, out / "source.ufd")
-    save_featureset(target, out / "target.ufd")
+    _save(out / "source.ufd", save_featureset, source)
+    _save(out / "target.ufd", save_featureset, target)
     print(f"wrote {out / 'source.ufd'} ({len(source)} samples) and {out / 'target.ufd'} ({len(target)} samples)")
 
 
@@ -88,8 +100,8 @@ def cmd_pretrain(cfg, out: Path) -> None:
     log_lines: list[str] = []
     model = pretrain_source(source, dims, cfg.adapt_config(), log_fn=log_lines.append)
     _make_out(out)
-    save_model(model, out / "model.ufdmodel")
-    (out / "train.log").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
+    _save(out / "model.ufdmodel", save_model, model)
+    _save(out / "train.log", _write_lines, log_lines)
     print(f"wrote {out / 'model.ufdmodel'} (classes={n_classes})")
 
 
@@ -97,8 +109,8 @@ def cmd_adapt(cfg, out: Path) -> None:
     model, target = _load_model_and_target(cfg)
     adapted, trace = adapt(model, target, cfg.adapt_config())
     _make_out(out)
-    save_model(adapted, out / "adapted.ufdmodel")
-    trace.save(out / "trace.tsv")
+    _save(out / "adapted.ufdmodel", save_model, adapted)
+    _save(out / "trace.tsv", trace.save)
     print(f"wrote {out / 'adapted.ufdmodel'} after {len(trace.epochs)} epochs (variant={cfg.variant})")
 
 
@@ -107,7 +119,7 @@ def cmd_eval(cfg, out: Path) -> None:
     n_private = novel_class_count(target.labels, model.dims.n_classes)
     report = evaluate(model, target.features, target.labels, cfg.omega, n_private=n_private, rng=Rng(cfg.seed))
     _make_out(out)
-    (out / "report.tsv").write_text("\n".join(report.machine_lines()) + "\n", encoding="utf-8")
+    _save(out / "report.tsv", _write_lines, report.machine_lines())
     print(report.human_table())
 
 
@@ -146,12 +158,11 @@ def cmd_report(args) -> int:
         std = float(vals.std(ddof=1)) if vals.shape[0] > 1 else 0.0
         human.append(f"{name.ljust(width)}  {mean:<8.4f}  {std:<8.4f}  {vals.shape[0]}")
         machine.append(f"{name}\t{mean!r}\t{std!r}\t{vals.shape[0]}")
-    out = Path(args.out_dir) if args.out_dir else None
-    if out:
-        _make_out(out)  # before the table, so a failing --out prints only the error
+    if args.out_dir:  # before the table, so a failing write prints only the error
+        out = Path(args.out_dir)
+        _make_out(out)
+        _save(out / "summary.tsv", _write_lines, machine)
     print("\n".join(human))
-    if out:
-        (out / "summary.tsv").write_text("\n".join(machine) + "\n", encoding="utf-8")
     return 0
 
 
@@ -214,7 +225,7 @@ def main(argv=None) -> int:
         cfg = replace(cfg, **{k: os.path.abspath(getattr(cfg, k)) for k in PATH_KEYS if getattr(cfg, k)})
         # Each command creates its output directory only after its work succeeds.
         args.fn(cfg, out)
-        cfg.save(out / "config.resolved")
+        _save(out / "config.resolved", cfg.save)
         return 0
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,6 +29,7 @@ centroid shift or by KMEANS_MAX_ITER, are re-assigned after the loop.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,7 +149,7 @@ def _lockstep_picks(points: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, 
 def _seed_restarts(points: np.ndarray, k: int, n_init: int, rng: Rng) -> np.ndarray:
     """(n_init, k, d) seeds, and the rng state, of k-means++ seeding the restarts
     one after another: each pick reads one raw draw, or more where randint rejects."""
-    draws = [rng.next_u64() for _ in range(n_init * k)]
+    draws = rng.draws(n_init * k).tolist()
     while True:
         chosen, rejected = _lockstep_picks(points, np.array(draws, dtype=np.uint64).reshape(n_init, k))
         if rejected is None:
@@ -271,6 +272,11 @@ def kmeans(points: np.ndarray, k: int, rng: Rng, n_init: int = 10) -> KMeansResu
         raise ValueError("n_init must be positive")
     if not np.all(np.isfinite(points)):
         raise ValueError("points must be finite")
+    # Every square, Gram value and inertia sum is at most n * d * (2 max |x|)^2,
+    # up to rounding; where that overflows, reject the points before any of it.
+    top = float(np.abs(points).max(initial=0.0))
+    if not 4.0 * n * points.shape[1] * top * top * (1.0 + 1e-6) <= sys.float_info.max:
+        raise ValueError("points too large: their squared distances overflow float64")
 
     sq_norms = np.einsum("nd,nd->n", points, points)
     centroids = _seed_restarts(points, k, n_init, rng)

@@ -3,6 +3,15 @@
 Everything here is float64 and deterministic: the PRNG is a pure-Python
 xoshiro256** whose output stream depends only on the seed, so runs are
 bit-reproducible across machines.
+
+Array draws read the stream in blocks of at most _BLOCK raw outputs and do
+their arithmetic in NumPy where it is correctly rounded (integer ops, +, *,
+sqrt), so each element has the bits of drawing it on its own, one raw draw
+at a time (the scalar rule, kept in tests/helpers.py as their oracle). log,
+cos and sin stay per-element libm calls, as NumPy's may differ in the last
+bit. A draw that the scalar rule rejects (a bounded integer draw past the
+largest multiple of its bound, a zero Box-Muller u1) is rare; from it on, the
+rest of its block is read one draw at a time, as the scalar rule reads it.
 """
 
 from __future__ import annotations
@@ -12,6 +21,7 @@ import math
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_BLOCK = 2048  # raw draws per block, so a block never holds more Python ints
 
 
 def _splitmix64(x: int) -> tuple[int, int]:
@@ -30,8 +40,9 @@ def bounded_draw(draw: int, n: int) -> int | None:
     return draw % n if draw < (1 << 64) - (1 << 64) % n else None
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
+def _units(draws: np.ndarray) -> np.ndarray:
+    """Uniform float64s in [0, 1) with 53 random bits, one per raw draw."""
+    return (draws >> 11).astype(np.float64) * 2.0**-53
 
 
 class Rng:
@@ -53,90 +64,125 @@ class Rng:
         self._s = s
         self._spare_normal: float | None = None
 
-    def next_u64(self) -> int:
+    def draws(self, m: int) -> np.ndarray:
+        """The next m raw 64-bit outputs of the stream, as uint64."""
+        mask = _MASK64
         s0, s1, s2, s3 = self._s
-        result = (_rotl((s1 * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
+        s1_words = []  # s1 before each step; an output depends on it alone
+        append = s1_words.append
+        for _ in range(m):
+            append(s1)
+            t = (s1 << 17) & mask
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & mask
         self._s = [s0, s1, s2, s3]
-        return result
+        x = np.fromiter(s1_words, dtype=np.uint64, count=m) * np.uint64(5)  # uint64 arithmetic wraps mod 2^64
+        return ((x << 7) | (x >> 57)) * np.uint64(9)
+
+    def next_u64(self) -> int:
+        return int(self.draws(1)[0])
 
     def split(self) -> "Rng":
         """Derive an independent child stream; consumes one parent draw."""
         return Rng(self.next_u64())
 
-    def random(self) -> float:
-        """Uniform float64 in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
-    def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.random()
-
-    def randint(self, n: int) -> int:
-        """Uniform integer in [0, n), unbiased via rejection sampling."""
-        if n <= 0:
-            raise ValueError("randint bound must be positive")
+    def _then_stream(self, draws: list[int]):
+        """The given raw draws, then the stream's, one at a time as asked for."""
+        yield from draws
         while True:
-            value = bounded_draw(self.next_u64(), n)
-            if value is not None:
-                return value
+            yield self.next_u64()
 
-    def normal(self) -> float:
-        """Standard normal Box-Muller draw (with cached spare)."""
-        if self._spare_normal is not None:
-            z = self._spare_normal
-            self._spare_normal = None
-        else:
-            u1 = 0.0
-            while u1 == 0.0:
-                u1 = self.random()
-            u2 = self.random()
-            r = math.sqrt(-2.0 * math.log(u1))
-            theta = 2.0 * math.pi * u2
-            z = r * math.cos(theta)
-            self._spare_normal = r * math.sin(theta)
-        return z
+    def _randints(self, top: int, count: int) -> list[int]:
+        """A uniform integer in [0, top - i) for each i in range(count), each
+        from the first raw draw that bounded_draw accepts for its bound."""
+        picks: list[int] = []
+        for start in range(0, count, _BLOCK):
+            bounds = np.arange(top - start, top - min(start + _BLOCK, count), -1).astype(np.uint64)
+            d = self.draws(bounds.shape[0])
+            # bounded_draw's rule in uint64: accept draw <= 2^64 - 1 - 2^64 % b,
+            # with 2^64 % b = ((2^64 - 1) % b + 1) % b
+            top64 = np.uint64(_MASK64)
+            accepted = d <= top64 - (top64 % bounds + np.uint64(1)) % bounds
+            first = bounds.shape[0] if accepted.all() else int(np.argmin(accepted))
+            picks += (d[:first] % bounds[:first]).tolist()
+            source = self._then_stream(d[first:].tolist())
+            for bound in bounds[first:].tolist():
+                while (value := bounded_draw(next(source), bound)) is None:
+                    pass
+                picks.append(value)
+        return picks
+
+    def _box_muller(self, pairs: int) -> np.ndarray:
+        """2 * pairs standard normals, r cos(t) then r sin(t) for each pair,
+        with r = sqrt(-2 log u1) from a u1 above 0 and t = 2 pi u2."""
+        drawn = self.draws(2 * pairs)
+        u = _units(drawn)
+        u1, u2 = u[0::2], u[1::2]
+        if not u1.all():  # the scalar rule draws u1 again until it is above 0
+            first = int(np.flatnonzero(u1 == 0.0)[0])
+            source = self._then_stream(drawn[2 * first :].tolist())
+            ones, twos = u1[:first].tolist(), u2[:first].tolist()
+            for _ in range(first, pairs):
+                while (one := (next(source) >> 11) * 2.0**-53) == 0.0:
+                    pass
+                ones.append(one)
+                twos.append((next(source) >> 11) * 2.0**-53)
+            u1, u2 = np.array(ones), np.array(twos)
+        r = np.sqrt(-2.0 * np.fromiter(map(math.log, u1.tolist()), dtype=np.float64, count=pairs))
+        theta = ((2.0 * math.pi) * u2).tolist()
+        out = np.empty(2 * pairs)
+        out[0::2] = r * np.fromiter(map(math.cos, theta), dtype=np.float64, count=pairs)
+        out[1::2] = r * np.fromiter(map(math.sin, theta), dtype=np.float64, count=pairs)
+        return out
 
     def normal_array(self, shape: int | tuple[int, ...], sigma: float = 1.0) -> np.ndarray:
-        """Zero-mean normal draws with standard deviation sigma, in row-major order."""
+        """Zero-mean normal draws with standard deviation sigma, in row-major
+        order: Box-Muller pairs, whose second value is kept for the next draw
+        where a call ends between the two."""
         out = np.empty(shape, dtype=np.float64)
         flat = out.reshape(-1)
-        for i in range(flat.shape[0]):
-            flat[i] = self.normal()
+        size, at = flat.shape[0], 0
+        if size and self._spare_normal is not None:
+            flat[0], self._spare_normal, at = self._spare_normal, None, 1
+        while at < size:
+            z = self._box_muller(min((size - at + 1) // 2, _BLOCK // 2))
+            taken = min(z.shape[0], size - at)
+            flat[at : at + taken] = z[:taken]
+            if taken < z.shape[0]:
+                self._spare_normal = float(z[-1])
+            at += taken
         return sigma * out + 0.0  # sigma = 0 makes a negative draw -0.0; adding 0.0 makes it +0.0
 
     def uniform_array(self, shape: int | tuple[int, ...], lo: float, hi: float) -> np.ndarray:
+        """lo + (hi - lo) * u for uniform u in [0, 1), in row-major order."""
         out = np.empty(shape, dtype=np.float64)
         flat = out.reshape(-1)
-        for i in range(flat.shape[0]):
-            flat[i] = self.uniform(lo, hi)
-        return out
+        for start in range(0, flat.shape[0], _BLOCK):
+            stop = min(start + _BLOCK, flat.shape[0])
+            flat[start:stop] = _units(self.draws(stop - start))
+        return lo + (hi - lo) * out
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(n)."""
-        perm = np.arange(n)
-        for i in range(n - 1, 0, -1):
-            j = self.randint(i + 1)
+        """Fisher-Yates permutation of range(n): i from n - 1 down to 1 swaps
+        with a uniform j in [0, i]."""
+        perm = list(range(n))
+        for i, j in zip(range(n - 1, 0, -1), self._randints(n, n - 1)):
             perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        return np.array(perm, dtype=np.int_)
 
     def sample_without_replacement(self, n: int, k: int) -> np.ndarray:
         """k distinct indices from range(n), in ascending order."""
         if not 0 <= k <= n:
             raise ValueError("sample size out of range")
-        # Partial Fisher-Yates on an index pool; cheap for desk-scale n.
-        pool = np.arange(n)
-        for i in range(k):
-            j = i + self.randint(n - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        picked = pool[:k].copy()
-        picked.sort()
-        return picked
+        # Partial Fisher-Yates on an index pool: i swaps with a uniform j in [i, n).
+        pool = list(range(n))
+        for i, j in enumerate(self._randints(n, k)):
+            pool[i], pool[i + j] = pool[i + j], pool[i]
+        return np.array(sorted(pool[:k]), dtype=np.int_)
 
 
 def l2_normalize_rows(m: np.ndarray) -> np.ndarray:

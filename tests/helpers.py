@@ -17,7 +17,89 @@ import numpy as np
 from ufda.clustering import KMeansResult, kmeans
 from ufda.consensus import MemoryBank
 from ufda.model import AdaptModel, forward_batch
-from ufda.numerics import l2_normalize_rows
+from ufda.numerics import Rng, l2_normalize_rows
+
+
+class ScriptedRng(Rng):
+    """An Rng whose first raw draws are given, then those of its seed."""
+
+    def __init__(self, seed, script):
+        super().__init__(seed)
+        self.script = list(script)
+
+    def draws(self, m):
+        head, self.script = self.script[:m], self.script[m:]
+        return np.concatenate([np.array(head, dtype=np.uint64), super().draws(m - len(head))])
+
+
+# The scalar rule of the Rng array draws: one raw draw (rng.next_u64()) at a
+# time, in a plain Python loop. The array draws must match it bit for bit,
+# the rng state after the call included.
+
+
+def random(rng) -> float:
+    """Uniform float64 in [0, 1) with 53 random bits."""
+    return (rng.next_u64() >> 11) * 2.0**-53
+
+
+def randint(rng, n: int) -> int:
+    """Uniform integer in [0, n): a draw at or above the largest multiple of n
+    up to 2^64 is rejected and the next one read."""
+    if n <= 0:
+        raise ValueError("randint bound must be positive")
+    while True:
+        draw = rng.next_u64()
+        if draw < 2**64 - 2**64 % n:
+            return draw % n
+
+
+def normal(rng) -> float:
+    """Box-Muller draw, the second of each pair kept in the rng for the next call."""
+    if rng._spare_normal is not None:
+        z, rng._spare_normal = rng._spare_normal, None
+        return z
+    u1 = 0.0
+    while u1 == 0.0:
+        u1 = random(rng)
+    u2 = random(rng)
+    r = math.sqrt(-2.0 * math.log(u1))
+    theta = 2.0 * math.pi * u2
+    rng._spare_normal = r * math.sin(theta)
+    return r * math.cos(theta)
+
+
+def normal_array_scalar(rng, shape, sigma=1.0) -> np.ndarray:
+    out = np.empty(shape, dtype=np.float64)
+    flat = out.reshape(-1)
+    for i in range(flat.shape[0]):
+        flat[i] = normal(rng)
+    return sigma * out + 0.0
+
+
+def uniform_array_scalar(rng, shape, lo, hi) -> np.ndarray:
+    out = np.empty(shape, dtype=np.float64)
+    flat = out.reshape(-1)
+    for i in range(flat.shape[0]):
+        flat[i] = lo + (hi - lo) * random(rng)
+    return out
+
+
+def permutation_scalar(rng, n: int) -> np.ndarray:
+    perm = np.arange(n)
+    for i in range(n - 1, 0, -1):
+        j = randint(rng, i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+def sample_without_replacement_scalar(rng, n: int, k: int) -> np.ndarray:
+    pool = np.arange(n)
+    for i in range(k):
+        j = i + randint(rng, n - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    picked = pool[:k].copy()
+    picked.sort()
+    return picked
 
 
 def silhouette_direct(points: np.ndarray, assignment: np.ndarray) -> np.ndarray:
@@ -66,14 +148,14 @@ def _reference_sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray
 
 def _reference_pp_seed(points: np.ndarray, k: int, rng) -> np.ndarray:
     n = points.shape[0]
-    chosen = [rng.randint(n)]
+    chosen = [randint(rng, n)]
     d2 = np.sum((points - points[chosen[0]]) ** 2, axis=1)
     for _ in range(1, k):
         total = float(d2.sum())
         if total <= 0.0:
-            idx = rng.randint(n)
+            idx = randint(rng, n)
         else:
-            r = rng.random() * total
+            r = random(rng) * total
             idx = int(np.searchsorted(np.cumsum(d2), r, side="right"))
             idx = min(idx, n - 1)
         chosen.append(idx)

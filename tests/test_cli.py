@@ -492,6 +492,37 @@ class TestUnreadablePaths:
         assert path.read_text() == "keep\n"
 
 
+class TestFailedWrites:
+    """A file a command cannot write inside an existing --out is one
+    'error: <path>: <reason>' line with exit 1, and no traceback."""
+
+    @pytest.mark.parametrize("command, name", [
+        ("gen", "source.ufd"), ("gen", "target.ufd"), ("gen", "config.resolved"),
+        ("pretrain", "model.ufdmodel"), ("pretrain", "train.log"),
+        ("adapt", "adapted.ufdmodel"), ("adapt", "trace.tsv"), ("adapt", "config.resolved"),
+        ("eval", "report.tsv"), ("report", "summary.tsv"),
+    ])
+    def test_a_directory_in_the_place_of_an_output(self, tmp_path, capsys, command, name):
+        cfg = pipeline_cfg(tmp_path)
+        data = gen_small(tmp_path, capsys)
+        model = tmp_path / "pre" / "model.ufdmodel"
+        assert run(capsys, "pretrain", str(data / "source.ufd"), "--config", str(cfg), "--out", str(model.parent))[0] == 0
+        (tmp_path / "rep.tsv").write_text("h_score\t0.5\n")
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        inputs = {
+            "gen": ["--preset", "opda-toy"],
+            "pretrain": [str(data / "source.ufd")],
+            "adapt": [str(model), str(data / "target.ufd")],
+            "eval": [str(model), str(data / "target.ufd")],
+            "report": [str(tmp_path / "rep.tsv")],
+        }[command]
+        settings = [] if command == "report" else ["--config", str(cfg)]
+        code, _, err = run(capsys, command, *inputs, *settings, "--out", str(out))
+        assert code == 1
+        assert err == f"error: {out / name}: {os.strerror(errno.EISDIR)}\n"
+
+
 class TestReport:
     def test_aggregates_mean_and_std(self, tmp_path, capsys):
         for i, h in enumerate((0.5, 0.7)):

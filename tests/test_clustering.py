@@ -1,10 +1,20 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from helpers import bincount_cluster_means, exhaustive_kmeans_optimum, reference_kmeans, silhouette_direct
+from helpers import (
+    ScriptedRng,
+    bincount_cluster_means,
+    exhaustive_kmeans_optimum,
+    randint,
+    reference_kmeans,
+    silhouette_direct,
+)
 from ufda import clustering
 from ufda.clustering import candidate_counts, estimate_ct, kmeans, silhouette
 from ufda.numerics import Rng, bounded_draw, l2_normalize_rows
@@ -31,18 +41,7 @@ def assert_matches_reference(points, k, seed, make_rng=Rng, **kwargs):
     assert np.array_equal(got.assignment, want.assignment)
     assert np.array_equal(got.centroids, want.centroids)
     assert got.inertia == want.inertia or abs(got.inertia - want.inertia) <= 1e-12 * abs(want.inertia)
-    assert got_rng.random() == want_rng.random()
-
-
-class ScriptedRng(Rng):
-    """An Rng whose first raw draws are given, then those of its seed."""
-
-    def __init__(self, seed, script):
-        super().__init__(seed)
-        self.script = list(script)
-
-    def next_u64(self):
-        return self.script.pop(0) if self.script else super().next_u64()
+    assert got_rng.next_u64() == want_rng.next_u64()
 
 
 @pytest.fixture()
@@ -225,6 +224,21 @@ class TestKMeansMatchesReference:
                 assert chosen.min() >= 0 and chosen.max() < 9
                 assert all(len(set(row)) == 3 for row in chosen.tolist())
 
+    @pytest.mark.parametrize("scale", [1e200, 1e160, 1e153])
+    def test_points_whose_squares_could_overflow_are_rejected(self, scale):
+        # At 1e153, 9 * 2 * (2 * 1.85e153)^2 = 2.5e308 passes the float64 maximum: rejected
+        # before any square is taken, so nothing overflows on the way.
+        points = scale * np.random.default_rng(10).normal(size=(9, 2))
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="squared distances overflow"):
+            kmeans(points, 3, Rng(0))
+
+    def test_points_just_below_the_overflow_bound_run_exactly(self):
+        points = np.random.default_rng(10).normal(size=(9, 2))
+        points *= math.sqrt(sys.float_info.max / (4.0 * 9 * 2)) / np.abs(points).max() / 1.001
+        with np.errstate(over="raise", invalid="raise"):
+            for seed in range(3):
+                assert_matches_reference(points, 3, seed)
+
     @pytest.mark.parametrize("at", [0, 3])
     def test_first_draw_of_a_restart_rejected_by_randint(self, calls, at):
         # 2**64 % 7 == 2, so randint(7) rejects the draw 2**64 - 1 and reads
@@ -300,10 +314,8 @@ class TestKMeansMatchesReference:
         monkeypatch.setattr(clustering, "_check_inertia", recorded)
         cases = [random_case(seed) for seed in range(40)]
         cases.append((1e6 + 1e-2 * np.random.default_rng(6).normal(size=(200, 3)), 5, {}))  # far from the origin
-        cases.append((1e200 * np.random.default_rng(10).normal(size=(9, 2)), 3, {}))  # |x|^2 overflows
-        with np.errstate(over="ignore", invalid="ignore"):
-            for seed, (points, k, kwargs) in enumerate(cases):
-                kmeans_with(points, k, Rng(seed), **kwargs)
+        for seed, (points, k, kwargs) in enumerate(cases):
+            kmeans_with(points, k, Rng(seed), **kwargs)
         certified, exact, now, upper, last, lower = (np.concatenate(col) for col in zip(*checks))
         assert np.all(exact[certified])
         assert np.all(now[certified] <= upper[certified])
@@ -402,7 +414,9 @@ class TestSeeding:
         for draw in sorted({0, limit - 1, limit, 2**64 - 1} - {2**64}):
             want = draw % n if draw < limit else None
             assert bounded_draw(draw, n) == want
-            assert ScriptedRng(0, [draw, 5]).randint(n) == (5 % n if want is None else want)
+            assert randint(ScriptedRng(0, [draw, 5]), n) == (5 % n if want is None else want)
+            if n < 2**63:  # the array draws apply the rule in uint64
+                assert ScriptedRng(0, [draw, 5])._randints(n, 1) == [5 % n if want is None else want]
             if n < 8:
                 chosen, rejected = clustering._lockstep_picks(np.arange(n, dtype=float)[:, None],
                                                               np.array([[draw]], dtype=np.uint64))

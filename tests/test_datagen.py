@@ -1,6 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from ufda.adaptation import pretrain_source
+from ufda.config import load_run_config
 from ufda.datagen import (
     FeatureFileError,
     FeatureSet,
@@ -112,6 +116,40 @@ class TestGenerate:
         source, target = generate(preset("osda-toy", seed=0, source_per_class=7, target_per_class=9))
         assert len(source) == 4 * 7
         assert len(target) == 8 * 9
+
+
+def sha256_of(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# sha256 of the seed-1 (source, target) features and labels of each preset,
+# and of opda-toy seed 1's pretrained weights, recorded while every draw was
+# still a scalar Rng call. Array draws take the same stream, bit for bit.
+PINNED_DATASETS = {
+    "clda-toy": "94490bd94d0badf86ab6283cbdbf4460e2b2b1d5647ea0c94a7825022fcd9787",
+    "opda-toy": "93a8a544e007448f0a681332dd7e21a99a0f4c796b28aded5b2752040e430498",
+    "osda-toy": "644909618f3a46a4960d8e01a7c184ffb43e6bb1fff846846c3bb7cf44abfce4",
+    "pda-toy": "a827e6c945960857294507e9f94f936ec24929b1edda550e7686df3b418d7450",
+}
+PINNED_PRETRAIN = "f2a62db9e041df5a9df364d4ebe0d72b70f00d0b69101e129f0402c7d2f3c649"
+
+
+class TestStreamPins:
+    @pytest.mark.parametrize("name", sorted(PINNED_DATASETS))
+    def test_seed_one_dataset_is_pinned(self, name):
+        source, target = generate(preset(name, seed=1))
+        assert sha256_of(source.features, source.labels, target.features, target.labels) == PINNED_DATASETS[name]
+
+    def test_seed_one_pretrained_weights_are_pinned(self):
+        cfg = load_run_config(None, {"seed": 1}, preset="opda-toy")
+        spec = cfg.scenario()
+        source, _ = generate(spec)
+        model = pretrain_source(source, cfg.model_dims(spec.d_in, spec.n_source_classes), cfg.adapt_config())
+        assert model.trainable_names() == ("w1", "b1", "w2", "b2")
+        assert sha256_of(*(getattr(model, n) for n in model.trainable_names())) == PINNED_PRETRAIN
 
 
 class TestFeatureFiles:

@@ -5,8 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import (
+    ScriptedRng,
+    normal,
+    normal_array_scalar,
+    permutation_scalar,
+    randint,
+    sample_without_replacement_scalar,
+    uniform_array_scalar,
+)
 from ufda.numerics import (
     Rng,
+    bounded_draw,
     l2_normalize_rows,
     normalized_entropy_rows,
     softmax_rows,
@@ -205,23 +215,24 @@ class TestRng:
     def test_million_draw_replay_is_bit_identical(self):
         a = Rng(123456789)
         b = Rng(123456789)
-        n = 10**6
-        assert all(a.next_u64() == b.next_u64() for _ in range(n))
+        blocks = -(-(10**6) // 2048)
+        assert all(np.array_equal(a.draws(2048), b.draws(2048)) for _ in range(blocks))
 
     def test_different_seeds_differ(self):
         assert [Rng(1).next_u64() for _ in range(4)] != [Rng(2).next_u64() for _ in range(4)]
 
     def test_random_in_unit_interval(self):
-        rng = Rng(7)
-        draws = [rng.random() for _ in range(1000)]
-        assert all(0.0 <= x < 1.0 for x in draws)
+        draws = Rng(7).uniform_array(1000, 0.0, 1.0)
+        assert np.all((0.0 <= draws) & (draws < 1.0))
+        extremes = ScriptedRng(7, [0, 2**64 - 1]).uniform_array(2, 0.0, 1.0)
+        assert extremes.tolist() == [0.0, 1.0 - 2.0**-53]
 
     def test_randint_bounds_and_coverage(self):
         rng = Rng(7)
-        draws = [rng.randint(5) for _ in range(2000)]
+        draws = [randint(rng, 5) for _ in range(2000)]
         assert set(draws) == {0, 1, 2, 3, 4}
         with pytest.raises(ValueError):
-            rng.randint(0)
+            randint(rng, 0)
 
     def test_permutation_is_valid(self):
         perm = Rng(3).permutation(50)
@@ -243,7 +254,7 @@ class TestRng:
 
     def test_normal_moments(self):
         rng = Rng(2024)
-        draws = np.array([rng.normal() for _ in range(20000)])
+        draws = rng.normal_array(20000)
         assert abs(draws.mean()) < 0.03
         assert abs(draws.std() - 1.0) < 0.03
 
@@ -251,7 +262,7 @@ class TestRng:
     def test_normal_array_scales_draws_in_row_major_order(self, sigma):
         got = Rng(5).normal_array((3, 4), sigma=sigma)
         ref = Rng(5)
-        want = np.array([0.0 + sigma * ref.normal() for _ in range(12)]).reshape(3, 4)
+        want = np.array([0.0 + sigma * normal(ref) for _ in range(12)]).reshape(3, 4)
         assert got.tobytes() == want.tobytes()
         if sigma == 0.0:
             assert not np.signbit(got).any()  # +0.0, not -0.0, for a negative draw
@@ -259,5 +270,109 @@ class TestRng:
     def test_uniform_array_row_major_order(self):
         a = Rng(4).uniform_array((2, 3), 0.0, 1.0)
         b = Rng(4)
-        expected = [b.uniform(0.0, 1.0) for _ in range(6)]
+        expected = uniform_array_scalar(b, 6, 0.0, 1.0).tolist()
         assert a.ravel().tolist() == expected
+
+
+def state(rng):
+    """Everything a later draw depends on: the xoshiro words, the cached
+    Box-Muller spare and, for a ScriptedRng, the draws left in its script."""
+    return list(rng._s), rng._spare_normal, getattr(rng, "script", None)
+
+
+# Array draws come in blocks of 2048 raw draws (1024 Box-Muller pairs): the
+# sizes cover empty, odd, even, and one block, one draw or one pair across it.
+SIZES = st.one_of(st.sampled_from([0, 1, 2, 3, 2047, 2048, 2049, 2050, 4097]), st.integers(0, 300))
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestArrayDrawsMatchTheScalarRule:
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 2**64 - 1), SIZES, finite_floats(-1e3, 1e3), finite_floats(0.0, 1e3))
+    def test_uniform_array(self, seed, size, lo, width):
+        got, want = Rng(seed), Rng(seed)
+        for _ in range(2):
+            assert_same_bits(got.uniform_array(size, lo, lo + width), uniform_array_scalar(want, size, lo, lo + width))
+            assert state(got) == state(want)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 2**64 - 1), SIZES, SIZES, st.sampled_from([1.0, 0.5, 0.0]))
+    def test_normal_array_with_and_without_a_cached_spare(self, seed, first, second, sigma):
+        # An odd first size leaves a spare cached at the second call's entry.
+        got, want = Rng(seed), Rng(seed)
+        for size in (first, second):
+            assert_same_bits(got.normal_array(size, sigma), normal_array_scalar(want, size, sigma))
+            assert state(got) == state(want)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 2**64 - 1), SIZES)
+    def test_permutation(self, seed, n):
+        got, want = Rng(seed), Rng(seed)
+        for _ in range(2):
+            assert_same_bits(got.permutation(n), permutation_scalar(want, n))
+            assert state(got) == state(want)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 2**64 - 1), st.data())
+    def test_sample_without_replacement(self, seed, data):
+        n = data.draw(SIZES)
+        k = data.draw(st.sampled_from(sorted({0, n // 2, n, min(n, 2049)})))
+        got, want = Rng(seed), Rng(seed)
+        for _ in range(2):
+            assert_same_bits(got.sample_without_replacement(n, k), sample_without_replacement_scalar(want, n, k))
+            assert state(got) == state(want)
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(0, 2**64 - 1), st.sampled_from([0, 500, 1023, 1024]), st.booleans(),
+           st.lists(st.integers(0, 2**11 - 1), min_size=1, max_size=2))
+    def test_normal_array_draws_a_zero_u1_again(self, seed, pair, spare, zeros):
+        # A draw below 2^11 gives u1 = 0, which the scalar rule draws again;
+        # pair 1023 is the last of the first block, 1024 the first of the next.
+        # Consecutive zeros are redrawn one after another.
+        script = Rng(seed).draws(4200).tolist()
+        script[2 * pair : 2 * pair + len(zeros)] = zeros
+        got, want = ScriptedRng(seed, script), ScriptedRng(seed, script)
+        if spare:  # one normal first, so the spare is cached and the call's pairs start at draw 0
+            got._spare_normal = want._spare_normal = 0.25
+        assert_same_bits(got.normal_array(2051, 1.0), normal_array_scalar(want, 2051, 1.0))
+        assert state(got) == state(want)
+
+    @pytest.mark.parametrize("n, picks", [(3, [0]), (2053, [0]), (2053, [1000]), (2053, [2047]),
+                                          (2053, [2050]), (2053, [0, 1000, 2047, 2050]), (40, [5, 6]), (40, [5, 5])])
+    def test_permutation_after_rejected_draws(self, n, picks):
+        # Pick t reads randint(n - t), which rejects the draw 2^64 - 1 unless
+        # n - t is a power of two. Pick 2047 is the last of the first block;
+        # pick n - 3 is the last that can reject, as randint(2) takes any draw.
+        self.assert_rejections_follow_the_scalar_rule(
+            picks, [n - t for t in picks], lambda rng: rng.permutation(n), lambda rng: permutation_scalar(rng, n))
+
+    @pytest.mark.parametrize("n, k, picks", [(3000, 2100, [0]), (3000, 2100, [1000]), (3000, 2100, [2047]),
+                                             (3000, 2100, [2099]), (3000, 2100, [0, 1000, 2047, 2099]),
+                                             (7, 1, [0]), (7, 7, [1, 2]), (7, 7, [4, 4])])
+    def test_sample_without_replacement_after_rejected_draws(self, n, k, picks):
+        self.assert_rejections_follow_the_scalar_rule(
+            picks, [n - t for t in picks], lambda rng: rng.sample_without_replacement(n, k),
+            lambda rng: sample_without_replacement_scalar(rng, n, k))
+
+    @staticmethod
+    def assert_rejections_follow_the_scalar_rule(picks, bounds, array_draw, scalar_draw):
+        # Each listed pick reads 2^64 - 1 once per listing before its value; a
+        # rejection moves every later pick one draw on, so the script places
+        # the draw at t plus the rejections before it.
+        assert all(bounded_draw(2**64 - 1, b) is None for b in bounds)
+        script = Rng(3).draws(4200).tolist()
+        for shift, t in enumerate(picks):
+            script[t + shift] = 2**64 - 1
+        got, want = ScriptedRng(3, script), ScriptedRng(3, script)
+        assert_same_bits(array_draw(got), scalar_draw(want))
+        assert state(got) == state(want)
+        assert len(got.script) < 4200 - max(picks) - len(picks)  # every scripted rejection was read
+
+    def test_one_draw_is_the_first_of_a_block(self):
+        rng, ref = Rng(21), Rng(21)
+        assert [rng.next_u64() for _ in range(5)] == ref.draws(5).tolist()
+        assert state(rng) == state(ref)

@@ -143,7 +143,7 @@ class TestPrototypesMatchDirect:
         ref = Rng(9)
         for _ in range(4):
             ref.split()
-        assert rng.random() == ref.random()
+        assert rng.next_u64() == ref.next_u64()
 
 
 def protos_from(positive_list, negative_list, eps_list):
