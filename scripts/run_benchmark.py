@@ -37,7 +37,7 @@ def reject_owned_keys(config_path):
     the config, so a config that sets one of OWNED_KEYS is an error."""
     try:
         text = Path(config_path).read_text(encoding="utf-8")
-    except OSError:
+    except (OSError, UnicodeDecodeError):
         return  # load_run_config reports an unreadable file
     for key in parse_config_text(text, config_path):
         if key in OWNED_KEYS:

@@ -104,10 +104,6 @@ class AdaptTrace:
             )
         return out
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("\n".join(self.lines()) + "\n")
-
 
 def _batches(perm: np.ndarray, batch_size: int):
     for start in range(0, perm.shape[0], batch_size):

@@ -1,10 +1,13 @@
 """Command-line entry point: gen, pretrain, adapt, eval, report.
 
 Human-readable output goes to stdout; machine-readable blocks go to files in
-the --out directory, alongside the fully resolved config of the run. Exit
-codes: 0 success, 1 runtime failure (missing/invalid files, dimension
-mismatch), 2 bad configuration (unknown keys, out-of-range values, regime
-violations, bad flags).
+the --out directory, alongside the fully resolved config of the run. This
+module is the only one that reads input files and writes output files: each
+command returns its files as lines, and main writes them all together once the
+command has succeeded, so a failed command leaves --out as it was. Exit codes:
+0 success, 1 runtime failure (missing, unreadable, truncated or malformed
+files, dimension mismatch, divergence, a failed write), 2 bad configuration
+(unknown keys, out-of-range values, regime violations, bad flags).
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ import numpy as np
 
 from .adaptation import VARIANTS, adapt, pretrain_source
 from .config import PATH_KEYS, ConfigError, RunConfig, load_run_config
-from .datagen import FeatureFileError, ScenarioError, generate, load_featureset, save_featureset
+from .datagen import featureset_lines, generate, parse_featureset
 from .evaluation import evaluate, novel_class_count
-from .model import CheckpointError, load_model, save_model
+from .model import checkpoint_lines, parse_checkpoint
 from .numerics import Rng
 
 
@@ -31,49 +34,69 @@ class CliError(RuntimeError):
         self.code = code
 
 
-# A file that exists but cannot be read or parsed; the error names its path.
-_UNREADABLE = (FeatureFileError, CheckpointError, OSError, UnicodeDecodeError)
-
-
 def _reason(exc: Exception) -> str:
     """exc's message without the path, which the caller names once."""
     return getattr(exc, "strerror", None) or str(exc)
 
 
-def _load(loader, path_text: str, what: str):
+def _read(parse, path_text: str, what: str):
+    """parse(lines) of the file at path_text. A file that cannot be read or
+    parsed, or that does not end in a newline as every file ufda writes does,
+    is one error naming its path."""
     if not path_text:
         raise CliError(f"missing {what} path", code=2)
     path = Path(path_text)
     if not path.exists():
         raise CliError(f"{what} not found: {path}")
     try:
-        return loader(path)
-    except _UNREADABLE as exc:
+        text = path.read_text(encoding="utf-8")
+        if text and not text.endswith("\n"):
+            raise CliError(f"{path}: no newline at end of file; it may be truncated")
+        return parse(text.splitlines())
+    except (OSError, ValueError) as exc:  # ValueError: a bad encoding or a parse error
         raise CliError(f"{path}: {_reason(exc)}") from None
 
 
-def _make_out(out: Path) -> None:
+def _aside(path: Path, tag: str) -> Path:
+    return path.with_name(f".{path.name}.{os.getpid()}.{tag}")
+
+
+def _write(out: Path, files: dict[str, list[str]]) -> None:
+    """Write each named file's lines into out, all of them or none: each file is
+    written under a temporary name, and renamed into place only once every
+    write has succeeded. On a failure out is left as it was, and the error
+    names the file."""
+    created = not out.exists()
+    paths = [out / name for name in files]
+    path, staged, kept, placed = out, [], [], []
     try:
         out.mkdir(parents=True, exist_ok=True)
+        for path, lines in zip(paths, files.values()):
+            staged.append(path)
+            _aside(path, "new").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for path in paths:
+            if path.is_file():  # what it replaces, kept until every rename has succeeded
+                os.replace(path, _aside(path, "old"))
+                kept.append(path)
+            os.replace(_aside(path, "new"), path)
+            placed.append(path)
     except OSError as exc:
-        raise CliError(f"{out}: {_reason(exc)}") from None
-
-
-def _write_lines(lines: list[str], path: Path) -> None:
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _save(path: Path, write, *args) -> None:
-    """write(*args, path), with a failed write reported as one error line naming path."""
-    try:
-        write(*args, path)
-    except OSError as exc:
+        for done in placed:
+            done.unlink()
+        for done in kept:
+            os.replace(_aside(done, "old"), done)
+        for done in staged:
+            _aside(done, "new").unlink(missing_ok=True)
+        if created and out.is_dir():
+            out.rmdir()
         raise CliError(f"{path}: {_reason(exc)}") from None
+    for done in kept:
+        _aside(done, "old").unlink()
 
 
-def _load_model_and_target(cfg):
-    model = _load(load_model, cfg.model_path, "model checkpoint")
-    target = _load(load_featureset, cfg.target_path, "target file")
+def _read_model_and_target(cfg):
+    model = _read(parse_checkpoint, cfg.model_path, "model checkpoint")
+    target = _read(parse_featureset, cfg.target_path, "target file")
     if target.features.shape[1] != model.dims.d_in:
         raise CliError(
             f"target dimension d={target.features.shape[1]} does not match model d_in={model.dims.d_in}"
@@ -81,16 +104,16 @@ def _load_model_and_target(cfg):
     return model, target
 
 
-def cmd_gen(cfg, out: Path) -> None:
+def cmd_gen(cfg, out: Path):
     source, target = generate(cfg.scenario())
-    _make_out(out)
-    _save(out / "source.ufd", save_featureset, source)
-    _save(out / "target.ufd", save_featureset, target)
-    print(f"wrote {out / 'source.ufd'} ({len(source)} samples) and {out / 'target.ufd'} ({len(target)} samples)")
+    files = {"source.ufd": featureset_lines(source), "target.ufd": featureset_lines(target)}
+    return files, (
+        f"wrote {out / 'source.ufd'} ({len(source)} samples) and {out / 'target.ufd'} ({len(target)} samples)"
+    )
 
 
-def cmd_pretrain(cfg, out: Path) -> None:
-    source = _load(load_featureset, cfg.source_path, "source file")
+def cmd_pretrain(cfg, out: Path):
+    source = _read(parse_featureset, cfg.source_path, "source file")
     if source.role != "source":
         raise CliError(f"expected a source-role feature file, got role={source.role!r}")
     if len(source) == 0:
@@ -99,38 +122,32 @@ def cmd_pretrain(cfg, out: Path) -> None:
     dims = cfg.model_dims(d_in=source.features.shape[1], n_classes=n_classes)
     log_lines: list[str] = []
     model = pretrain_source(source, dims, cfg.adapt_config(), log_fn=log_lines.append)
-    _make_out(out)
-    _save(out / "model.ufdmodel", save_model, model)
-    _save(out / "train.log", _write_lines, log_lines)
-    print(f"wrote {out / 'model.ufdmodel'} (classes={n_classes})")
+    files = {"model.ufdmodel": checkpoint_lines(model), "train.log": log_lines}
+    return files, f"wrote {out / 'model.ufdmodel'} (classes={n_classes})"
 
 
-def cmd_adapt(cfg, out: Path) -> None:
-    model, target = _load_model_and_target(cfg)
+def cmd_adapt(cfg, out: Path):
+    model, target = _read_model_and_target(cfg)
     adapted, trace = adapt(model, target, cfg.adapt_config())
-    _make_out(out)
-    _save(out / "adapted.ufdmodel", save_model, adapted)
-    _save(out / "trace.tsv", trace.save)
-    print(f"wrote {out / 'adapted.ufdmodel'} after {len(trace.epochs)} epochs (variant={cfg.variant})")
+    files = {"adapted.ufdmodel": checkpoint_lines(adapted), "trace.tsv": trace.lines()}
+    return files, f"wrote {out / 'adapted.ufdmodel'} after {len(trace.epochs)} epochs (variant={cfg.variant})"
 
 
-def cmd_eval(cfg, out: Path) -> None:
-    model, target = _load_model_and_target(cfg)
+def cmd_eval(cfg, out: Path):
+    model, target = _read_model_and_target(cfg)
     n_private = novel_class_count(target.labels, model.dims.n_classes)
     report = evaluate(model, target.features, target.labels, cfg.omega, n_private=n_private, rng=Rng(cfg.seed))
-    _make_out(out)
-    _save(out / "report.tsv", _write_lines, report.machine_lines())
-    print(report.human_table())
+    return {"report.tsv": report.machine_lines()}, report.human_table()
 
 
-def cmd_report(args) -> int:
-    if not args.reports:
+def cmd_report(reports: list[str]):
+    if not reports:
         raise CliError("report needs at least one eval output file", code=2)
     metrics: dict[str, list[float]] = {}
     order: list[str] = []
-    for path_text in args.reports:
+    for path_text in reports:
         path = Path(path_text)
-        lines = _load(lambda p: p.read_text(encoding="utf-8"), path_text, "report file").splitlines()
+        lines = _read(list, path_text, "report file")
         if not any(line.strip() for line in lines):
             raise CliError(f"{path}: file has no metrics")
         for lineno, line in enumerate(lines, start=1):
@@ -158,12 +175,7 @@ def cmd_report(args) -> int:
         std = float(vals.std(ddof=1)) if vals.shape[0] > 1 else 0.0
         human.append(f"{name.ljust(width)}  {mean:<8.4f}  {std:<8.4f}  {vals.shape[0]}")
         machine.append(f"{name}\t{mean!r}\t{std!r}\t{vals.shape[0]}")
-    if args.out_dir:  # before the table, so a failing write prints only the error
-        out = Path(args.out_dir)
-        _make_out(out)
-        _save(out / "summary.tsv", _write_lines, machine)
-    print("\n".join(human))
-    return 0
+    return {"summary.tsv": machine}, "\n".join(human)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -214,26 +226,30 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "report":
-            return cmd_report(args)
-        # Flags, positional inputs included, are the namespace's RunConfig keys.
-        overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
-        cfg = load_run_config(args.config, overrides, preset=getattr(args, "preset", None))
-        if not cfg.out_dir:
-            raise CliError("an output directory is required (--out)", code=2)
-        out = Path(cfg.out_dir)  # as given, so stdout names it as typed
-        # Absolute paths let config.resolved re-run the command from any directory.
-        cfg = replace(cfg, **{k: os.path.abspath(getattr(cfg, k)) for k in PATH_KEYS if getattr(cfg, k)})
-        # Each command creates its output directory only after its work succeeds.
-        args.fn(cfg, out)
-        _save(out / "config.resolved", cfg.save)
+            files, message = cmd_report(args.reports)
+            out_dir = args.out_dir
+        else:
+            # Flags, positional inputs included, are the namespace's RunConfig keys.
+            overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+            cfg = load_run_config(args.config, overrides, preset=getattr(args, "preset", None))
+            out_dir = cfg.out_dir  # as given, so stdout names it as typed
+            if not out_dir:
+                raise CliError("an output directory is required (--out)", code=2)
+            # Absolute paths let config.resolved re-run the command from any directory.
+            cfg = replace(cfg, **{k: os.path.abspath(getattr(cfg, k)) for k in PATH_KEYS if getattr(cfg, k)})
+            files, message = args.fn(cfg, Path(out_dir))
+            files["config.resolved"] = cfg.resolved_lines()
+        if out_dir:
+            _write(Path(out_dir), files)
+        print(message)
         return 0
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (ConfigError, ScenarioError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FeatureFileError, CheckpointError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -45,10 +45,6 @@ class _RunConfigMethods:
             out.append(f"{f.name} = {value!r}" if isinstance(value, float) else f"{f.name} = {value}")
         return out
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("\n".join(self.resolved_lines()) + "\n")
-
 
 _DEFAULT_SCENARIO = PRESETS["opda-toy"]
 
@@ -106,7 +102,7 @@ def load_run_config(path: str | None, overrides: dict, preset: str | None) -> Ru
         try:
             with open(path, "r", encoding="utf-8") as f:
                 text = f.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
         values.update(parse_config_text(text, path))
     for key, value in overrides.items():

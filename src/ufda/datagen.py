@@ -1,4 +1,4 @@
-"""Synthetic universal-DA benchmark generator and feature-file I/O.
+"""Synthetic universal-DA benchmark generator and the feature-file text format.
 
 Classes are Gaussian clusters whose means sit on random orthonormal directions
 scaled by `separation`. The target domain sees every class mean through a
@@ -147,19 +147,17 @@ class FeatureFileError(ValueError):
     pass
 
 
-def save_featureset(fs: FeatureSet, path) -> None:
+def featureset_lines(fs: FeatureSet) -> list[str]:
     """Text format: magic line, `n=<N> d=<D> role=<role>`, then one
     `<label> <f1> ... <fD>` line per sample (shortest-round-trip decimals)."""
     lines = [FILE_MAGIC, f"n={len(fs)} d={fs.features.shape[1]} role={fs.role}"]
     for label, row in zip(fs.labels, fs.features):
         lines.append(str(int(label)) + " " + " ".join(repr(float(x)) for x in row))
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    return lines
 
 
-def load_featureset(path) -> FeatureSet:
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
+def parse_featureset(lines: list[str]) -> FeatureSet:
+    """The feature set that featureset_lines wrote as lines."""
     if not lines or not any(line.strip() for line in lines):
         raise FeatureFileError("empty feature file")
     if lines[0] != FILE_MAGIC:

@@ -181,32 +181,25 @@ def sgd_step(opt: Optimizer, model: AdaptModel, grads: dict[str, np.ndarray]) ->
             getattr(model, name).__isub__(opt.lr * v)
 
 
-def _write_tensor(lines: list[str], tensor: np.ndarray) -> None:
-    rows = tensor if tensor.ndim == 2 else tensor[None, :]
-    for row in rows:
-        lines.append(" ".join(repr(float(x)) for x in row))
-
-
-def save_model(model: AdaptModel, path) -> None:
+def checkpoint_lines(model: AdaptModel) -> list[str]:
     """Text checkpoint: magic line, dims line, then tensors w1,b1,w2,b2,wc,bc
     as row-major shortest-round-trip decimals (value-exact round trip)."""
     d = model.dims
     lines = [CHECKPOINT_MAGIC, f"{d.d_in} {d.d_hidden} {d.d_feat} {d.n_classes}"]
     for name in TENSORS:
-        _write_tensor(lines, getattr(model, name))
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+        tensor = getattr(model, name)
+        for row in tensor if tensor.ndim == 2 else tensor[None, :]:
+            lines.append(" ".join(repr(float(x)) for x in row))
+    return lines
 
 
 class CheckpointError(ValueError):
     pass
 
 
-def load_model(path) -> AdaptModel:
-    """Load a checkpoint written by save_model. Checkpoints are produced after
-    pretraining, so the classifier is frozen."""
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
+def parse_checkpoint(lines: list[str]) -> AdaptModel:
+    """The model that checkpoint_lines wrote as lines. Checkpoints are produced
+    after pretraining, so the classifier is frozen."""
     if not lines:
         raise CheckpointError("empty checkpoint file")
     if lines[0] != CHECKPOINT_MAGIC:

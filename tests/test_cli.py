@@ -3,22 +3,35 @@ import errno
 import os
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ufda.cli import build_parser, main
 from ufda.config import RunConfig
-from ufda.datagen import load_featureset
+from ufda.datagen import parse_featureset
 from ufda.evaluation import evaluate
-from ufda.model import ModelDims, init_model, load_model, save_model
+from ufda.model import ModelDims, checkpoint_lines, init_model, parse_checkpoint
 from ufda.numerics import Rng
+
+
+def read_lines(path):
+    return path.read_text(encoding="utf-8").splitlines()
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def snapshot(directory):
+    """Every path under directory, hidden ones included, with a file's bytes."""
+    return sorted(
+        (str(path.relative_to(directory)), path.read_bytes() if path.is_file() else None)
+        for path in directory.rglob("*")
+    )
 
 
 @pytest.fixture()
@@ -45,8 +58,8 @@ def gen_small(tmp_path, capsys, seed="3"):
 class TestGen:
     def test_writes_files_matching_preset(self, tmp_path, capsys):
         out = gen_small(tmp_path, capsys)
-        source = load_featureset(out / "source.ufd")
-        target = load_featureset(out / "target.ufd")
+        source = parse_featureset(read_lines(out / "source.ufd"))
+        target = parse_featureset(read_lines(out / "target.ufd"))
         assert len(source) == 6 * 12
         assert len(target) == 6 * 12
         assert (out / "config.resolved").exists()
@@ -74,6 +87,15 @@ class TestGen:
         cfg.write_text("not_a_key = 5\n")
         code, _, err = run(capsys, "gen", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert code == 2
+
+    def test_non_utf8_config_exits_2_naming_its_path(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"epochs = 2\n\xff\n")
+        code, out, err = run(capsys, "gen", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read config file {cfg}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "key, value, as_flag",
@@ -359,8 +381,8 @@ class TestNcdClassCount:
 
     def test_eval_counts_the_novel_classes_in_the_labels(self, tmp_path, capsys):
         report = self.eval_report(tmp_path / "opda", capsys, "opda-toy")  # 3 target-private classes
-        model = load_model(tmp_path / "opda" / "pre" / "model.ufdmodel")
-        target = load_featureset(tmp_path / "opda" / "data" / "target.ufd")
+        model = parse_checkpoint(read_lines(tmp_path / "opda" / "pre" / "model.ufdmodel"))
+        target = parse_featureset(read_lines(tmp_path / "opda" / "data" / "target.ufd"))
         want = evaluate(model, target.features, target.labels, RunConfig().omega, n_private=3, rng=Rng(4)).ncd_acc
         assert 0.0 <= want <= 1.0
         assert float(report["ncd_acc"]) == want
@@ -406,8 +428,7 @@ class TestBadInputFiles:
 
     def test_non_finite_weight_names_path_line_and_tensor(self, tmp_path, capsys):
         path = tmp_path / "model.ufdmodel"
-        save_model(init_model(ModelDims(2, 2, 2, 2), Rng(1)), path)
-        lines = path.read_text().splitlines()
+        lines = checkpoint_lines(init_model(ModelDims(2, 2, 2, 2), Rng(1)))
         lines[7] = "0.5 nan"  # b2, after the magic, dims, w1 (2 rows), b1 and w2 (2 rows)
         path.write_text("\n".join(lines) + "\n")
         target = tmp_path / "target.ufd"
@@ -429,8 +450,7 @@ class TestBadInputFiles:
 
     def test_zero_checkpoint_dimension_names_path_and_line(self, tmp_path, capsys):
         path = tmp_path / "model.ufdmodel"
-        save_model(init_model(ModelDims(2, 2, 2, 2), Rng(1)), path)
-        lines = path.read_text().splitlines()
+        lines = checkpoint_lines(init_model(ModelDims(2, 2, 2, 2), Rng(1)))
         lines[1] = "0 2 2 2"
         path.write_text("\n".join(lines) + "\n")
         target = tmp_path / "target.ufd"
@@ -518,9 +538,123 @@ class TestFailedWrites:
             "report": [str(tmp_path / "rep.tsv")],
         }[command]
         settings = [] if command == "report" else ["--config", str(cfg)]
+        before = snapshot(out)
         code, _, err = run(capsys, command, *inputs, *settings, "--out", str(out))
         assert code == 1
         assert err == f"error: {out / name}: {os.strerror(errno.EISDIR)}\n"
+        assert snapshot(out) == before  # no earlier output and no temporary
+
+    @pytest.mark.parametrize("blocked", ["target.ufd", "config.resolved"])
+    def test_earlier_outputs_survive_a_failed_write(self, tmp_path, capsys, blocked):
+        out = tmp_path / "o"
+        out.mkdir()
+        outputs = ("source.ufd", "target.ufd", "config.resolved")
+        for name in outputs:
+            (out / name).write_text("earlier\n")
+        (out / blocked).unlink()
+        (out / blocked).mkdir()
+        before = snapshot(out)
+        gen = ("gen", "--preset", "opda-toy", "--config", str(pipeline_cfg(tmp_path)), "--out", str(out))
+        code, _, err = run(capsys, *gen)
+        assert code == 1
+        assert err == f"error: {out / blocked}: {os.strerror(errno.EISDIR)}\n"
+        assert snapshot(out) == before
+
+        (out / blocked).rmdir()
+        assert run(capsys, *gen)[0] == 0
+        assert sorted(path.name for path in out.iterdir()) == sorted(outputs)
+        assert all((out / name).read_text() != "earlier\n" for name in outputs)
+
+    def test_a_failed_write_in_a_new_out_leaves_no_out(self, tmp_path, capsys, monkeypatch):
+        write_text = Path.write_text
+
+        def disk_full_at_target(path, *args, **kwargs):
+            if "target.ufd" in path.name:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", disk_full_at_target)
+        out = tmp_path / "o"
+        code, _, err = run(capsys, "gen", "--preset", "opda-toy", "--config", str(pipeline_cfg(tmp_path)), "--out", str(out))
+        assert code == 1
+        assert err == f"error: {out / 'target.ufd'}: {os.strerror(errno.ENOSPC)}\n"
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """Every file a command reads, from one tiny run."""
+    base = tmp_path_factory.mktemp("inputs")
+    cfg = ["--config", str(pipeline_cfg(base))]
+    assert main(["gen", "--preset", "opda-toy", *cfg, "--out", str(base / "data")]) == 0
+    model, target = base / "pre" / "model.ufdmodel", base / "data" / "target.ufd"
+    assert main(["pretrain", str(base / "data" / "source.ufd"), *cfg, "--out", str(model.parent)]) == 0
+    assert main(["eval", str(model), str(target), *cfg, "--out", str(base / "ev")]) == 0
+    return {
+        "config": base / "run.cfg", "source": base / "data" / "source.ufd", "model": model,
+        "target": target, "report": base / "ev" / "report.tsv",
+    }
+
+
+def command_argv(command, files):
+    positional = {
+        "gen": ["--preset", "opda-toy"],
+        "pretrain": [files["source"]],
+        "adapt": [files["model"], files["target"]],
+        "eval": [files["model"], files["target"]],
+        "report": [files["report"]],
+    }[command]
+    settings = [] if command == "report" else ["--config", files["config"]]
+    return [command, *map(str, positional + settings)]
+
+
+CORRUPTIONS = {
+    "directory": lambda path, data: path.mkdir(),
+    "empty": lambda path, data: path.write_bytes(b""),
+    "cut mid-line": lambda path, data: path.write_bytes(data[:-6]),
+    "not utf-8": lambda path, data: path.write_bytes(data[: len(data) // 2] + b"\xff" + data[len(data) // 2:]),
+}
+COMMAND_INPUTS = {
+    "gen": ("config",), "pretrain": ("source", "config"), "adapt": ("model", "target", "config"),
+    "eval": ("model", "target", "config"), "report": ("report",),
+}
+
+
+class TestCorruptInputs:
+    """Any one input of any command replaced by a corrupt file: exit 1 or 2,
+    nothing on stdout, one error line naming the file, --out untouched."""
+
+    @pytest.mark.parametrize("command, name, corruption", [
+        (command, name, corruption)
+        for command, names in COMMAND_INPUTS.items()
+        for name in names
+        for corruption in CORRUPTIONS
+        if (name, corruption) != ("config", "empty")  # an empty config sets no keys, which is valid
+    ])
+    def test_fails_cleanly(self, valid_inputs, tmp_path, capsys, command, name, corruption):
+        bad = tmp_path / valid_inputs[name].name
+        CORRUPTIONS[corruption](bad, valid_inputs[name].read_bytes())
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "keep.txt").write_text("keep\n")
+        before = snapshot(out)
+        code, stdout, err = run(capsys, *command_argv(command, {**valid_inputs, name: bad}), "--out", str(out))
+        assert code in (1, 2)
+        assert stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(bad) in err
+        assert snapshot(out) == before
+
+    @pytest.mark.parametrize("command, name", [
+        ("pretrain", "source"), ("eval", "model"), ("eval", "target"), ("report", "report"),
+    ])
+    def test_a_file_cut_inside_its_last_number_is_rejected(self, valid_inputs, tmp_path, capsys, command, name):
+        bad = tmp_path / valid_inputs[name].name
+        bad.write_bytes(valid_inputs[name].read_bytes()[:-6])
+        code, stdout, err = run(capsys, *command_argv(command, {**valid_inputs, name: bad}), "--out", str(tmp_path / "o"))
+        assert (code, stdout) == (1, "")
+        assert err == f"error: {bad}: no newline at end of file; it may be truncated\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestReport:

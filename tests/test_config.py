@@ -63,7 +63,7 @@ class TestLoad:
     def test_resolved_round_trips(self, tmp_path):
         cfg = load_run_config(None, {"eta": 2.5, "variant": "glc", "n_shared": 5}, None)
         path = tmp_path / "resolved.cfg"
-        cfg.save(path)
+        path.write_text("\n".join(cfg.resolved_lines()) + "\n", encoding="utf-8")
         reparsed = load_run_config(str(path), {}, None)
         assert reparsed == cfg
 

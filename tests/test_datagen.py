@@ -11,10 +11,10 @@ from ufda.datagen import (
     PRESETS,
     ScenarioError,
     ScenarioSpec,
+    featureset_lines,
     generate,
-    load_featureset,
+    parse_featureset,
     preset,
-    save_featureset,
 )
 
 
@@ -153,60 +153,40 @@ class TestStreamPins:
 
 
 class TestFeatureFiles:
-    def roundtrip(self, tmp_path, fs):
-        path = tmp_path / "x.ufd"
-        save_featureset(fs, path)
-        return path, load_featureset(path)
-
-    def test_round_trip_is_value_exact(self, tmp_path):
+    def test_round_trip_is_value_exact(self):
         rng = np.random.default_rng(0)
         fs = FeatureSet(rng.normal(size=(7, 3)) / 3.0, rng.integers(0, 4, size=7), "target")
-        _, loaded = self.roundtrip(tmp_path, fs)
+        loaded = parse_featureset(featureset_lines(fs))
         assert np.array_equal(fs.features, loaded.features)
         assert np.array_equal(fs.labels, loaded.labels)
         assert loaded.role == "target"
 
-    def test_same_spec_and_seed_identical_bytes(self, tmp_path):
+    def test_same_spec_and_seed_identical_bytes(self):
         spec = preset("clda-toy", seed=9, source_per_class=4, target_per_class=4)
-        for i in (1, 2):
-            s, t = generate(spec)
-            save_featureset(s, tmp_path / f"s{i}.ufd")
-            save_featureset(t, tmp_path / f"t{i}.ufd")
-        assert (tmp_path / "s1.ufd").read_bytes() == (tmp_path / "s2.ufd").read_bytes()
-        assert (tmp_path / "t1.ufd").read_bytes() == (tmp_path / "t2.ufd").read_bytes()
+        (s1, t1), (s2, t2) = generate(spec), generate(spec)
+        assert featureset_lines(s1) == featureset_lines(s2)
+        assert featureset_lines(t1) == featureset_lines(t2)
 
-    def test_empty_file_rejected(self, tmp_path):
-        path = tmp_path / "empty.ufd"
-        path.write_text("")
+    def test_empty_file_rejected(self):
         with pytest.raises(FeatureFileError, match="empty"):
-            load_featureset(path)
+            parse_featureset([])
 
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.ufd"
-        path.write_text("NOPE v9\nn=1 d=1 role=target\n0 1.0\n")
+    def test_bad_magic_rejected(self):
         with pytest.raises(FeatureFileError, match="line 1"):
-            load_featureset(path)
+            parse_featureset(["NOPE v9", "n=1 d=1 role=target", "0 1.0"])
 
-    def test_header_count_mismatch(self, tmp_path):
-        path = tmp_path / "short.ufd"
-        path.write_text("UFD v1\nn=3 d=1 role=target\n0 1.0\n1 2.0\n")
+    def test_header_count_mismatch(self):
         with pytest.raises(FeatureFileError, match="n=3"):
-            load_featureset(path)
+            parse_featureset(["UFD v1", "n=3 d=1 role=target", "0 1.0", "1 2.0"])
 
-    def test_malformed_row_reports_line_number(self, tmp_path):
-        path = tmp_path / "row.ufd"
-        path.write_text("UFD v1\nn=2 d=2 role=source\n0 1.0 2.0\n1 3.0\n")
+    def test_malformed_row_reports_line_number(self):
         with pytest.raises(FeatureFileError, match="line 4"):
-            load_featureset(path)
+            parse_featureset(["UFD v1", "n=2 d=2 role=source", "0 1.0 2.0", "1 3.0"])
 
-    def test_non_numeric_field_reports_line_number(self, tmp_path):
-        path = tmp_path / "nan.ufd"
-        path.write_text("UFD v1\nn=1 d=2 role=source\n0 1.0 oops\n")
+    def test_non_numeric_field_reports_line_number(self):
         with pytest.raises(FeatureFileError, match="line 3"):
-            load_featureset(path)
+            parse_featureset(["UFD v1", "n=1 d=2 role=source", "0 1.0 oops"])
 
-    def test_negative_label_rejected(self, tmp_path):
-        path = tmp_path / "neg.ufd"
-        path.write_text("UFD v1\nn=1 d=1 role=source\n-2 1.0\n")
+    def test_negative_label_rejected(self):
         with pytest.raises(FeatureFileError, match="line 3"):
-            load_featureset(path)
+            parse_featureset(["UFD v1", "n=1 d=1 role=source", "-2 1.0"])

@@ -10,11 +10,11 @@ from ufda.model import (
     ModelDims,
     Optimizer,
     backward,
+    checkpoint_lines,
     forward_batch,
     init_model,
-    load_model,
     loss_source_batch,
-    save_model,
+    parse_checkpoint,
     sgd_step,
 )
 from ufda.numerics import Rng
@@ -199,52 +199,34 @@ class TestInit:
 
 
 class TestCheckpoint:
-    def test_round_trip_is_value_exact(self, tmp_path):
+    def test_round_trip_is_value_exact(self):
         model = init_model(ModelDims(7, 5, 4, 3), Rng(99))
         model.w1[0, 0] = 1.0 / 3.0  # not exactly representable in short decimal
-        path = tmp_path / "model.ufdmodel"
-        save_model(model, path)
-        loaded = load_model(path)
+        loaded = parse_checkpoint(checkpoint_lines(model))
         for name in ("w1", "b1", "w2", "b2", "wc", "bc"):
             assert np.array_equal(getattr(model, name), getattr(loaded, name))
         assert loaded.classifier_frozen
 
-    def test_header_checked(self, tmp_path):
-        path = tmp_path / "bad.ufdmodel"
-        path.write_text("NOT A MODEL\n")
+    def test_header_checked(self):
         with pytest.raises(CheckpointError, match="line 1"):
-            load_model(path)
+            parse_checkpoint(["NOT A MODEL"])
 
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "empty.ufdmodel"
-        path.write_text("")
+    def test_empty_file(self):
         with pytest.raises(CheckpointError, match="empty"):
-            load_model(path)
+            parse_checkpoint([])
 
-    def test_wrong_row_width_reports_line(self, tmp_path):
-        model = init_model(ModelDims(2, 2, 2, 2), Rng(1))
-        path = tmp_path / "model.ufdmodel"
-        save_model(model, path)
-        lines = path.read_text().splitlines()
+    def test_wrong_row_width_reports_line(self):
+        lines = checkpoint_lines(init_model(ModelDims(2, 2, 2, 2), Rng(1)))
         lines[2] = "0.5"  # w1 row with one value instead of two
-        path.write_text("\n".join(lines) + "\n")
         with pytest.raises(CheckpointError, match="line 3"):
-            load_model(path)
+            parse_checkpoint(lines)
 
-    def test_truncated_file(self, tmp_path):
-        model = init_model(ModelDims(2, 2, 2, 2), Rng(1))
-        path = tmp_path / "model.ufdmodel"
-        save_model(model, path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-2]) + "\n")
+    def test_truncated_file(self):
+        lines = checkpoint_lines(init_model(ModelDims(2, 2, 2, 2), Rng(1)))
         with pytest.raises(CheckpointError):
-            load_model(path)
+            parse_checkpoint(lines[:-2])
 
-    def test_trailing_garbage_rejected(self, tmp_path):
-        model = init_model(ModelDims(2, 2, 2, 2), Rng(1))
-        path = tmp_path / "model.ufdmodel"
-        save_model(model, path)
-        with open(path, "a") as f:
-            f.write("0.1 0.2\n")
+    def test_trailing_garbage_rejected(self):
+        lines = checkpoint_lines(init_model(ModelDims(2, 2, 2, 2), Rng(1)))
         with pytest.raises(CheckpointError, match="trailing"):
-            load_model(path)
+            parse_checkpoint(lines + ["0.1 0.2"])

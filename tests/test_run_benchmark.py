@@ -81,6 +81,17 @@ def test_bad_config_value_exits_2(tmp_path):
     assert not out.exists()
 
 
+def test_non_utf8_config_exits_2_naming_its_path(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"epochs = 2\n\xff\n")
+    out = tmp_path / "rows.tsv"
+    done = run_script("--preset", "opda-toy", "--seeds", "1", "--config", cfg, "--out", out)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith(f"error: cannot read config file {cfg}: 'utf-8' codec can't decode byte 0xff")
+    assert done.stderr.count("\n") == 1
+    assert not out.exists()
+
+
 def test_config_keys_the_script_owns_exit_2(tmp_path):
     out = tmp_path / "rows.tsv"
     for line in ("seed = 99", "variant = glc", "source_path = s.ufd", "target_path = t.ufd",

@@ -17,6 +17,10 @@
   caller changes is a constant, and one that every caller overrides serves
   only tests. Dataclass fields are config keys, not parameters, and are not
   checked.
+- Only ``cli.py`` reads or writes files (``open``, ``read_text``,
+  ``write_text``, ``read_bytes``, ``write_bytes``); the other library modules
+  turn their formats into lines and back. An exception is allowlisted with its
+  reason.
 """
 
 import ast
@@ -39,6 +43,12 @@ SINGLE_VALUED_PARAMETERS = {
     ("clustering.kmeans", "n_init"): "perfbench/tracing.py reads it by name from the bound call",
     ("cli.main", "argv"): "the in-process seam of the console script, which calls main()",
 }
+
+# library module other than cli.py -> why it reads or writes a file itself
+FILE_IO_MODULES = {
+    "config.py": "load_run_config reads the config file for both the CLI and scripts/run_benchmark.py",
+}
+FILE_IO_CALLS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
 
 
 def _trees(dirs):
@@ -224,3 +234,17 @@ def test_every_optional_parameter_takes_two_values():
     assert not stray, "optional parameters that every call sets or every call leaves: " + ", ".join(stray)
     stale = sorted(f"{name}: {p}" for name, p in set(SINGLE_VALUED_PARAMETERS) - single)
     assert not stale, "allowlisted parameters that now take two values: " + ", ".join(stale)
+
+
+def test_only_the_cli_reads_and_writes_files():
+    found = {
+        (path.name, node.lineno)
+        for path, tree in _library(_trees(["src"])).items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)) in FILE_IO_CALLS
+    }
+    stray = sorted(f"src/ufda/{name}:{line}" for name, line in found if name not in {"cli.py", *FILE_IO_MODULES})
+    assert not stray, "file I/O outside cli.py: " + ", ".join(stray)
+    stale = sorted(set(FILE_IO_MODULES) - {name for name, _ in found})
+    assert not stale, "allowlisted modules that no longer read or write a file: " + ", ".join(stale)
