@@ -2,12 +2,13 @@
 
 Human-readable output goes to stdout; machine-readable blocks go to files in
 the --out directory, alongside the fully resolved config of the run. This
-module is the only one that reads input files and writes output files: each
-command returns its files as lines, and main writes them all together once the
-command has succeeded, so a failed command leaves --out as it was. Exit codes:
-0 success, 1 runtime failure (missing, unreadable, truncated or malformed
-files, dimension mismatch, divergence, a failed write), 2 bad configuration
-(unknown keys, out-of-range values, regime violations, bad flags).
+module reads every input file but the config (config.py) and writes every
+output file: each command returns its files as lines, and main writes them
+all together once the command has succeeded, so a failed command leaves --out
+as it was. Exit codes: 0 success, 1 runtime failure (missing, unreadable,
+truncated or malformed files, dimension mismatch, divergence, a failed write
+or a closed stdout), 2 bad configuration (unknown keys, out-of-range values,
+regime violations, bad flags, a truncated config file).
 """
 
 from __future__ import annotations
@@ -241,7 +242,11 @@ def main(argv=None) -> int:
             files["config.resolved"] = cfg.resolved_lines()
         if out_dir:
             _write(Path(out_dir), files)
-        print(message)
+        try:
+            print(message, flush=True)
+        except BrokenPipeError as exc:  # the reader closed stdout; the files are written
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the flush at exit passes
+            raise CliError(f"stdout: {_reason(exc)}") from None
         return 0
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.cluster._vq import update_cluster_means
 from scipy.spatial.distance import cdist
 
-from .numerics import Rng, bounded_draw, l2_normalize_rows
+from .numerics import Rng, bounded_draws, l2_normalize_rows, units
 
 SILHOUETTE_SUBSAMPLE = 2048
 KMEANS_MAX_ITER = 100
@@ -125,7 +125,7 @@ def _lockstep_picks(points: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, 
     centred = points - points.mean(axis=0)
     centred = np.ldexp(centred, -np.frexp(np.abs(centred).max(initial=0.0))[1])
     sq_norms = np.einsum("nd,nd->n", centred, centred)
-    fractions = (draws >> 11).astype(np.float64) * 2.0**-53
+    fractions = units(draws)
     d2 = np.full((r, n), np.inf)
     total = np.zeros(r)  # every first pick is randint's
     rejected = []
@@ -138,24 +138,12 @@ def _lockstep_picks(points: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, 
             running = np.cumsum(d2, axis=1)
             total = running[:, -1]  # a threshold lies below it, in a row whose D^2 is above 0
             chosen[:, j] = np.minimum(np.count_nonzero(running <= (fractions[:, j] * total)[:, None], axis=1), n - 1)
-        for ri in np.flatnonzero(~(total > 0.0)):
-            if (pick := bounded_draw(int(draws[ri, j]), n)) is None:
-                rejected.append(ri * k + j)  # later picks of this restart are void
-            else:
-                chosen[ri, j] = pick
+        rows = np.flatnonzero(~(total > 0.0))
+        if rows.size:
+            chosen[rows, j], first = bounded_draws(draws[rows, j], n)
+            if first is not None:  # later picks of its restart are void
+                rejected.append(int(rows[first]) * k + j)
     return chosen, min(rejected, default=None)
-
-
-def _seed_restarts(points: np.ndarray, k: int, n_init: int, rng: Rng) -> np.ndarray:
-    """(n_init, k, d) seeds, and the rng state, of k-means++ seeding the restarts
-    one after another: each pick reads one raw draw, or more where randint rejects."""
-    draws = rng.draws(n_init * k).tolist()
-    while True:
-        chosen, rejected = _lockstep_picks(points, np.array(draws, dtype=np.uint64).reshape(n_init, k))
-        if rejected is None:
-            return points[chosen]
-        del draws[rejected]  # the picks before it read the same draws again
-        draws.append(rng.next_u64())
 
 
 def _repair_empty(points: np.ndarray, centroids: np.ndarray, assignment: np.ndarray) -> None:
@@ -279,7 +267,7 @@ def kmeans(points: np.ndarray, k: int, rng: Rng, n_init: int = 10) -> KMeansResu
         raise ValueError("points too large: their squared distances overflow float64")
 
     sq_norms = np.einsum("nd,nd->n", points, points)
-    centroids = _seed_restarts(points, k, n_init, rng)
+    centroids = points[rng.accepted(n_init * k, lambda d: _lockstep_picks(points, d.reshape(n_init, k)))]
     rows = np.tile(points, (n_init, 1))
     lower = np.empty(n_init)  # at most each active restart's last exact inertia, where finite
     assignment_of = np.empty((n_init, n), dtype=np.int64)

@@ -92,7 +92,8 @@ def parse_config_text(text: str, path: str) -> dict:
 def load_run_config(path: str | None, overrides: dict, preset: str | None) -> RunConfig:
     """Defaults <- the preset's scenario keys <- config file <- overrides.
 
-    None-valued overrides are ignored so unset CLI flags fall through."""
+    None-valued overrides are ignored so unset CLI flags fall through. A
+    config file that is not empty must end in a newline."""
     values: dict = {}
     if preset:
         if preset not in PRESETS:
@@ -104,6 +105,8 @@ def load_run_config(path: str | None, overrides: dict, preset: str | None) -> Ru
                 text = f.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
+        if text and not text.endswith("\n"):  # a value cut short still parses
+            raise ConfigError(f"{path}: no newline at end of file; it may be truncated")
         values.update(parse_config_text(text, path))
     for key, value in overrides.items():
         if value is None:

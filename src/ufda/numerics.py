@@ -4,14 +4,16 @@ Everything here is float64 and deterministic: the PRNG is a pure-Python
 xoshiro256** whose output stream depends only on the seed, so runs are
 bit-reproducible across machines.
 
-Array draws read the stream in blocks of at most _BLOCK raw outputs and do
-their arithmetic in NumPy where it is correctly rounded (integer ops, +, *,
-sqrt), so each element has the bits of drawing it on its own, one raw draw
-at a time (the scalar rule, kept in tests/helpers.py as their oracle). log,
-cos and sin stay per-element libm calls, as NumPy's may differ in the last
-bit. A draw that the scalar rule rejects (a bounded integer draw past the
-largest multiple of its bound, a zero Box-Muller u1) is rare; from it on, the
-rest of its block is read one draw at a time, as the scalar rule reads it.
+Rng.draws reads the stream in blocks of at most _BLOCK raw outputs; every
+array draw takes its raw draws from it as one array and does its arithmetic
+in NumPy where it is correctly rounded (integer ops, +, *, sqrt), so each
+element has the bits of drawing it on its own, one raw draw at a time (the
+scalar rule, kept in tests/helpers.py as their oracle). log, cos and sin stay
+per-element libm calls, as NumPy's may differ in the last bit. A draw that the
+scalar rule rejects (a bounded integer draw past the largest multiple of its
+bound, a zero Box-Muller u1) is rare; Rng.accepted drops it and reads one more
+draw, as the scalar rule does. Raw draws become values by two rules stated
+once: bounded_draws for integers and units for floats.
 """
 
 from __future__ import annotations
@@ -33,16 +35,29 @@ def _splitmix64(x: int) -> tuple[int, int]:
     return x, z ^ (z >> 31)
 
 
-def bounded_draw(draw: int, n: int) -> int | None:
-    """randint(n)'s value from one raw 64-bit draw, or None where it rejects
-    the draw: draws at or above the largest multiple of n up to 2^64 are
-    rejected, so every value in [0, n) is equally likely."""
-    return draw % n if draw < (1 << 64) - (1 << 64) % n else None
+def bounded_draws(draws: np.ndarray, bounds) -> tuple[np.ndarray, int | None]:
+    """randint's values from raw 64-bit draws, for one bound per draw or one
+    bound for all, and the index of the first draw it rejects (None if none):
+    a draw at or above the largest multiple of its bound up to 2^64 is
+    rejected, so every value in [0, bound) is equally likely."""
+    bounds = np.asarray(bounds, dtype=np.uint64)
+    top = np.uint64(_MASK64)
+    # accept draw <= 2^64 - 1 - 2^64 % b, with 2^64 % b = ((2^64 - 1) % b + 1) % b
+    accepted = draws <= top - (top % bounds + np.uint64(1)) % bounds
+    return draws % bounds, None if accepted.all() else int(np.argmin(accepted))
 
 
-def _units(draws: np.ndarray) -> np.ndarray:
+def units(draws: np.ndarray) -> np.ndarray:
     """Uniform float64s in [0, 1) with 53 random bits, one per raw draw."""
     return (draws >> 11).astype(np.float64) * 2.0**-53
+
+
+def _box_muller_units(draws: np.ndarray) -> tuple[np.ndarray, int | None]:
+    """The units of Box-Muller draws (u1, u2 pairs), and the index of the
+    first u1 that is 0 (None if none), which the scalar rule draws again."""
+    u = units(draws)
+    zeros = np.flatnonzero(u[0::2] == 0.0)
+    return u, 2 * int(zeros[0]) if zeros.size else None
 
 
 class Rng:
@@ -68,19 +83,23 @@ class Rng:
         """The next m raw 64-bit outputs of the stream, as uint64."""
         mask = _MASK64
         s0, s1, s2, s3 = self._s
-        s1_words = []  # s1 before each step; an output depends on it alone
-        append = s1_words.append
-        for _ in range(m):
-            append(s1)
-            t = (s1 << 17) & mask
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = ((s3 << 45) | (s3 >> 19)) & mask
+        x = np.empty(m, dtype=np.uint64)
+        for start in range(0, m, _BLOCK):
+            size = min(_BLOCK, m - start)
+            s1_words = []  # s1 before each step; an output depends on it alone
+            append = s1_words.append
+            for _ in range(size):
+                append(s1)
+                t = (s1 << 17) & mask
+                s2 ^= s0
+                s3 ^= s1
+                s1 ^= s2
+                s0 ^= s3
+                s2 ^= t
+                s3 = ((s3 << 45) | (s3 >> 19)) & mask
+            x[start : start + size] = np.fromiter(s1_words, dtype=np.uint64, count=size)
         self._s = [s0, s1, s2, s3]
-        x = np.fromiter(s1_words, dtype=np.uint64, count=m) * np.uint64(5)  # uint64 arithmetic wraps mod 2^64
+        x = x * np.uint64(5)  # uint64 arithmetic wraps mod 2^64
         return ((x << 7) | (x >> 57)) * np.uint64(9)
 
     def next_u64(self) -> int:
@@ -90,80 +109,50 @@ class Rng:
         """Derive an independent child stream; consumes one parent draw."""
         return Rng(self.next_u64())
 
-    def _then_stream(self, draws: list[int]):
-        """The given raw draws, then the stream's, one at a time as asked for."""
-        yield from draws
+    def accepted(self, m: int, check):
+        """check's result on m raw draws, where check(d) returns (result, index
+        of the first draw it rejects or None). A rejected draw is dropped and
+        one more read at the end, as a sampler reading one draw at a time
+        reads them, until check rejects none."""
+        d = self.draws(m)
         while True:
-            yield self.next_u64()
+            result, rejected = check(d)
+            if rejected is None:
+                return result
+            d = np.concatenate([np.delete(d, rejected), self.draws(1)])
 
     def _randints(self, top: int, count: int) -> list[int]:
         """A uniform integer in [0, top - i) for each i in range(count), each
-        from the first raw draw that bounded_draw accepts for its bound."""
-        picks: list[int] = []
-        for start in range(0, count, _BLOCK):
-            bounds = np.arange(top - start, top - min(start + _BLOCK, count), -1).astype(np.uint64)
-            d = self.draws(bounds.shape[0])
-            # bounded_draw's rule in uint64: accept draw <= 2^64 - 1 - 2^64 % b,
-            # with 2^64 % b = ((2^64 - 1) % b + 1) % b
-            top64 = np.uint64(_MASK64)
-            accepted = d <= top64 - (top64 % bounds + np.uint64(1)) % bounds
-            first = bounds.shape[0] if accepted.all() else int(np.argmin(accepted))
-            picks += (d[:first] % bounds[:first]).tolist()
-            source = self._then_stream(d[first:].tolist())
-            for bound in bounds[first:].tolist():
-                while (value := bounded_draw(next(source), bound)) is None:
-                    pass
-                picks.append(value)
-        return picks
-
-    def _box_muller(self, pairs: int) -> np.ndarray:
-        """2 * pairs standard normals, r cos(t) then r sin(t) for each pair,
-        with r = sqrt(-2 log u1) from a u1 above 0 and t = 2 pi u2."""
-        drawn = self.draws(2 * pairs)
-        u = _units(drawn)
-        u1, u2 = u[0::2], u[1::2]
-        if not u1.all():  # the scalar rule draws u1 again until it is above 0
-            first = int(np.flatnonzero(u1 == 0.0)[0])
-            source = self._then_stream(drawn[2 * first :].tolist())
-            ones, twos = u1[:first].tolist(), u2[:first].tolist()
-            for _ in range(first, pairs):
-                while (one := (next(source) >> 11) * 2.0**-53) == 0.0:
-                    pass
-                ones.append(one)
-                twos.append((next(source) >> 11) * 2.0**-53)
-            u1, u2 = np.array(ones), np.array(twos)
-        r = np.sqrt(-2.0 * np.fromiter(map(math.log, u1.tolist()), dtype=np.float64, count=pairs))
-        theta = ((2.0 * math.pi) * u2).tolist()
-        out = np.empty(2 * pairs)
-        out[0::2] = r * np.fromiter(map(math.cos, theta), dtype=np.float64, count=pairs)
-        out[1::2] = r * np.fromiter(map(math.sin, theta), dtype=np.float64, count=pairs)
-        return out
+        from the first raw draw that bounded_draws accepts for its bound."""
+        bounds = np.arange(top, top - count, -1).astype(np.uint64)  # empty for count <= 0
+        return self.accepted(bounds.shape[0], lambda d: bounded_draws(d, bounds)).tolist()
 
     def normal_array(self, shape: int | tuple[int, ...], sigma: float = 1.0) -> np.ndarray:
         """Zero-mean normal draws with standard deviation sigma, in row-major
-        order: Box-Muller pairs, whose second value is kept for the next draw
-        where a call ends between the two."""
+        order: Box-Muller pairs r cos(t) then r sin(t), with r = sqrt(-2 log u1)
+        from a u1 above 0 and t = 2 pi u2. A pair's second value is kept for
+        the next draw where a call ends between the two."""
         out = np.empty(shape, dtype=np.float64)
         flat = out.reshape(-1)
-        size, at = flat.shape[0], 0
-        if size and self._spare_normal is not None:
-            flat[0], self._spare_normal, at = self._spare_normal, None, 1
-        while at < size:
-            z = self._box_muller(min((size - at + 1) // 2, _BLOCK // 2))
-            taken = min(z.shape[0], size - at)
-            flat[at : at + taken] = z[:taken]
-            if taken < z.shape[0]:
-                self._spare_normal = float(z[-1])
-            at += taken
+        if flat.size and self._spare_normal is not None:
+            flat[0], self._spare_normal = self._spare_normal, None
+            flat = flat[1:]
+        pairs = (flat.shape[0] + 1) // 2
+        u = self.accepted(2 * pairs, _box_muller_units)
+        r = np.sqrt(-2.0 * np.fromiter(map(math.log, u[0::2].tolist()), dtype=np.float64, count=pairs))
+        theta = ((2.0 * math.pi) * u[1::2]).tolist()
+        z = np.empty(2 * pairs)
+        z[0::2] = r * np.fromiter(map(math.cos, theta), dtype=np.float64, count=pairs)
+        z[1::2] = r * np.fromiter(map(math.sin, theta), dtype=np.float64, count=pairs)
+        flat[:] = z[: flat.shape[0]]
+        if z.shape[0] > flat.shape[0]:
+            self._spare_normal = float(z[-1])
         return sigma * out + 0.0  # sigma = 0 makes a negative draw -0.0; adding 0.0 makes it +0.0
 
     def uniform_array(self, shape: int | tuple[int, ...], lo: float, hi: float) -> np.ndarray:
         """lo + (hi - lo) * u for uniform u in [0, 1), in row-major order."""
         out = np.empty(shape, dtype=np.float64)
-        flat = out.reshape(-1)
-        for start in range(0, flat.shape[0], _BLOCK):
-            stop = min(start + _BLOCK, flat.shape[0])
-            flat[start:stop] = _units(self.draws(stop - start))
+        out.reshape(-1)[:] = units(self.draws(out.size))
         return lo + (hi - lo) * out
 
     def permutation(self, n: int) -> np.ndarray:

@@ -1,6 +1,8 @@
 import argparse
 import errno
 import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -14,6 +16,8 @@ from ufda.datagen import parse_featureset
 from ufda.evaluation import evaluate
 from ufda.model import ModelDims, checkpoint_lines, init_model, parse_checkpoint
 from ufda.numerics import Rng
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def read_lines(path):
@@ -656,6 +660,18 @@ class TestCorruptInputs:
         assert err == f"error: {bad}: no newline at end of file; it may be truncated\n"
         assert not (tmp_path / "o").exists()
 
+    def test_a_config_cut_inside_its_last_line_is_rejected(self, valid_inputs, tmp_path, capsys):
+        # Cut inside its out_dir, config.resolved would still parse, and re-run
+        # into a directory of the cut name.
+        bad = tmp_path / "cut.resolved"
+        bad.write_bytes((valid_inputs["report"].parent / "config.resolved").read_bytes()[:-6])
+        key, _, cut_out = bad.read_text(encoding="utf-8").splitlines()[-1].partition(" = ")
+        assert key == "out_dir"
+        code, stdout, err = run(capsys, "gen", "--config", str(bad))
+        assert (code, stdout) == (2, "")
+        assert err == f"error: {bad}: no newline at end of file; it may be truncated\n"
+        assert not Path(cut_out).exists()
+
 
 class TestReport:
     def test_aggregates_mean_and_std(self, tmp_path, capsys):
@@ -691,3 +707,21 @@ class TestReport:
     def test_no_inputs_exits_2(self, capsys):
         code, _, _ = run(capsys, "report")
         assert code == 2
+
+    def test_a_closed_stdout_is_one_error_line(self, tmp_path, capsys):
+        # stdout is a pipe whose reader has gone: printing the table fails
+        # after summary.tsv is written, and exits 1 with one error line.
+        (tmp_path / "rep.tsv").write_text("h_score\t0.5\nncd_acc\t1.0\n")
+        assert run(capsys, "report", str(tmp_path / "rep.tsv"), "--out", str(tmp_path / "want"))[0] == 0
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "ufda", "report", str(tmp_path / "rep.tsv"), "--out",
+                                   str(tmp_path / "got")], stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: stdout: {os.strerror(errno.EPIPE)}\n"
+        assert (tmp_path / "got" / "summary.tsv").read_bytes() == (tmp_path / "want" / "summary.tsv").read_bytes()

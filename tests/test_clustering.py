@@ -17,7 +17,7 @@ from helpers import (
 )
 from ufda import clustering
 from ufda.clustering import candidate_counts, estimate_ct, kmeans, silhouette
-from ufda.numerics import Rng, bounded_draw, l2_normalize_rows
+from ufda.numerics import Rng, bounded_draws, l2_normalize_rows
 
 
 def line_points(values):
@@ -327,7 +327,7 @@ class TestKMeansMatchesReference:
         # keeps the assignment and raises the inertia by about n.
         centers = np.array([[0.0, 0.0], [100.0, 0.0], [0.0, 100.0]])
         points = np.repeat(centers, 10, axis=0) + 0.1 * np.random.default_rng(3).normal(size=(30, 2))
-        seeds = clustering._seed_restarts(points, 3, 1, Rng(0))
+        seeds = points[Rng(0).accepted(3, lambda d: clustering._lockstep_picks(points, d.reshape(1, 3)))]
         assignment = np.argmin(clustering._sq_dists(points, seeds[0]), axis=1)[None]
         moved = clustering._cluster_means(points, assignment, 3) + 1.0
         assert np.array_equal(np.argmin(clustering._sq_dists(points, moved[0]), axis=1), assignment[0])
@@ -371,7 +371,7 @@ class TestSeeding:
                          dtype=np.uint64).reshape(r, k)
         chosen, _ = clustering._lockstep_picks(points, draws)
         for ri in range(r):
-            if bounded_draw(int(draws[ri, 0]), n) is not None:  # later picks are weighted, and take any draw
+            if bounded_draws(draws[ri, :1], n)[1] is None:  # later picks are weighted, and take any draw
                 assert len(set(chosen[ri].tolist())) == k, (ri, chosen[ri])
 
     @settings(deadline=None, max_examples=100)
@@ -413,7 +413,8 @@ class TestSeeding:
         limit = (2**64 // n) * n
         for draw in sorted({0, limit - 1, limit, 2**64 - 1} - {2**64}):
             want = draw % n if draw < limit else None
-            assert bounded_draw(draw, n) == want
+            values, rejected = bounded_draws(np.array([draw], dtype=np.uint64), n)
+            assert (None if rejected == 0 else int(values[0])) == want
             assert randint(ScriptedRng(0, [draw, 5]), n) == (5 % n if want is None else want)
             if n < 2**63:  # the array draws apply the rule in uint64
                 assert ScriptedRng(0, [draw, 5])._randints(n, 1) == [5 % n if want is None else want]

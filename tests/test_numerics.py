@@ -16,7 +16,7 @@ from helpers import (
 )
 from ufda.numerics import (
     Rng,
-    bounded_draw,
+    bounded_draws,
     l2_normalize_rows,
     normalized_entropy_rows,
     softmax_rows,
@@ -274,6 +274,66 @@ class TestRng:
         assert a.ravel().tolist() == expected
 
 
+TOP = 2**64 - 1
+
+
+def uint64s(values):
+    return np.array(values, dtype=np.uint64)
+
+
+class TestBoundedDraws:
+    @pytest.mark.parametrize("bound", [3, 7, 1000, 2**32 + 1, 2**63 + 1, TOP])
+    def test_the_top_draw_is_rejected_for_every_bound_but_a_power_of_two(self, bound):
+        assert bounded_draws(uint64s([TOP]), bound)[1] == 0
+        assert bounded_draws(uint64s([5, TOP]), uint64s([2, bound]))[1] == 1
+
+    @pytest.mark.parametrize("bound", [1, 2, 2**32, 2**63])
+    def test_a_power_of_two_takes_every_draw(self, bound):
+        values, rejected = bounded_draws(uint64s([0, TOP]), bound)
+        assert rejected is None and values.tolist() == [0, TOP % bound]
+
+    def test_one_bound_is_every_draws_bound(self):
+        draws = Rng(4).draws(500)
+        for bound in (1, 6, 2**40 + 3):
+            values, rejected = bounded_draws(draws, bound)
+            assert rejected is None
+            assert values.tolist() == bounded_draws(draws, np.full(500, bound, dtype=np.uint64))[0].tolist()
+            assert values.tolist() == [d % bound for d in draws.tolist()]
+
+    def test_the_first_of_several_rejected_draws_is_reported(self):
+        assert bounded_draws(uint64s([0, 5, TOP, 1, TOP, TOP]), 7)[1] == 2
+        assert bounded_draws(uint64s([TOP, TOP]), uint64s([2, 3]))[1] == 1  # 2 takes any draw
+        assert bounded_draws(uint64s([]), 7)[1] is None
+
+
+class TestAccepted:
+    @pytest.mark.parametrize("rejects", [[0], [4], [7], [0, 1], [7, 8], [2, 5, 9]])
+    def test_a_rejected_draw_is_dropped_and_one_more_read(self, rejects):
+        # The sentinel TOP at the first, a middle and the last of 8 draws, or
+        # at the draw read in place of a rejected one.
+        script = [d for d in Rng(5).draws(20).tolist() if d != TOP]
+        for at in rejects:
+            script[at] = TOP
+        rng, seen = ScriptedRng(5, script), []
+
+        def check(d):
+            seen.append(d.tolist())
+            hits = np.flatnonzero(d == TOP)
+            return d, int(hits[0]) if hits.size else None
+
+        got = rng.accepted(8, check)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [d for d in script[: 8 + len(rejects)] if d != TOP]
+        assert len(seen) == len(rejects) + 1 and seen[0] == script[:8]
+        assert rng.script == script[8 + len(rejects) :]
+
+    def test_no_draws(self):
+        rng = Rng(5)
+        before = state(rng)
+        assert rng.accepted(0, lambda d: (d.shape, None)) == (0,)
+        assert state(rng) == before
+
+
 def state(rng):
     """Everything a later draw depends on: the xoshiro words, the cached
     Box-Muller spare and, for a ScriptedRng, the draws left in its script."""
@@ -363,7 +423,7 @@ class TestArrayDrawsMatchTheScalarRule:
         # Each listed pick reads 2^64 - 1 once per listing before its value; a
         # rejection moves every later pick one draw on, so the script places
         # the draw at t plus the rejections before it.
-        assert all(bounded_draw(2**64 - 1, b) is None for b in bounds)
+        assert all(bounded_draws(np.array([2**64 - 1], dtype=np.uint64), b)[1] == 0 for b in bounds)
         script = Rng(3).draws(4200).tolist()
         for shift, t in enumerate(picks):
             script[t + shift] = 2**64 - 1
@@ -371,6 +431,16 @@ class TestArrayDrawsMatchTheScalarRule:
         assert_same_bits(array_draw(got), scalar_draw(want))
         assert state(got) == state(want)
         assert len(got.script) < 4200 - max(picks) - len(picks)  # every scripted rejection was read
+
+    @pytest.mark.parametrize("draw", [
+        lambda rng: rng.permutation(0), lambda rng: rng.permutation(1), lambda rng: rng.sample_without_replacement(5, 0),
+    ])
+    def test_no_randint_reads_no_draw(self, draw):
+        # permutation(0) asks for n - 1 = -1 randints: none, as for permutation(1).
+        rng = Rng(8)
+        before = state(rng)
+        assert draw(rng).size <= 1
+        assert state(rng) == before
 
     def test_one_draw_is_the_first_of_a_block(self):
         rng, ref = Rng(21), Rng(21)

@@ -21,6 +21,9 @@
   ``write_text``, ``read_bytes``, ``write_bytes``); the other library modules
   turn their formats into lines and back. An exception is allowlisted with its
   reason.
+- Raw-draw arithmetic (``>> 11``, ``2**-53``, ``2**64``, ``1 << 64``), the
+  rules that turn raw 64-bit draws into values, appears only in
+  ``numerics.py``, so that a caller uses ``units`` or ``bounded_draws``.
 """
 
 import ast
@@ -248,3 +251,32 @@ def test_only_the_cli_reads_and_writes_files():
     assert not stray, "file I/O outside cli.py: " + ", ".join(stray)
     stale = sorted(set(FILE_IO_MODULES) - {name for name, _ in found})
     assert not stale, "allowlisted modules that no longer read or write a file: " + ", ".join(stale)
+
+
+def _raw_draw_arithmetic(node):
+    """Whether node is `x >> 11`, `2**64`, `2**-53` or `1 << 64`."""
+    if not isinstance(node, ast.BinOp):
+        return False
+    left = node.left.value if isinstance(node.left, ast.Constant) else None
+    right = node.right
+    if isinstance(right, ast.UnaryOp) and isinstance(right.op, ast.USub) and isinstance(right.operand, ast.Constant):
+        right = -right.operand.value
+    else:
+        right = right.value if isinstance(right, ast.Constant) else None
+    return ((isinstance(node.op, ast.RShift) and right == 11)
+            or (isinstance(node.op, ast.Pow) and left == 2 and right in (64, -53))
+            or (isinstance(node.op, ast.LShift) and left == 1 and right == 64))
+
+
+def test_raw_draws_become_values_only_in_numerics():
+    trees = {**_library(_trees(["src"])), **_trees(["scripts"])}
+    found = sorted({
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path, tree in trees.items()
+        if path != LIBRARY_DIR / "numerics.py"
+        for node in ast.walk(tree)
+        if _raw_draw_arithmetic(node)
+    })
+    assert not found, "raw-draw arithmetic outside numerics.py (use units or bounded_draws): " + ", ".join(found)
+    numerics = ast.parse((LIBRARY_DIR / "numerics.py").read_text(encoding="utf-8"))
+    assert any(_raw_draw_arithmetic(node) for node in ast.walk(numerics)), "the check no longer sees the rules"

@@ -29,9 +29,8 @@ def traced_pipeline(preset, variant):
         model = adaptation.pretrain_source(source, dims, adaptation.AdaptConfig(seed=1, epochs=1))
         config = adaptation.AdaptConfig(seed=1, epochs=EPOCHS, variant=variant)
         adapted, _ = adaptation.adapt(model, target, config)
-        n_private = spec.n_target_private if spec.n_target_private >= 2 else None
         evaluation.evaluate(adapted, target.features, target.labels, config.omega,
-                            n_private=n_private, rng=Rng(1))
+                            n_private=evaluation.novel_class_count(target.labels, spec.n_source_classes), rng=Rng(1))
 
     metrics = {name: value for name, (value, _) in tracing.layer_metrics(tracer).items()}
     raised = {name: value for name, value in metrics.items() if name.startswith("errors.") and value}
