@@ -9,8 +9,8 @@ ranked against centroids by the Gram form of the squared distance,
 within a rounding bound is re-ranked with the exact difference formula
 |x - c|^2, so every assignment, ties included, is the one that formula gives.
 The check that inertia does not increase sums the best Gram values and uses
-the difference formula only where their rounding slack leaves it open; that
-formula gives every restart's inertia once, after the loop. Centroid updates
+the difference formula only where their rounding slack leaves it open; so
+does the choice of the best restart, after the loop. Centroid updates
 are SciPy's compiled row-order update, bit for bit a per-cluster mean for
 d > 1; d = 1 is summed per cluster, as NumPy sums one column pairwise.
 
@@ -269,7 +269,7 @@ def kmeans(points: np.ndarray, k: int, rng: Rng, n_init: int = 10) -> KMeansResu
     sq_norms = np.einsum("nd,nd->n", points, points)
     centroids = points[rng.accepted(n_init * k, lambda d: _lockstep_picks(points, d.reshape(n_init, k)))]
     rows = np.tile(points, (n_init, 1))
-    lower = np.empty(n_init)  # at most each active restart's last exact inertia, where finite
+    lower, upper = np.empty(n_init), np.empty(n_init)  # around each restart's last exact inertia, where finite
     assignment_of = np.empty((n_init, n), dtype=np.int64)
     retired = np.zeros(n_init, dtype=bool)
     active = np.arange(n_init)
@@ -280,7 +280,7 @@ def kmeans(points: np.ndarray, k: int, rng: Rng, n_init: int = 10) -> KMeansResu
         if previous is not None:
             _check_inertia(points, current, assignment, inertia + slack, prior, previous, lower[active])
             done = _settled(assignment, previous, repaired)
-        lower[active] = inertia - slack
+        lower[active], upper[active] = inertia - slack, inertia + slack
         if previous is not None and done.any():
             assignment_of[active[done]], retired[active[done]] = assignment[done], True
             active, current, assignment = active[~done], current[~done], assignment[~done]
@@ -299,12 +299,16 @@ def kmeans(points: np.ndarray, k: int, rng: Rng, n_init: int = 10) -> KMeansResu
     rest = np.flatnonzero(~retired)
     if rest.size:
         final = centroids[rest]
-        assignment_of[rest] = _assign(points, sq_norms, final)[0]
+        assignment_of[rest], _, inertia, slack, _ = _assign(points, sq_norms, final)
+        lower[rest], upper[rest] = inertia - slack, inertia + slack
         centroids[rest] = final  # keep the repairs
-    inertia_of = _own_sq_dists(points, centroids, assignment_of).sum(axis=1)
-    best = int(np.argmin(inertia_of))  # first restart on ties
+    # The winner's exact inertia is at most every upper bound, so only restarts
+    # whose lower bound is not above the smallest can win.
+    open_ = np.flatnonzero(~(lower > upper.min()))  # NaN leaves a restart open
+    inertia_of = _own_sq_dists(points, centroids[open_], assignment_of[open_]).sum(axis=1)
+    best = open_[np.argmin(inertia_of)]  # first restart on ties
     return KMeansResult(
-        centroids=centroids[best].copy(), assignment=assignment_of[best].copy(), inertia=float(inertia_of[best])
+        centroids=centroids[best].copy(), assignment=assignment_of[best].copy(), inertia=float(inertia_of.min())
     )
 
 

@@ -1,6 +1,6 @@
 """Inference-time rejection and all metrics: known/unknown accuracy, H-score,
 closed-set accuracy, and novel-category-discovery accuracy via Hungarian
-cluster-to-label matching."""
+cluster-to-label matching, solved here by shortest augmenting paths."""
 
 from __future__ import annotations
 
@@ -8,13 +8,44 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .clustering import kmeans
 from .model import AdaptModel, forward_batch
 from .numerics import Rng, l2_normalize_rows, normalized_entropy_rows
 
 UNKNOWN = -1
+
+
+def _min_assignment_cost(cost: np.ndarray) -> float:
+    """Smallest total of a square cost matrix over one entry per row and
+    column: Kuhn-Munkres with row and column potentials, each row added by
+    one shortest augmenting path (Jonker-Volgenant form), O(n^3)."""
+    n = cost.shape[0]
+    c = np.pad(cost, ((1, 0), (1, 0)))  # rows and columns count from 1; column 0 holds the row being added
+    u, v = np.zeros(n + 1), np.zeros(n + 1)
+    row_of = np.zeros(n + 1, dtype=np.intp)  # the row matched to each column, 0 if none
+    way = np.zeros(n + 1, dtype=np.intp)  # the column before each column on its path
+    for i in range(1, n + 1):
+        row_of[0], j0 = i, 0
+        slack = np.full(n + 1, np.inf)  # shortest reduced path cost to each column not on the tree
+        on_tree = np.zeros(n + 1, dtype=bool)
+        barrier = np.zeros(n + 1)  # inf on the tree, so no path reaches a column twice
+        while row_of[j0]:
+            on_tree[j0], barrier[j0], slack[j0] = True, np.inf, np.inf
+            i0 = row_of[j0]
+            reduced = c[i0] - u[i0] - v + barrier
+            way[reduced < slack] = j0
+            np.minimum(slack, reduced, out=slack)
+            j0 = int(slack.argmin())
+            delta = slack[j0]
+            u[row_of[on_tree]] += delta
+            v[on_tree] -= delta
+            slack -= delta
+        while j0:  # flip the matching along the path back to column 0
+            row_of[j0], j0 = row_of[way[j0]], way[j0]
+    col_of = np.empty(n, dtype=np.intp)
+    col_of[row_of[1:] - 1] = np.arange(n)
+    return float(cost[np.arange(n), col_of].sum())
 
 
 def hungarian(cost: np.ndarray) -> np.ndarray:
@@ -27,13 +58,7 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
         raise ValueError("cost matrix must be finite")
     n = cost.shape[0]
 
-    def best(sub: np.ndarray) -> float:
-        if sub.size == 0:
-            return 0.0
-        rows, cols = linear_sum_assignment(sub)
-        return float(sub[rows, cols].sum())
-
-    optimum = best(cost)
+    optimum = _min_assignment_cost(cost)
     perm = np.empty(n, dtype=np.int64)
     free = list(range(n))
     fixed_cost = 0.0
@@ -41,7 +66,7 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
         for j in free:
             rest_rows = np.arange(i + 1, n)
             rest_cols = [c for c in free if c != j]
-            tail = best(cost[np.ix_(rest_rows, rest_cols)])
+            tail = _min_assignment_cost(cost[np.ix_(rest_rows, rest_cols)])
             if fixed_cost + cost[i, j] + tail <= optimum + 1e-9:
                 perm[i] = j
                 fixed_cost += cost[i, j]

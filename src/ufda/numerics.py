@@ -9,11 +9,13 @@ array draw takes its raw draws from it as one array and does its arithmetic
 in NumPy where it is correctly rounded (integer ops, +, *, sqrt), so each
 element has the bits of drawing it on its own, one raw draw at a time (the
 scalar rule, kept in tests/helpers.py as their oracle). log, cos and sin stay
-per-element libm calls, as NumPy's may differ in the last bit. A draw that the
-scalar rule rejects (a bounded integer draw past the largest multiple of its
-bound, a zero Box-Muller u1) is rare; Rng.accepted drops it and reads one more
-draw, as the scalar rule does. Raw draws become values by two rules stated
-once: bounded_draws for integers and units for floats.
+per-element libm calls, as NumPy's may differ in the last bit; normal_array
+makes them on at most _BLOCK pairs at a time, so it holds few Python floats
+however many values it draws. A draw that the scalar rule rejects (a bounded
+integer draw past the largest multiple of its bound, a zero Box-Muller u1) is
+rare; Rng.accepted drops it and reads one more draw, as the scalar rule does.
+Raw draws become values by two rules stated once: bounded_draws for integers
+and units for floats.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-_BLOCK = 2048  # raw draws per block, so a block never holds more Python ints
+_BLOCK = 2048  # raw draws or Box-Muller pairs per block, so a block never holds more Python numbers
 
 
 def _splitmix64(x: int) -> tuple[int, int]:
@@ -99,8 +101,12 @@ class Rng:
                 s3 = ((s3 << 45) | (s3 >> 19)) & mask
             x[start : start + size] = np.fromiter(s1_words, dtype=np.uint64, count=size)
         self._s = [s0, s1, s2, s3]
-        x = x * np.uint64(5)  # uint64 arithmetic wraps mod 2^64
-        return ((x << 7) | (x >> 57)) * np.uint64(9)
+        x *= np.uint64(5)  # uint64 arithmetic wraps mod 2^64; in place, so one temporary at most
+        high = x >> 57
+        x <<= 7
+        x |= high
+        x *= np.uint64(9)
+        return x
 
     def next_u64(self) -> int:
         return int(self.draws(1)[0])
@@ -137,13 +143,13 @@ class Rng:
         if flat.size and self._spare_normal is not None:
             flat[0], self._spare_normal = self._spare_normal, None
             flat = flat[1:]
-        pairs = (flat.shape[0] + 1) // 2
-        u = self.accepted(2 * pairs, _box_muller_units)
-        r = np.sqrt(-2.0 * np.fromiter(map(math.log, u[0::2].tolist()), dtype=np.float64, count=pairs))
-        theta = ((2.0 * math.pi) * u[1::2]).tolist()
-        z = np.empty(2 * pairs)
-        z[0::2] = r * np.fromiter(map(math.cos, theta), dtype=np.float64, count=pairs)
-        z[1::2] = r * np.fromiter(map(math.sin, theta), dtype=np.float64, count=pairs)
+        z = self.accepted(flat.shape[0] + flat.shape[0] % 2, _box_muller_units)
+        for start in range(0, z.shape[0], 2 * _BLOCK):
+            u = z[start : start + 2 * _BLOCK]  # a view: each pair's normals overwrite its units
+            r = np.sqrt(-2.0 * np.fromiter(map(math.log, u[0::2].tolist()), dtype=np.float64))
+            theta = ((2.0 * math.pi) * u[1::2]).tolist()
+            u[0::2] = r * np.fromiter(map(math.cos, theta), dtype=np.float64)
+            u[1::2] = r * np.fromiter(map(math.sin, theta), dtype=np.float64)
         flat[:] = z[: flat.shape[0]]
         if z.shape[0] > flat.shape[0]:
             self._spare_normal = float(z[-1])

@@ -49,7 +49,8 @@ def calls(monkeypatch):
     """Count the calls of clustering's exact re-rank, empty-cluster repair and
     lock-step seeding pass (one more per draw that randint rejects), the
     restarts retired early and the restarts' exact inertia evaluations: one
-    per restart, and two more per restart whose check falls back to them."""
+    per restart whose final bounds leave it able to win, and two more per
+    restart whose check falls back to them."""
     counts = {"_sq_dists": 0, "_repair_empty": 0, "_lockstep_picks": 0, "retired": 0, "exact_inertia": 0}
     for name in ("_sq_dists", "_repair_empty", "_lockstep_picks"):
         original = getattr(clustering, name)
@@ -197,10 +198,11 @@ class TestKMeansMatchesReference:
         points = l2_normalize_rows(centers[rng.integers(0, 6, size=300)] + 0.3 * rng.normal(size=(300, 32)))
         for k in (2, 6, 18):
             assert_matches_reference(points, k, k)
-        # One exact inertia per restart: the slack decides every check, so
-        # none falls back to exact inertias, and no repair needs one.
+        # Exact inertias only for the restarts that the final Gram bounds
+        # leave able to win, 13 of the 3 * 10 here: the slack decides every
+        # check, so none falls back to exact inertias, and no repair needs one.
         assert calls["_repair_empty"] == 0
-        assert calls["exact_inertia"] == 3 * 10
+        assert calls["exact_inertia"] == 13
 
     def test_points_far_from_the_origin(self, calls):
         # |x|^2 ~ 3e12 swamps distances ~1e-4 in the Gram form, so the ranking

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment  # the oracle; the library does not import it
 
 from helpers import exhaustive_assignment
 from ufda import evaluation
@@ -146,6 +147,40 @@ class TestHungarian:
         n = int(rng.integers(2, 6))
         cost = rng.integers(0, 10, size=(n, n)).astype(float)
         assert hungarian(cost).tolist() == exhaustive_assignment(cost).tolist()
+
+
+def scipy_optimum(cost):
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].sum())
+
+
+class TestMinAssignmentCost:
+    """The solver behind hungarian reaches SciPy's optimum."""
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_random_float_matrices(self, n):
+        rng = np.random.default_rng(n)
+        for scale in (1e-3, 1.0, 100.0):
+            cost = scale * rng.normal(size=(n, n))
+            assert evaluation._min_assignment_cost(cost) == pytest.approx(scipy_optimum(cost), abs=1e-9)
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_tie_heavy_integer_matrices(self, n):
+        rng = np.random.default_rng(1000 + n)
+        for samples in (n, 5 * n):
+            counts = np.zeros((n, n))
+            np.add.at(counts, (rng.integers(0, n, samples), rng.integers(0, n, samples)), 1.0)
+            cost = counts.max() - counts  # match_accuracy's form
+            assert evaluation._min_assignment_cost(cost) == pytest.approx(scipy_optimum(cost), abs=1e-9)
+        cost = rng.integers(0, 3, size=(n, n)).astype(float)
+        assert evaluation._min_assignment_cost(cost) == pytest.approx(scipy_optimum(cost), abs=1e-9)
+
+    def test_one_by_one_and_empty(self):
+        assert evaluation._min_assignment_cost(np.array([[-2.5]])) == -2.5
+        assert evaluation._min_assignment_cost(np.zeros((0, 0))) == 0.0
+
+    def test_all_equal(self):
+        assert evaluation._min_assignment_cost(np.full((7, 7), 1.5)) == 10.5
 
 
 class TestMatchAccuracy:

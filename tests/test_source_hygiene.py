@@ -24,10 +24,16 @@
 - Raw-draw arithmetic (``>> 11``, ``2**-53``, ``2**64``, ``1 << 64``), the
   rules that turn raw 64-bit draws into values, appears only in
   ``numerics.py``, so that a caller uses ``units`` or ``bounded_draws``.
+- ``import ufda.cli``, run in a fresh interpreter, leaves ``scipy.optimize``
+  out of ``sys.modules``: matching is solved in ``evaluation``, and importing
+  that package alone adds about 11 MiB to the peak RSS of every run.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
@@ -280,3 +286,14 @@ def test_raw_draws_become_values_only_in_numerics():
     assert not found, "raw-draw arithmetic outside numerics.py (use units or bounded_draws): " + ", ".join(found)
     numerics = ast.parse((LIBRARY_DIR / "numerics.py").read_text(encoding="utf-8"))
     assert any(_raw_draw_arithmetic(node) for node in ast.walk(numerics)), "the check no longer sees the rules"
+
+
+def test_the_cli_does_not_import_scipy_optimize():
+    paths = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    code = "import sys, ufda.cli; print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'optimize']))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]", "import ufda.cli loads " + result.stdout.strip()
