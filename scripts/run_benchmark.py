@@ -6,9 +6,10 @@ it directly on the target (source-only baseline), adapts it with each
 requested variant, and prints one row per (preset, seed, model). H-score is
 the headline metric for the open-set regimes (OPDA/OSDA), closed accuracy
 for PDA/CLDA; NCD accuracy is reported where `novel_class_count` defines it.
-Settings come from an optional `ufda` config file, whose `epochs` and `lr`
-pretraining and adaptation share, as in `ufda` itself; it may not set
-`seed`, `variant` or a path key (OWNED_KEYS).
+Settings come from an optional `ufda` config file, read once, whose `epochs`
+and `lr` pretraining and adaptation share, as in `ufda` itself; it may not
+set `seed`, `variant` or a path key (OWNED_KEYS). A bad config exits 2, a
+failed run or write 1, with one `error:` line and --out left as it was.
 
 Example:
     python scripts/run_benchmark.py --seeds 1 2 3 4 5 --out results.tsv
@@ -24,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from ufda.adaptation import VARIANTS, adapt, pretrain_source
-from ufda.config import PATH_KEYS, ConfigError, load_run_config, parse_config_text
+from ufda.cli import CliError, read_config, write_files
+from ufda.config import PATH_KEYS, ConfigError, load_run_config
 from ufda.datagen import PRESETS, generate
 from ufda.evaluation import evaluate, novel_class_count
 from ufda.numerics import Rng
@@ -32,22 +34,11 @@ from ufda.numerics import Rng
 OWNED_KEYS = ("seed", "variant") + PATH_KEYS
 
 
-def reject_owned_keys(config_path):
-    """--seeds and --variants set seed and variant, and no path is read from
-    the config, so a config that sets one of OWNED_KEYS is an error."""
-    try:
-        text = Path(config_path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError):
-        return  # load_run_config reports an unreadable file
-    for key in parse_config_text(text, config_path):
-        if key in OWNED_KEYS:
-            raise ConfigError(f"{config_path}: the script does not take {key!r} from a config")
-
-
-def run_one(preset_name, seed, variants, config_path=None):
+def run_one(preset_name, seed, variants, file_keys):
     """Source-only and per-variant rows, every stage built from one RunConfig
-    layered as `ufda gen --preset` layers it: preset <- config file <- seed."""
-    cfg = load_run_config(config_path, {"seed": seed}, preset=preset_name)
+    layered as `ufda gen --preset` layers it: preset <- the config file's
+    keys (read_config's dict) <- seed."""
+    cfg = load_run_config(file_keys, {"seed": seed}, preset=preset_name)
     spec = cfg.scenario()
     source, target = generate(spec)
     model = pretrain_source(source, cfg.model_dims(spec.d_in, spec.n_source_classes), cfg.adapt_config())
@@ -65,9 +56,9 @@ def run_one(preset_name, seed, variants, config_path=None):
 
 
 def tsv_row(row):
-    """One run_one row as the --out file holds it, floats by repr."""
+    """One run_one row as a line of the --out file, floats by repr."""
     name, seed, tag, h, closed, ncd = row
-    return f"{name}\t{seed}\t{tag}\t{h!r}\t{closed!r}\t{ncd!r}\n"
+    return f"{name}\t{seed}\t{tag}\t{h!r}\t{closed!r}\t{ncd!r}"
 
 
 def main():
@@ -83,14 +74,21 @@ def main():
     all_rows = []
     t0 = time.time()
     try:
-        if args.config:
-            reject_owned_keys(args.config)
+        file_keys = read_config(args.config)
+        # --seeds and --variants set seed and variant, and no path is read from
+        # the config, so a config that sets one of OWNED_KEYS is an error.
+        owned = [key for key in file_keys if key in OWNED_KEYS]
+        if owned:
+            raise ConfigError(f"{args.config}: the script does not take {owned[0]!r} from a config")
         for name in names:
             for seed in args.seeds:
-                all_rows.extend(run_one(name, seed, args.variants, args.config))
+                all_rows.extend(run_one(name, seed, args.variants, file_keys))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:  # raised by run_one: a diverging run, say
+        print(f"error: {name} seed {seed}: {exc}", file=sys.stderr)
+        return 1
 
     header = f"{'preset':<10} {'seed':>4} {'model':<12} {'h_score':>8} {'closed':>8} {'ncd':>8}"
     print(header)
@@ -106,9 +104,13 @@ def main():
                 print(f"  {name:<10} {tag:<12} H={np.mean(hs):.4f} closed={np.mean(cs):.4f} ncd={np.mean(ns):.4f}")
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write("preset\tseed\tmodel\th_score\tclosed_acc\tncd_acc\n")
-            f.writelines(tsv_row(row) for row in all_rows)
+        out = Path(args.out)
+        try:
+            write_files(out.parent, {out.name: ["preset\tseed\tmodel\th_score\tclosed_acc\tncd_acc"]
+                                     + [tsv_row(row) for row in all_rows]})
+        except CliError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         print(f"wrote {args.out}")
     return 0
 

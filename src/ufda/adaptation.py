@@ -99,9 +99,7 @@ class AdaptTrace:
     def lines(self) -> list[str]:
         out = ["epoch\ttotal\tglb\tloc\tcon\tct\tseconds"]
         for r in self.epochs:
-            out.append(
-                f"{r.epoch}\t{r.total!r}\t{r.glb!r}\t{r.loc!r}\t{r.con!r}\t{r.ct}\t{r.seconds:.3f}"
-            )
+            out.append(f"{r.epoch}\t{r.total}\t{r.glb}\t{r.loc}\t{r.con}\t{r.ct}\t{r.seconds:.3f}")
         return out
 
 

@@ -2,13 +2,15 @@
 
 Human-readable output goes to stdout; machine-readable blocks go to files in
 the --out directory, alongside the fully resolved config of the run. This
-module reads every input file but the config (config.py) and writes every
-output file: each command returns its files as lines, and main writes them
-all together once the command has succeeded, so a failed command leaves --out
-as it was. Exit codes: 0 success, 1 runtime failure (missing, unreadable,
+module is the only code, scripts/ included, that reads or writes a file. It
+reads every input, the config included: a file that cannot be read or parsed
+is one `error: <path>: <reason>` line, a parse error's reason starting with
+`line N:`. Each command returns its files as lines, and main writes them all
+together once the command has succeeded, so a failed command leaves --out as
+it was. Exit codes: 0 success, 1 runtime failure (missing, unreadable,
 truncated or malformed files, dimension mismatch, divergence, a failed write
 or a closed stdout), 2 bad configuration (unknown keys, out-of-range values,
-regime violations, bad flags, a truncated config file).
+regime violations, bad flags, an unreadable or truncated config file).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .adaptation import VARIANTS, adapt, pretrain_source
-from .config import PATH_KEYS, ConfigError, RunConfig, load_run_config
+from .config import PATH_KEYS, ConfigError, RunConfig, load_run_config, parse_config
 from .datagen import featureset_lines, generate, parse_featureset
 from .evaluation import evaluate, novel_class_count
 from .model import checkpoint_lines, parse_checkpoint
@@ -47,8 +49,6 @@ def _read(parse, path_text: str, what: str):
     if not path_text:
         raise CliError(f"missing {what} path", code=2)
     path = Path(path_text)
-    if not path.exists():
-        raise CliError(f"{what} not found: {path}")
     try:
         text = path.read_text(encoding="utf-8")
         if text and not text.endswith("\n"):
@@ -58,11 +58,20 @@ def _read(parse, path_text: str, what: str):
         raise CliError(f"{path}: {_reason(exc)}") from None
 
 
+def read_config(path_text: str | None) -> dict:
+    """The keys the config file at path_text sets, {} without one. A config
+    that cannot be read or parsed is a ConfigError naming its path."""
+    try:
+        return _read(parse_config, path_text, "config file") if path_text else {}
+    except CliError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _aside(path: Path, tag: str) -> Path:
     return path.with_name(f".{path.name}.{os.getpid()}.{tag}")
 
 
-def _write(out: Path, files: dict[str, list[str]]) -> None:
+def write_files(out: Path, files: dict[str, list[str]]) -> None:
     """Write each named file's lines into out, all of them or none: each file is
     written under a temporary name, and renamed into place only once every
     write has succeeded. On a failure out is left as it was, and the error
@@ -141,36 +150,37 @@ def cmd_eval(cfg, out: Path):
     return {"report.tsv": report.machine_lines()}, report.human_table()
 
 
+def _parse_report(lines: list[str]) -> list[tuple[str, float]]:
+    """The (metric, value) pairs of a report.tsv's `metric<TAB>value` lines."""
+    pairs = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ValueError(f"line {lineno}: expected 'metric<TAB>value'")
+        name, value = parts
+        try:
+            pairs.append((name, float(value)))
+        except ValueError:
+            raise ValueError(f"line {lineno}: non-numeric value {value!r} for {name}") from None
+    if not pairs:
+        raise ValueError("file has no metrics")
+    return pairs
+
+
 def cmd_report(reports: list[str]):
     if not reports:
         raise CliError("report needs at least one eval output file", code=2)
-    metrics: dict[str, list[float]] = {}
-    order: list[str] = []
+    metrics: dict[str, list[float]] = {}  # in first-seen order
     for path_text in reports:
-        path = Path(path_text)
-        lines = _read(list, path_text, "report file")
-        if not any(line.strip() for line in lines):
-            raise CliError(f"{path}: file has no metrics")
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise CliError(f"{path}:{lineno}: expected 'metric<TAB>value'")
-            name, value = parts
-            try:
-                number = float(value)
-            except ValueError:
-                raise CliError(f"{path}:{lineno}: non-numeric value {value!r} for {name}") from None
-            if name not in metrics:
-                metrics[name] = []
-                order.append(name)
-            metrics[name].append(number)
+        for name, number in _read(_parse_report, path_text, "report file"):
+            metrics.setdefault(name, []).append(number)
 
-    width = max(len(name) for name in order)
+    width = max(len(name) for name in metrics)
     human = ["metric".ljust(width) + "  mean      std       n"]
     machine = ["metric\tmean\tstd\tn"]
-    for name in order:
+    for name in metrics:
         vals = np.array(metrics[name])
         mean = float(vals.mean())
         std = float(vals.std(ddof=1)) if vals.shape[0] > 1 else 0.0
@@ -232,7 +242,7 @@ def main(argv=None) -> int:
         else:
             # Flags, positional inputs included, are the namespace's RunConfig keys.
             overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
-            cfg = load_run_config(args.config, overrides, preset=getattr(args, "preset", None))
+            cfg = load_run_config(read_config(args.config), overrides, preset=getattr(args, "preset", None))
             out_dir = cfg.out_dir  # as given, so stdout names it as typed
             if not out_dir:
                 raise CliError("an output directory is required (--out)", code=2)
@@ -241,7 +251,7 @@ def main(argv=None) -> int:
             files, message = args.fn(cfg, Path(out_dir))
             files["config.resolved"] = cfg.resolved_lines()
         if out_dir:
-            _write(Path(out_dir), files)
+            write_files(Path(out_dir), files)
         try:
             print(message, flush=True)
         except BrokenPipeError as exc:  # the reader closed stdout; the files are written

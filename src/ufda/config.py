@@ -1,9 +1,11 @@
 """Line-oriented `key = value` run configuration.
 
 One flat key space covers the scenario, model dims, training knobs and the
-files a command reads and writes. `load_run_config` layers a preset, a config
-file and CLI flags into one `RunConfig`, and every command writes it next to
-its outputs, so `--config <out>/config.resolved` re-runs the command.
+files a command reads and writes. `parse_config` turns a config file's lines
+into keys, and `load_run_config` layers a preset, those keys and CLI flags
+into one `RunConfig`. Every command writes it next to its outputs, so
+`--config <out>/config.resolved` re-runs the command. This module does no
+I/O: `cli.read_config` reads the file.
 """
 
 from __future__ import annotations
@@ -39,11 +41,7 @@ class _RunConfigMethods:
         return ModelDims(d_in=d_in, d_hidden=self.d_hidden, d_feat=self.d_feat, n_classes=n_classes)
 
     def resolved_lines(self) -> list[str]:
-        out = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out.append(f"{f.name} = {value!r}" if isinstance(value, float) else f"{f.name} = {value}")
-        return out
+        return [f"{f.name} = {getattr(self, f.name)}" for f in fields(self)]
 
 
 _DEFAULT_SCENARIO = PRESETS["opda-toy"]
@@ -66,48 +64,39 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 _PARSERS = {"int": int, "float": float, "str": str}
 
 
-def parse_config_text(text: str, path: str) -> dict:
+def parse_config(lines: list[str]) -> dict:
     """Parse `key = value` lines (# comments and blank lines allowed) into a
     typed dict; unknown keys are rejected."""
     values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+            raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
         if key not in _FIELD_TYPES:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         parser = _PARSERS[_FIELD_TYPES[key]]
         try:
             values[key] = parser(value)
         except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
+            raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from None
     return values
 
 
-def load_run_config(path: str | None, overrides: dict, preset: str | None) -> RunConfig:
-    """Defaults <- the preset's scenario keys <- config file <- overrides.
-
-    None-valued overrides are ignored so unset CLI flags fall through. A
-    config file that is not empty must end in a newline."""
+def load_run_config(file_keys: dict, overrides: dict, preset: str | None) -> RunConfig:
+    """Defaults <- the preset's scenario keys <- file_keys (parse_config's
+    dict) <- overrides. None-valued overrides are ignored so unset CLI flags
+    fall through."""
     values: dict = {}
     if preset:
         if preset not in PRESETS:
             raise ConfigError(f"unknown preset {preset!r}; available: {sorted(PRESETS)}")
         values = {key: getattr(PRESETS[preset], key) for key in SCENARIO_KEYS}
-    if path:
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                text = f.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from None
-        if text and not text.endswith("\n"):  # a value cut short still parses
-            raise ConfigError(f"{path}: no newline at end of file; it may be truncated")
-        values.update(parse_config_text(text, path))
+    values.update(file_keys)
     for key, value in overrides.items():
         if value is None:
             continue

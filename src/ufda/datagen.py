@@ -143,10 +143,6 @@ def generate(spec: ScenarioSpec) -> tuple[FeatureSet, FeatureSet]:
     return source, target
 
 
-class FeatureFileError(ValueError):
-    pass
-
-
 def featureset_lines(fs: FeatureSet) -> list[str]:
     """Text format: magic line, `n=<N> d=<D> role=<role>`, then one
     `<label> <f1> ... <fD>` line per sample (shortest-round-trip decimals)."""
@@ -159,11 +155,11 @@ def featureset_lines(fs: FeatureSet) -> list[str]:
 def parse_featureset(lines: list[str]) -> FeatureSet:
     """The feature set that featureset_lines wrote as lines."""
     if not lines or not any(line.strip() for line in lines):
-        raise FeatureFileError("empty feature file")
+        raise ValueError("empty feature file")
     if lines[0] != FILE_MAGIC:
-        raise FeatureFileError(f"line 1: expected header '{FILE_MAGIC}'")
+        raise ValueError(f"line 1: expected header '{FILE_MAGIC}'")
     if len(lines) < 2:
-        raise FeatureFileError("line 2: missing size header")
+        raise ValueError("line 2: missing size header")
     fields = lines[1].split()
     try:
         header = dict(item.split("=", 1) for item in fields)
@@ -171,32 +167,32 @@ def parse_featureset(lines: list[str]) -> FeatureSet:
         d = int(header["d"])
         role = header["role"]
     except (ValueError, KeyError):
-        raise FeatureFileError("line 2: expected 'n=<N> d=<D> role=<source|target>'") from None
+        raise ValueError("line 2: expected 'n=<N> d=<D> role=<source|target>'") from None
     if n < 0 or d < 1:
-        raise FeatureFileError(f"line 2: need n >= 0 and d >= 1, got n={n} d={d}")
+        raise ValueError(f"line 2: need n >= 0 and d >= 1, got n={n} d={d}")
     if role not in ("source", "target"):
-        raise FeatureFileError(f"line 2: role must be 'source' or 'target', got {role!r}")
+        raise ValueError(f"line 2: role must be 'source' or 'target', got {role!r}")
 
     body = lines[2:]
     n_body = len([ln for ln in body if ln.strip()])
     if n_body != n or any(ln.strip() for ln in body[n:]):
-        raise FeatureFileError(f"line 2: header declares n={n} rows but body has {n_body}")
+        raise ValueError(f"line 2: header declares n={n} rows but body has {n_body}")
     feats = np.empty((n, d))
     labels = np.empty(n, dtype=np.int64)
     for i in range(n):
         lineno = i + 3
         toks = body[i].split()
         if len(toks) != d + 1:
-            raise FeatureFileError(f"line {lineno}: expected 1 label + {d} values, got {len(toks)} fields")
+            raise ValueError(f"line {lineno}: expected 1 label + {d} values, got {len(toks)} fields")
         try:
             labels[i] = int(toks[0])
             feats[i] = [float(t) for t in toks[1:]]
         except ValueError:
-            raise FeatureFileError(f"line {lineno}: non-numeric field") from None
+            raise ValueError(f"line {lineno}: non-numeric field") from None
         if not np.isfinite(feats[i]).all():
-            raise FeatureFileError(f"line {lineno}: features must be finite")
+            raise ValueError(f"line {lineno}: features must be finite")
         if labels[i] < 0:
-            raise FeatureFileError(f"line {lineno}: label must be non-negative")
+            raise ValueError(f"line {lineno}: label must be non-negative")
     return FeatureSet(feats, labels, role=role)
 
 

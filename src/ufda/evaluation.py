@@ -16,10 +16,13 @@ from .numerics import Rng, l2_normalize_rows, normalized_entropy_rows
 UNKNOWN = -1
 
 
-def _min_assignment_cost(cost: np.ndarray) -> float:
+def _min_assignment_cost(cost: np.ndarray) -> tuple[float, np.ndarray]:
     """Smallest total of a square cost matrix over one entry per row and
     column: Kuhn-Munkres with row and column potentials, each row added by
-    one shortest augmenting path (Jonker-Volgenant form), O(n^3)."""
+    one shortest augmenting path (Jonker-Volgenant form), O(n^3). Also the
+    reduced costs cost - u_i - v_j under the final potentials: >= 0 up to
+    rounding, 0 on the assignment found, so an entry whose reduced cost is
+    positive is in no optimal assignment."""
     n = cost.shape[0]
     c = np.pad(cost, ((1, 0), (1, 0)))  # rows and columns count from 1; column 0 holds the row being added
     u, v = np.zeros(n + 1), np.zeros(n + 1)
@@ -45,33 +48,41 @@ def _min_assignment_cost(cost: np.ndarray) -> float:
             row_of[j0], j0 = row_of[way[j0]], way[j0]
     col_of = np.empty(n, dtype=np.intp)
     col_of[row_of[1:] - 1] = np.arange(n)
-    return float(cost[np.arange(n), col_of].sum())
+    return float(cost[np.arange(n), col_of].sum()), cost - u[1:, None] - v[1:]
 
 
 def hungarian(cost: np.ndarray) -> np.ndarray:
     """Minimum-cost row-to-column assignment; lexicographically smallest
-    permutation among optima (tolerance 1e-9 for cost ties)."""
+    permutation among optima. Two totals tie when they differ by at most 1e-9
+    plus 4(n+1)·eps·n·(largest row sum of |cost|), a bound on how differently
+    sums of n entries round. Each row takes the first free column that
+    completes an optimum; a column whose reduced cost under the first solve's
+    potentials exceeds that tolerance is in no optimum and gets no tail solve."""
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
         raise ValueError("cost matrix must be square")
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost matrix must be finite")
     n = cost.shape[0]
+    tol = 1e-9 + 4 * (n + 1) * np.finfo(np.float64).eps * n * np.abs(cost).sum(axis=1).max(initial=0.0)
 
-    optimum = _min_assignment_cost(cost)
+    optimum, reduced = _min_assignment_cost(cost)
     perm = np.empty(n, dtype=np.int64)
     free = list(range(n))
     fixed_cost = 0.0
     for i in range(n):
         for j in free:
-            rest_rows = np.arange(i + 1, n)
+            if reduced[i, j] > tol:
+                continue
             rest_cols = [c for c in free if c != j]
-            tail = _min_assignment_cost(cost[np.ix_(rest_rows, rest_cols)])
-            if fixed_cost + cost[i, j] + tail <= optimum + 1e-9:
-                perm[i] = j
-                fixed_cost += cost[i, j]
-                free.remove(j)
+            tail, _ = _min_assignment_cost(cost[np.ix_(np.arange(i + 1, n), rest_cols)])
+            if fixed_cost + cost[i, j] + tail <= optimum + tol:
                 break
+        else:
+            raise RuntimeError(f"hungarian: no column of row {i} completes an optimal assignment")
+        perm[i] = j
+        fixed_cost += cost[i, j]
+        free.remove(j)
     return perm
 
 
@@ -141,11 +152,7 @@ class EvalReport:
     unknown_accepted: int
 
     def machine_lines(self) -> list[str]:
-        out = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out.append(f"{f.name}\t{value!r}" if isinstance(value, float) else f"{f.name}\t{value}")
-        return out
+        return [f"{f.name}\t{getattr(self, f.name)}" for f in fields(self)]
 
     def human_table(self) -> str:
         names = [f.name for f in fields(self)]

@@ -193,24 +193,20 @@ def checkpoint_lines(model: AdaptModel) -> list[str]:
     return lines
 
 
-class CheckpointError(ValueError):
-    pass
-
-
 def parse_checkpoint(lines: list[str]) -> AdaptModel:
     """The model that checkpoint_lines wrote as lines. Checkpoints are produced
     after pretraining, so the classifier is frozen."""
     if not lines:
-        raise CheckpointError("empty checkpoint file")
+        raise ValueError("empty checkpoint file")
     if lines[0] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"line 1: expected header '{CHECKPOINT_MAGIC}'")
+        raise ValueError(f"line 1: expected header '{CHECKPOINT_MAGIC}'")
     if len(lines) < 2:
-        raise CheckpointError("line 2: missing dims line")
+        raise ValueError("line 2: missing dims line")
     try:
         d_in, d_hidden, d_feat, n_classes = (int(tok) for tok in lines[1].split())
         dims = ModelDims(d_in, d_hidden, d_feat, n_classes)
     except ValueError as exc:
-        raise CheckpointError(f"line 2: bad dims line ({exc})") from None
+        raise ValueError(f"line 2: bad dims line ({exc})") from None
 
     shapes = (
         (dims.d_in, dims.d_hidden), (dims.d_hidden,),
@@ -224,20 +220,20 @@ def parse_checkpoint(lines: list[str]) -> AdaptModel:
         rows = []
         for _ in range(n_rows):
             if lineno >= len(lines):
-                raise CheckpointError(f"line {lineno + 1}: unexpected end of file in tensor {name}")
+                raise ValueError(f"line {lineno + 1}: unexpected end of file in tensor {name}")
             toks = lines[lineno].split()
             if len(toks) != n_cols:
-                raise CheckpointError(
+                raise ValueError(
                     f"line {lineno + 1}: expected {n_cols} values in tensor {name}, got {len(toks)}"
                 )
             try:
                 rows.append([float(t) for t in toks])
             except ValueError:
-                raise CheckpointError(f"line {lineno + 1}: non-numeric value in tensor {name}") from None
+                raise ValueError(f"line {lineno + 1}: non-numeric value in tensor {name}") from None
             if not np.isfinite(rows[-1]).all():
-                raise CheckpointError(f"line {lineno + 1}: non-finite value in tensor {name}")
+                raise ValueError(f"line {lineno + 1}: non-finite value in tensor {name}")
             lineno += 1
         tensors[name] = np.array(rows, dtype=np.float64).reshape(shape)
     if any(lines[lineno:]):
-        raise CheckpointError(f"line {lineno + 1}: trailing content after parameters")
+        raise ValueError(f"line {lineno + 1}: trailing content after parameters")
     return AdaptModel(**tensors, classifier_frozen=True)

@@ -13,6 +13,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from ufda.clustering import KMeansResult, kmeans
 from ufda.consensus import MemoryBank
@@ -259,6 +260,32 @@ def exhaustive_assignment(cost: np.ndarray) -> np.ndarray:
     # itertools.permutations yields in lexicographic order, so the first
     # strictly-better permutation seen is the lexicographically smallest.
     return np.array(best_perm)
+
+
+def greedy_assignment(cost: np.ndarray) -> np.ndarray:
+    """Lexicographically smallest minimum-cost permutation, row by row: each
+    row takes the first free column whose entry plus the optimum over the
+    remaining rows and columns reaches the whole optimum within 1e-9 (SciPy's
+    solver for every optimum, no pruning). An oracle where enumeration is too
+    slow, at cost scales whose sums round by less than 1e-9."""
+
+    def optimum(c):
+        rows, cols = linear_sum_assignment(c)
+        return float(c[rows, cols].sum())
+
+    n = cost.shape[0]
+    best, fixed, free, perm = optimum(cost), 0.0, list(range(n)), []
+    for i in range(n):
+        for j in free:
+            rest = cost[np.ix_(np.arange(i + 1, n), [c for c in free if c != j])]
+            if fixed + cost[i, j] + optimum(rest) <= best + 1e-9:
+                break
+        else:
+            raise ValueError(f"row {i}: no column reaches the optimum within 1e-9")
+        perm.append(j)
+        fixed += cost[i, j]
+        free.remove(j)
+    return np.array(perm)
 
 
 def knn_direct(bank_features: np.ndarray, query: np.ndarray, k: int, exclude: int) -> list[int]:

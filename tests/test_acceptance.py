@@ -306,7 +306,7 @@ def test_criterion_8_end_to_end_opda():
     improved = {"glc": 0, "glcpp": 0}
     ncd_means = {"glc": [], "glcpp": []}
     for seed in (1, 2, 3, 4, 5):
-        rows = {tag: (h, ncd) for _, _, tag, h, _, ncd in run_one("opda-toy", seed, ("glc", "glcpp"))}
+        rows = {tag: (h, ncd) for _, _, tag, h, _, ncd in run_one("opda-toy", seed, ("glc", "glcpp"), {})}
         for variant in ("glc", "glcpp"):
             h, ncd = rows[variant]
             improved[variant] += h > rows["source-only"][0]

@@ -97,7 +97,7 @@ class TestGen:
         cfg.write_bytes(b"epochs = 2\n\xff\n")
         code, out, err = run(capsys, "gen", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert (code, out) == (2, "")
-        assert err.startswith(f"error: cannot read config file {cfg}: 'utf-8' codec can't decode byte 0xff")
+        assert err.startswith(f"error: {cfg}: 'utf-8' codec can't decode byte 0xff")
         assert err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
@@ -324,7 +324,7 @@ class TestPipeline:
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code, _, err = run(capsys, "pretrain", str(tmp_path / "missing.ufd"), "--out", str(tmp_path / "o"))
         assert code == 1
-        assert "not found" in err
+        assert err == f"error: {tmp_path / 'missing.ufd'}: {os.strerror(errno.ENOENT)}\n"
 
 
 class TestReproduce:
@@ -701,7 +701,7 @@ class TestReport:
         (tmp_path / "rep.tsv").write_text("h_score\t0.5\nncd_acc\tabc\n")
         code, _, err = run(capsys, "report", str(tmp_path / "rep.tsv"))
         assert code == 1
-        assert "rep.tsv:2:" in err
+        assert f"{tmp_path / 'rep.tsv'}: line 2: " in err
         assert "'abc'" in err
 
     def test_no_inputs_exits_2(self, capsys):

@@ -6,7 +6,6 @@ import pytest
 from ufda.adaptation import pretrain_source
 from ufda.config import load_run_config
 from ufda.datagen import (
-    FeatureFileError,
     FeatureSet,
     PRESETS,
     ScenarioError,
@@ -144,7 +143,7 @@ class TestStreamPins:
         assert sha256_of(source.features, source.labels, target.features, target.labels) == PINNED_DATASETS[name]
 
     def test_seed_one_pretrained_weights_are_pinned(self):
-        cfg = load_run_config(None, {"seed": 1}, preset="opda-toy")
+        cfg = load_run_config({}, {"seed": 1}, preset="opda-toy")
         spec = cfg.scenario()
         source, _ = generate(spec)
         model = pretrain_source(source, cfg.model_dims(spec.d_in, spec.n_source_classes), cfg.adapt_config())
@@ -168,25 +167,25 @@ class TestFeatureFiles:
         assert featureset_lines(t1) == featureset_lines(t2)
 
     def test_empty_file_rejected(self):
-        with pytest.raises(FeatureFileError, match="empty"):
+        with pytest.raises(ValueError, match="empty"):
             parse_featureset([])
 
     def test_bad_magic_rejected(self):
-        with pytest.raises(FeatureFileError, match="line 1"):
+        with pytest.raises(ValueError, match="line 1"):
             parse_featureset(["NOPE v9", "n=1 d=1 role=target", "0 1.0"])
 
     def test_header_count_mismatch(self):
-        with pytest.raises(FeatureFileError, match="n=3"):
+        with pytest.raises(ValueError, match="n=3"):
             parse_featureset(["UFD v1", "n=3 d=1 role=target", "0 1.0", "1 2.0"])
 
     def test_malformed_row_reports_line_number(self):
-        with pytest.raises(FeatureFileError, match="line 4"):
+        with pytest.raises(ValueError, match="line 4"):
             parse_featureset(["UFD v1", "n=2 d=2 role=source", "0 1.0 2.0", "1 3.0"])
 
     def test_non_numeric_field_reports_line_number(self):
-        with pytest.raises(FeatureFileError, match="line 3"):
+        with pytest.raises(ValueError, match="line 3"):
             parse_featureset(["UFD v1", "n=1 d=2 role=source", "0 1.0 oops"])
 
     def test_negative_label_rejected(self):
-        with pytest.raises(FeatureFileError, match="line 3"):
+        with pytest.raises(ValueError, match="line 3"):
             parse_featureset(["UFD v1", "n=1 d=1 role=source", "-2 1.0"])

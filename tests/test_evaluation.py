@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment  # the oracle; the library does not import it
 
-from helpers import exhaustive_assignment
+from helpers import exhaustive_assignment, greedy_assignment
 from ufda import evaluation
 from ufda.evaluation import (
     UNKNOWN,
@@ -148,6 +148,49 @@ class TestHungarian:
         cost = rng.integers(0, 10, size=(n, n)).astype(float)
         assert hungarian(cost).tolist() == exhaustive_assignment(cost).tolist()
 
+    def test_large_costs_give_a_permutation(self):
+        # Sums near 2.5e7 round by more than 1e-9, which once left a row with
+        # no column and the next tail matrix not square.
+        cost = np.array([
+            [6989345.714285715, 10422551.714285715, 9904117.285714285],
+            [7496294.285714285, 11837974.0, 8833800.857142856],
+            [7025483.857142857, 8441848.0, 8788671.285714285],
+        ])
+        assert hungarian(cost).tolist() == exhaustive_assignment(cost).tolist() == [0, 2, 1]
+
+    @pytest.mark.parametrize("scale", [1e-7, 1e-3, 1.0, 1e3, 1e6, 1e9])
+    def test_matches_exhaustive_search_at_every_cost_scale(self, scale):
+        rng = np.random.default_rng(int(np.log10(scale)) + 100)
+        for n in range(1, 7):
+            for _ in range(10):
+                costs = [scale * rng.integers(0, 8, size=(n, n))]  # ties, and distinct totals >= scale apart
+                if scale >= 1.0:  # below, distinct totals of normal costs can fall within the 1e-9 tie tolerance
+                    costs.append(scale * rng.normal(size=(n, n)))
+                for cost in costs:
+                    assert hungarian(cost).tolist() == exhaustive_assignment(cost).tolist(), (scale, cost)
+
+    @pytest.mark.parametrize("n", [8, 12, 20, 30, 40])
+    def test_matches_the_unpruned_greedy(self, n):
+        rng = np.random.default_rng(2000 + n)
+        for samples in (n, 5 * n, 20 * n):
+            counts = np.zeros((n, n))
+            np.add.at(counts, (rng.integers(0, n, samples), rng.integers(0, n, samples)), 1.0)
+            cost = counts.max() - counts  # match_accuracy's form
+            assert hungarian(cost).tolist() == greedy_assignment(cost).tolist()
+        for cost in (rng.integers(0, 8, size=(n, n)).astype(float), rng.normal(size=(n, n))):  # criterion 2's kinds
+            assert hungarian(cost).tolist() == greedy_assignment(cost).tolist()
+
+    def test_a_row_with_no_column_is_an_error(self, monkeypatch):
+        solve = evaluation._min_assignment_cost
+
+        def optimum_too_low(cost):  # the whole matrix's optimum, and only it, reported 1 too low
+            total, reduced = solve(cost)
+            return (total - 1.0 if cost.shape == (3, 3) else total), reduced
+
+        monkeypatch.setattr(evaluation, "_min_assignment_cost", optimum_too_low)
+        with pytest.raises(RuntimeError, match="row 0"):
+            hungarian(np.eye(3))
+
 
 def scipy_optimum(cost):
     rows, cols = linear_sum_assignment(cost)
@@ -162,7 +205,7 @@ class TestMinAssignmentCost:
         rng = np.random.default_rng(n)
         for scale in (1e-3, 1.0, 100.0):
             cost = scale * rng.normal(size=(n, n))
-            assert evaluation._min_assignment_cost(cost) == pytest.approx(scipy_optimum(cost), abs=1e-9)
+            assert evaluation._min_assignment_cost(cost)[0] == pytest.approx(scipy_optimum(cost), abs=1e-9)
 
     @pytest.mark.parametrize("n", range(1, 41))
     def test_tie_heavy_integer_matrices(self, n):
@@ -171,16 +214,16 @@ class TestMinAssignmentCost:
             counts = np.zeros((n, n))
             np.add.at(counts, (rng.integers(0, n, samples), rng.integers(0, n, samples)), 1.0)
             cost = counts.max() - counts  # match_accuracy's form
-            assert evaluation._min_assignment_cost(cost) == pytest.approx(scipy_optimum(cost), abs=1e-9)
+            assert evaluation._min_assignment_cost(cost)[0] == pytest.approx(scipy_optimum(cost), abs=1e-9)
         cost = rng.integers(0, 3, size=(n, n)).astype(float)
-        assert evaluation._min_assignment_cost(cost) == pytest.approx(scipy_optimum(cost), abs=1e-9)
+        assert evaluation._min_assignment_cost(cost)[0] == pytest.approx(scipy_optimum(cost), abs=1e-9)
 
     def test_one_by_one_and_empty(self):
-        assert evaluation._min_assignment_cost(np.array([[-2.5]])) == -2.5
-        assert evaluation._min_assignment_cost(np.zeros((0, 0))) == 0.0
+        assert evaluation._min_assignment_cost(np.array([[-2.5]]))[0] == -2.5
+        assert evaluation._min_assignment_cost(np.zeros((0, 0)))[0] == 0.0
 
     def test_all_equal(self):
-        assert evaluation._min_assignment_cost(np.full((7, 7), 1.5)) == 10.5
+        assert evaluation._min_assignment_cost(np.full((7, 7), 1.5))[0] == 10.5
 
 
 class TestMatchAccuracy:

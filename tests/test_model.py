@@ -6,7 +6,6 @@ import pytest
 from helpers import fd_gradient, flatten_params, random_model, rel_err
 from ufda.model import (
     AdaptModel,
-    CheckpointError,
     ModelDims,
     Optimizer,
     backward,
@@ -208,25 +207,25 @@ class TestCheckpoint:
         assert loaded.classifier_frozen
 
     def test_header_checked(self):
-        with pytest.raises(CheckpointError, match="line 1"):
+        with pytest.raises(ValueError, match="line 1"):
             parse_checkpoint(["NOT A MODEL"])
 
     def test_empty_file(self):
-        with pytest.raises(CheckpointError, match="empty"):
+        with pytest.raises(ValueError, match="empty"):
             parse_checkpoint([])
 
     def test_wrong_row_width_reports_line(self):
         lines = checkpoint_lines(init_model(ModelDims(2, 2, 2, 2), Rng(1)))
         lines[2] = "0.5"  # w1 row with one value instead of two
-        with pytest.raises(CheckpointError, match="line 3"):
+        with pytest.raises(ValueError, match="line 3"):
             parse_checkpoint(lines)
 
     def test_truncated_file(self):
         lines = checkpoint_lines(init_model(ModelDims(2, 2, 2, 2), Rng(1)))
-        with pytest.raises(CheckpointError):
+        with pytest.raises(ValueError):
             parse_checkpoint(lines[:-2])
 
     def test_trailing_garbage_rejected(self):
         lines = checkpoint_lines(init_model(ModelDims(2, 2, 2, 2), Rng(1)))
-        with pytest.raises(CheckpointError, match="trailing"):
+        with pytest.raises(ValueError, match="trailing"):
             parse_checkpoint(lines + ["0.1 0.2"])

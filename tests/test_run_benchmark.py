@@ -1,7 +1,11 @@
 """scripts/run_benchmark.py: a short smoke run, its agreement with the CLI
-pipeline on the same config, and its exit code on a bad config."""
+pipeline on the same config, one read of its config, and its exit code and
+one error line on a bad config, a failed run and a failed write."""
 
+import builtins
 import csv
+import errno
+import io
 import os
 import subprocess
 import sys
@@ -10,6 +14,7 @@ from pathlib import Path
 from helpers import load_run_benchmark
 from ufda.adaptation import VARIANTS
 from ufda.cli import main
+from ufda.datagen import PRESETS
 
 ROOT = Path(__file__).resolve().parent.parent
 METRICS = ("h_score", "closed_acc", "ncd_acc")
@@ -87,7 +92,7 @@ def test_non_utf8_config_exits_2_naming_its_path(tmp_path):
     out = tmp_path / "rows.tsv"
     done = run_script("--preset", "opda-toy", "--seeds", "1", "--config", cfg, "--out", out)
     assert (done.returncode, done.stdout) == (2, "")
-    assert done.stderr.startswith(f"error: cannot read config file {cfg}: 'utf-8' codec can't decode byte 0xff")
+    assert done.stderr.startswith(f"error: {cfg}: 'utf-8' codec can't decode byte 0xff")
     assert done.stderr.count("\n") == 1
     assert not out.exists()
 
@@ -107,6 +112,56 @@ def test_config_keys_the_script_owns_exit_2(tmp_path):
         assert not out.exists()
 
 
+TINY_CONFIG = "source_per_class = 6\ntarget_per_class = 6\nepochs = 1\nd_hidden = 8\nd_feat = 4\n"
+
+
+def test_the_config_is_read_once(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_CONFIG)
+    opened = []
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)  # what Path.read_text opens through
+    monkeypatch.setattr(builtins, "open", counting_open)
+    script = load_run_benchmark()
+    monkeypatch.setattr(script, "PRESETS", {name: PRESETS[name] for name in ("opda-toy", "pda-toy")})
+    out = tmp_path / "rows.tsv"
+    argv = ["run_benchmark.py", "--seeds", "1", "2", "--variants", "glc", "--config", str(cfg), "--out", str(out)]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert script.main() == 0, capsys.readouterr().err
+    assert opened.count(str(cfg)) == 1
+    assert [(r["preset"], r["seed"]) for r in read_rows(out)] == [
+        (name, seed) for name in ("opda-toy", "pda-toy") for seed in ("1", "2") for _ in range(2)
+    ]
+
+
+def test_a_diverging_run_is_one_error_line(tmp_path):
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text("lr = 1e8\n")
+    out = tmp_path / "rows.tsv"
+    done = run_script("--preset", "opda-toy", "--seeds", "1", "--config", cfg, "--out", out)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("error: opda-toy seed 1: pretraining failed at epoch 0, batch ")
+    assert done.stderr.count("\n") == 1, done.stderr
+    assert not out.exists()
+
+
+def test_a_failed_write_is_one_error_line(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_CONFIG)
+    parent = tmp_path / "taken"
+    parent.write_text("keep\n")
+    done = run_script("--preset", "opda-toy", "--seeds", "1", "--config", cfg, "--out", parent / "rows.tsv")
+    assert done.returncode == 1
+    assert done.stderr == f"error: {parent}: {os.strerror(errno.EEXIST)}\n"
+    assert "opda-toy      1 glcpp" in done.stdout  # the rows were printed before the write
+    assert parent.read_text() == "keep\n"
+
+
 # run_one's rows as the --out file holds them, floats by repr, at two seeds.
 # Any change to them is an output change, which CHANGES.md must state.
 PINNED_ROWS = (
@@ -121,7 +176,7 @@ PINNED_ROWS = (
 
 def test_rows_equal_the_pinned_text():
     script = load_run_benchmark()
-    rows = [row for preset, seed in (("opda-toy", 1), ("osda-toy", 5)) for row in script.run_one(preset, seed, VARIANTS)]
-    assert "".join(map(script.tsv_row, rows)) == PINNED_ROWS, (
+    rows = [row for preset, seed in (("opda-toy", 1), ("osda-toy", 5)) for row in script.run_one(preset, seed, VARIANTS, {})]
+    assert "".join(script.tsv_row(row) + "\n" for row in rows) == PINNED_ROWS, (
         "run_benchmark.py rows changed: state the change and its quality delta in CHANGES.md, then re-pin PINNED_ROWS"
     )
