@@ -10,9 +10,10 @@ within a rounding bound is re-ranked with the exact difference formula
 |x - c|^2, so every assignment, ties included, is the one that formula gives.
 The check that inertia does not increase sums the best Gram values and uses
 the difference formula only where their rounding slack leaves it open; so
-does the choice of the best restart, after the loop. Centroid updates
-are SciPy's compiled row-order update, bit for bit a per-cluster mean for
-d > 1; d = 1 is summed per cluster, as NumPy sums one column pairwise.
+does the choice of the best restart, after the loop. Centroid updates are
+SciPy's compiled row-order update, bit for bit a per-cluster mean for d > 1;
+_cluster_means turns the (r, n) assignment into the flat labels it takes.
+d = 1 is summed per cluster, as NumPy sums one column pairwise.
 
 k-means++ seeding runs all restarts in lock-step on n_init * k raw draws,
 taken up front in the order that seeding one restart at a time reads them.
@@ -169,17 +170,15 @@ def _repair_empty(points: np.ndarray, centroids: np.ndarray, assignment: np.ndar
 
 def _assign(points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, ...]:
     """Assign every restart's points and repair its empty clusters (centroids
-    are updated in place). Returns the (r, n) assignment and its flat index,
-    _nearest's inertia and slack (exact, and 0, where repaired) and the repairs."""
+    are updated in place). Returns the (r, n) assignment, _nearest's inertia
+    and slack (exact, and 0, where repaired) and the repairs."""
     r, k, _ = centroids.shape
     assignment, inertia, slack = _nearest(points, sq_norms, centroids)
-    flat = _flat_clusters(assignment, k)
-    repaired = (np.bincount(flat.ravel(), minlength=r * k).reshape(r, k) == 0).any(axis=1)
+    repaired = (np.bincount(_flat_clusters(assignment, k).ravel(), minlength=r * k).reshape(r, k) == 0).any(axis=1)
     for ri in np.flatnonzero(repaired):
         _repair_empty(points, centroids[ri], assignment[ri])
-        flat[ri] = assignment[ri] + k * ri
         inertia[ri], slack[ri] = _own_sq_dists(points, centroids[ri : ri + 1], assignment[ri : ri + 1]).sum(), 0.0
-    return assignment, flat, inertia, slack, repaired
+    return assignment, inertia, slack, repaired
 
 
 def _check_inertia(points: np.ndarray, current: np.ndarray, assignment: np.ndarray, upper: np.ndarray,
@@ -204,25 +203,26 @@ def _settled(assignment: np.ndarray, previous: np.ndarray, repaired: np.ndarray)
     return ~repaired & np.all(assignment == previous, axis=1)
 
 
-def _cluster_means(rows: np.ndarray, flat: np.ndarray, k: int) -> np.ndarray:
-    """Every restart's centroid update: (r, n) flat indices give (r, k, d) means
-    with the bits of points[assignment[ri] == c].mean(axis=0); rows holds
-    points once per restart. For d > 1 SciPy's compiled update sums each
-    cluster's rows in order from 0.0, as NumPy sums an (m, d > 1) block; one
+def _cluster_means(rows: np.ndarray, assignment: np.ndarray, k: int) -> np.ndarray:
+    """Every restart's centroid update: the (r, n) assignment gives (r, k, d)
+    means with the bits of points[assignment[ri] == c].mean(axis=0); rows holds
+    points once per restart, for at least r restarts. For d > 1 SciPy's compiled
+    update sums each cluster's rows in order from 0.0, as NumPy sums an (m, d > 1)
+    block; its labels, flat across restarts (ri * k + c), are made here. One
     column NumPy sums pairwise, so d = 1 sums each cluster by itself. The
     compiled routine trusts its labels (one below 0 writes outside its buffers),
-    so they are checked first; an empty cluster raises instead of giving NaN.
+    so the assignment is checked first; an empty cluster raises instead of giving NaN.
     """
-    r, n = flat.shape
+    r, n = assignment.shape
     d = rows.shape[1]
-    first = k * np.arange(r)  # restart ri's labels are first[ri] + [0, k)
-    if not (np.all(flat.min(axis=1) >= first) and np.all(flat.max(axis=1) < first + k)):
+    if not (assignment.min() >= 0 and assignment.max() < k):
         raise RuntimeError(f"k-means labels outside [0, {k})")
+    flat = _flat_clusters(assignment, k).ravel()
     if d > 1:
-        means, has_members = update_cluster_means(rows[: r * n], flat.ravel(), r * k)
+        means, has_members = update_cluster_means(rows[: r * n], flat, r * k)
     else:
-        counts = np.bincount(flat.ravel(), minlength=r * k)
-        sums = np.array([rows[:n][flat[ri] == first[ri] + c].sum(axis=0) for ri in range(r) for c in range(k)])
+        counts = np.bincount(flat, minlength=r * k)
+        sums = np.array([rows[:n][assignment[ri] == c].sum(axis=0) for ri in range(r) for c in range(k)])
         means, has_members = sums / np.maximum(counts, 1)[:, None], counts > 0
     if not np.all(has_members):
         raise RuntimeError("k-means update on an empty cluster")
@@ -276,7 +276,7 @@ def kmeans(points: np.ndarray, k: int, rng: Rng, n_init: int = 10) -> KMeansResu
     previous = prior = None  # the active restarts' last assignment and centroids; seeds are means of none
     for _ in range(KMEANS_MAX_ITER):
         current = centroids[active]
-        assignment, flat, inertia, slack, repaired = _assign(points, sq_norms, current)
+        assignment, inertia, slack, repaired = _assign(points, sq_norms, current)
         if previous is not None:
             _check_inertia(points, current, assignment, inertia + slack, prior, previous, lower[active])
             done = _settled(assignment, previous, repaired)
@@ -284,11 +284,10 @@ def kmeans(points: np.ndarray, k: int, rng: Rng, n_init: int = 10) -> KMeansResu
         if previous is not None and done.any():
             assignment_of[active[done]], retired[active[done]] = assignment[done], True
             active, current, assignment = active[~done], current[~done], assignment[~done]
-            flat = _flat_clusters(assignment, k)
             if active.size == 0:
                 break
 
-        updated = _cluster_means(rows, flat, k)
+        updated = _cluster_means(rows, assignment, k)
         shift = np.max(np.linalg.norm(updated - current, axis=2), axis=1)
         centroids[active] = updated
         moving = ~(shift < KMEANS_TOL)
@@ -299,7 +298,7 @@ def kmeans(points: np.ndarray, k: int, rng: Rng, n_init: int = 10) -> KMeansResu
     rest = np.flatnonzero(~retired)
     if rest.size:
         final = centroids[rest]
-        assignment_of[rest], _, inertia, slack, _ = _assign(points, sq_norms, final)
+        assignment_of[rest], inertia, slack, _ = _assign(points, sq_norms, final)
         lower[rest], upper[rest] = inertia - slack, inertia + slack
         centroids[rest] = final  # keep the repairs
     # The winner's exact inertia is at most every upper bound, so only restarts
@@ -320,16 +319,12 @@ def silhouette(dist: np.ndarray, assignment: np.ndarray) -> np.ndarray:
     distance to another cluster. Singleton clusters and a = b = 0 give s = 0.
     """
     assignment = np.asarray(assignment)
-    labels = np.unique(assignment)
+    labels, own_col, counts = np.unique(assignment, return_inverse=True, return_counts=True)
     if labels.shape[0] < 2:
         raise ValueError("silhouette needs at least 2 non-empty clusters")
-    n = assignment.shape[0]
-
     sums = np.stack([dist[:, assignment == lab].sum(axis=1) for lab in labels], axis=1)
-    counts = np.array([(assignment == lab).sum() for lab in labels])
-    own_col = np.searchsorted(labels, assignment)
 
-    rows = np.arange(n)
+    rows = np.arange(assignment.shape[0])
     own_counts = counts[own_col]
     # Self distance is 0, excluded by the divisor; singletons score 0 below.
     a = sums[rows, own_col] / np.maximum(own_counts - 1, 1)
@@ -337,11 +332,7 @@ def silhouette(dist: np.ndarray, assignment: np.ndarray) -> np.ndarray:
     means[rows, own_col] = np.inf
     b = means.min(axis=1)
     denom = np.maximum(a, b)
-    return np.divide(b - a, denom, out=np.zeros(n), where=(own_counts > 1) & (denom != 0.0))
-
-
-def _round_half_up(x: float) -> int:
-    return int(np.floor(x + 0.5))
+    return np.divide(b - a, denom, out=np.zeros(rows.size), where=(own_counts > 1) & (denom != 0.0))
 
 
 @dataclass
@@ -354,20 +345,9 @@ class CtEstimate:
 def candidate_counts(n_source_classes: int, n_points: int) -> list[int]:
     """Candidate cluster counts {Cs/3, Cs/2, Cs, 2Cs, 3Cs}, rounded half-up,
     clamped to [2, n_points - 1], deduplicated in ascending order."""
-    raw = [
-        _round_half_up(n_source_classes / 3.0),
-        _round_half_up(n_source_classes / 2.0),
-        n_source_classes,
-        2 * n_source_classes,
-        3 * n_source_classes,
-    ]
-    lo, hi = 2, n_points - 1
-    clamped = [min(max(v, lo), hi) for v in raw]
-    out: list[int] = []
-    for v in clamped:
-        if v not in out:
-            out.append(v)
-    return out
+    cs = n_source_classes
+    raw = [(cs + 1) // 3, (cs + 1) // 2, cs, 2 * cs, 3 * cs]  # cs / 3 and cs / 2, rounded half-up
+    return sorted({min(max(v, 2), n_points - 1) for v in raw})
 
 
 def estimate_ct(features: np.ndarray, n_source_classes: int, rng: Rng) -> CtEstimate:
@@ -389,7 +369,9 @@ def estimate_ct(features: np.ndarray, n_source_classes: int, rng: Rng) -> CtEsti
     if n > SILHOUETTE_SUBSAMPLE:
         sample = sample[rng.sample_without_replacement(n, SILHOUETTE_SUBSAMPLE)]
     cands = candidate_counts(n_source_classes, sample.shape[0])
-    dist = cdist(sample, sample)  # full precision; the Gram-matrix shortcut loses ~1e-9
+    # Not the Gram form: there copies of a row lie a few 1e-8 apart, not 0, which
+    # moves silhouettes by up to ~1e-8 and can break a tie between candidates the other way.
+    dist = cdist(sample, sample)
 
     # k-means repairs every empty cluster and k >= 2, so each silhouette sees
     # at least two clusters.

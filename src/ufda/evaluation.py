@@ -53,18 +53,19 @@ def _min_assignment_cost(cost: np.ndarray) -> tuple[float, np.ndarray]:
 
 def hungarian(cost: np.ndarray) -> np.ndarray:
     """Minimum-cost row-to-column assignment; lexicographically smallest
-    permutation among optima. Two totals tie when they differ by at most 1e-9
-    plus 4(n+1)·eps·n·(largest row sum of |cost|), a bound on how differently
-    sums of n entries round. Each row takes the first free column that
-    completes an optimum; a column whose reduced cost under the first solve's
-    potentials exceeds that tolerance is in no optimum and gets no tail solve."""
+    permutation among optima. Two totals tie when they differ by at most
+    4(n+1)·eps·n·(largest row sum of |cost|), a bound on how differently sums
+    of n entries round that scales with the costs and has no absolute term.
+    Each row takes the first free column that completes an optimum; a column
+    whose reduced cost under the first solve's potentials exceeds that
+    tolerance is in no optimum and gets no tail solve."""
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
         raise ValueError("cost matrix must be square")
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost matrix must be finite")
     n = cost.shape[0]
-    tol = 1e-9 + 4 * (n + 1) * np.finfo(np.float64).eps * n * np.abs(cost).sum(axis=1).max(initial=0.0)
+    tol = 4 * (n + 1) * np.finfo(np.float64).eps * n * np.abs(cost).sum(axis=1).max(initial=0.0)
 
     optimum, reduced = _min_assignment_cost(cost)
     perm = np.empty(n, dtype=np.int64)

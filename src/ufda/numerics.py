@@ -1,8 +1,10 @@
 """Row-wise normalization, softmax and entropy, and the seeded PRNG.
 
 Everything here is float64 and deterministic: the PRNG is a pure-Python
-xoshiro256** whose output stream depends only on the seed, so runs are
-bit-reproducible across machines.
+xoshiro256** whose raw output stream depends only on the seed, on any machine.
+Values made from it are bit-reproducible per platform: the normals go through
+libm, and features, weights and losses through BLAS and NumPy's SIMD kernels,
+whose bits can differ between machines (see README).
 
 Rng.draws reads the stream in blocks of at most _BLOCK raw outputs; every
 array draw takes its raw draws from it as one array and does its arithmetic

@@ -438,7 +438,7 @@ def covering_assignment(rng, r, n, k):
 def assert_means_match_bincount(points, assignment, k, n_init):
     """_cluster_means over rows tiled for n_init restarts gives the bincount
     update's bits, signed zeros included."""
-    got = clustering._cluster_means(np.tile(points, (n_init, 1)), clustering._flat_clusters(assignment, k), k)
+    got = clustering._cluster_means(np.tile(points, (n_init, 1)), assignment, k)
     want = bincount_cluster_means(points, assignment, k)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -495,9 +495,8 @@ class TestClusterMeansMatchesBincount:
         for restart in (1, 0):
             assignment = covering_assignment(rng, 2, 12, 4)
             assignment[restart, 5] = bad
-            flat = clustering._flat_clusters(assignment, 4)
             with pytest.raises(RuntimeError, match=r"labels outside \[0, 4\)"):
-                clustering._cluster_means(np.tile(points, (2, 1)), flat, 4)
+                clustering._cluster_means(np.tile(points, (2, 1)), assignment, 4)
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_an_empty_cluster_raises(self, d):
@@ -586,17 +585,22 @@ class TestEstimateCt:
     @pytest.mark.parametrize("subsample", [50, 2048])
     def test_scores_equal_per_candidate_silhouette(self, monkeypatch, subsample):
         monkeypatch.setattr(clustering, "SILHOUETTE_SUBSAMPLE", subsample)
-        pts = self.three_blobs(seed=4)
-        est = estimate_ct(pts, 6, Rng(2))
-        normed = l2_normalize_rows(pts)
-        rng = Rng(2)
-        sub = rng.sample_without_replacement(len(pts), subsample) if len(pts) > subsample else np.arange(len(pts))
-        want = []
-        for k in est.candidates:
-            assignment = kmeans(normed[sub], k, rng.split()).assignment
-            want.append(float(silhouette(cdist(normed[sub], normed[sub]), assignment).mean()))
-        assert est.mean_silhouettes == want
-        assert est.chosen == est.candidates[int(np.argmax(want))]
+        rng = np.random.default_rng(0)
+        # Five rows, each 9 times: candidates 6 and 12 both score 0.8. Gram-form
+        # distances between copies of a row are up to 2.6e-8, not 0, and there
+        # would choose 12.
+        repeated = np.repeat(rng.normal(size=(5, 32)), 9, axis=0)[rng.permutation(45)]
+        for pts in (self.three_blobs(seed=4), repeated):
+            est = estimate_ct(pts, 6, Rng(2))
+            normed = l2_normalize_rows(pts)
+            rng = Rng(2)
+            sub = rng.sample_without_replacement(len(pts), subsample) if len(pts) > subsample else np.arange(len(pts))
+            want = []
+            for k in est.candidates:
+                assignment = kmeans(normed[sub], k, rng.split()).assignment
+                want.append(float(silhouette(cdist(normed[sub], normed[sub]), assignment).mean()))
+            assert est.mean_silhouettes == want
+            assert est.chosen == est.candidates[int(np.argmax(want))]
 
     def test_kmeans_clusters_only_the_sample(self, monkeypatch):
         monkeypatch.setattr(clustering, "SILHOUETTE_SUBSAMPLE", 10)

@@ -137,6 +137,12 @@ PINNED_PRETRAIN = "f2a62db9e041df5a9df364d4ebe0d72b70f00d0b69101e129f0402c7d2f3c
 
 
 class TestStreamPins:
+    """The pins hold on one platform, not across machines. The raw xoshiro
+    stream is portable, but the class means come from LAPACK's QR and a BLAS
+    GEMM, the normals from libm, and pretraining from BLAS and NumPy's SIMD
+    kernels. With OPENBLAS_CORETYPE=Haswell set on the test process, all five
+    pins fail while run_benchmark's PINNED_ROWS still pass."""
+
     @pytest.mark.parametrize("name", sorted(PINNED_DATASETS))
     def test_seed_one_dataset_is_pinned(self, name):
         source, target = generate(preset(name, seed=1))

@@ -163,10 +163,8 @@ class TestHungarian:
         rng = np.random.default_rng(int(np.log10(scale)) + 100)
         for n in range(1, 7):
             for _ in range(10):
-                costs = [scale * rng.integers(0, 8, size=(n, n))]  # ties, and distinct totals >= scale apart
-                if scale >= 1.0:  # below, distinct totals of normal costs can fall within the 1e-9 tie tolerance
-                    costs.append(scale * rng.normal(size=(n, n)))
-                for cost in costs:
+                # integer costs tie, and their distinct totals lie >= scale apart
+                for cost in (scale * rng.integers(0, 8, size=(n, n)), scale * rng.normal(size=(n, n))):
                     assert hungarian(cost).tolist() == exhaustive_assignment(cost).tolist(), (scale, cost)
 
     @pytest.mark.parametrize("n", [8, 12, 20, 30, 40])

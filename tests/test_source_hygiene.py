@@ -25,6 +25,9 @@
 - Raw-draw arithmetic (``>> 11``, ``2**-53``, ``2**64``, ``1 << 64``), the
   rules that turn raw 64-bit draws into values, appears only in
   ``numerics.py``, so that a caller uses ``units`` or ``bounded_draws``.
+- The library imports from SciPy exactly ``update_cluster_means`` (k-means'
+  centroid update) and ``cdist`` (the ct sweep's distance matrix), as README
+  states, so a third SciPy call is a deliberate change to this list.
 - ``import ufda.cli``, run in a fresh interpreter, leaves ``scipy.optimize``
   out of ``sys.modules``: matching is solved in ``evaluation``, and importing
   that package alone adds about 11 MiB to the peak RSS of every run.
@@ -46,6 +49,9 @@ CALLER_DIRS = ("src", "scripts", "perfbench")
 PRIVATE_IMPORTS = {
     "scipy.cluster._vq.update_cluster_means": "tests/test_clustering.py::TestClusterMeansMatchesBincount",
 }
+
+# every SciPy name the library imports
+SCIPY_IMPORTS = {"scipy.cluster._vq.update_cluster_means", "scipy.spatial.distance.cdist"}
 
 # (module.function, optional parameter) that every call sets or every call
 # leaves at its default -> why it stays a parameter
@@ -157,6 +163,12 @@ def test_private_imports_are_allowlisted():
     capped = {re.match(r"[\w.-]+", dep).group(0) for dep in dependencies if "<" in dep}
     uncapped = sorted({name.split(".")[0] for name in PRIVATE_IMPORTS} - capped)
     assert not uncapped, "private imports from packages with no upper version bound: " + ", ".join(uncapped)
+
+
+def test_scipy_imports_are_the_two_named_in_readme():
+    found = {name for tree in _library(_trees(["src"])).values() for name in _imported_paths(tree)
+             if name.split(".")[0] == "scipy"}
+    assert found == SCIPY_IMPORTS, f"the library's SciPy imports are {sorted(found)}, not {sorted(SCIPY_IMPORTS)}"
 
 
 def _optional_parameters():
