@@ -1,8 +1,8 @@
 """Source pretraining and the target adaptation loop.
 
-Each adaptation run estimates the target cluster count once, builds the memory
-bank, then per epoch rebuilds prototypes and the pseudo-label matrix from the
-epoch-start model state and iterates shuffled mini-batches minimizing
+Each adaptation run builds the memory bank, estimates the target cluster count
+once from its rows, then per epoch rebuilds prototypes and pseudo-labels from
+the epoch-start model state and iterates shuffled mini-batches minimizing
 
     eta * L_global + L_local (+ L_contrastive for the glcpp variant),
 
@@ -180,12 +180,11 @@ def adapt(model: AdaptModel, target: FeatureSet, config: AdaptConfig) -> tuple[A
 
     trace = AdaptTrace()
     epoch = batch_no = None
-    phase = "ct estimation"
+    phase = "bank init"
     try:
-        first = forward_batch(model, inputs)
-        ct = estimate_ct(first.features, n_classes, rng.split()).chosen
-        phase = "bank init"
         bank = bank_init(model, inputs)
+        phase = "ct estimation"
+        ct = estimate_ct(bank.features, n_classes, rng.split()).chosen
         opt = Optimizer.for_model(model, config.lr, config.momentum)
         k_top = topk_count(n, ct)
         con_weight = config.effective_con_weight
@@ -204,9 +203,10 @@ def adapt(model: AdaptModel, target: FeatureSet, config: AdaptConfig) -> tuple[A
             for batch_no, batch in enumerate(_batches(perm, config.batch_size)):
                 phase = "forward"
                 fwd = forward_batch(model, inputs[batch])
+                unit = l2_normalize_rows(fwd.features)
                 glb, d_glb = cross_entropy_rows(fwd.probs, pseudo.rows[batch])
                 phase = "local consensus"
-                loc_rows = local_targets(bank, fwd.features, config.k_neighbors, batch)
+                loc_rows = local_targets(bank, unit, config.k_neighbors, batch)
                 loc, d_loc = cross_entropy_rows(fwd.probs, loc_rows)
                 d_logits = config.eta * d_glb + d_loc
 
@@ -217,7 +217,7 @@ def adapt(model: AdaptModel, target: FeatureSet, config: AdaptConfig) -> tuple[A
                 n_pairs = min(config.n_pairs, batch.shape[0] - 1)
                 if con_weight != 0.0 and n_pairs >= 1:
                     phase = "contrastive"
-                    pairs = mine_pairs(bank, fwd.features, batch, n_pairs, ct)
+                    pairs = mine_pairs(bank, unit, batch, n_pairs, ct)
                     raw_con, d_anchor = loss_contrastive(fwd.features, pairs, bank)
                     con = con_weight * raw_con
                     d_feat = con_weight * d_anchor

@@ -1,7 +1,7 @@
 """K-means, silhouette scores, and adaptive estimation of the target class count.
 
-Distances are plain Euclidean; pipeline callers pass L2-normalized features so
-this is monotone with cosine distance.
+Distances are plain Euclidean; pipeline callers pass unit rows, so this is
+monotone with cosine distance.
 
 K-means runs all restarts of a call as one batched Lloyd loop. Points are
 ranked against centroids by the Gram form of the squared distance,
@@ -37,7 +37,7 @@ import numpy as np
 from scipy.cluster._vq import update_cluster_means
 from scipy.spatial.distance import cdist
 
-from .numerics import Rng, bounded_draws, l2_normalize_rows, units
+from .numerics import Rng, bounded_draws, units
 
 SILHOUETTE_SUBSAMPLE = 2048
 KMEANS_MAX_ITER = 100
@@ -230,7 +230,8 @@ def _cluster_means(rows: np.ndarray, assignment: np.ndarray, k: int) -> np.ndarr
 
 
 def kmeans(points: np.ndarray, k: int, rng: Rng, n_init: int = 10) -> KMeansResult:
-    """Best of n_init k-means++ restarts, deterministic given the rng.
+    """Best of n_init k-means++ restarts of any finite points (unit rows in
+    the pipeline), deterministic given the rng.
 
     Assignment ties go to the smaller cluster index; empty clusters are
     repaired by farthest-point re-seeding. Inertia must not increase across a
@@ -353,19 +354,18 @@ def candidate_counts(n_source_classes: int, n_points: int) -> list[int]:
 def estimate_ct(features: np.ndarray, n_source_classes: int, rng: Rng) -> CtEstimate:
     """Pick the candidate cluster count with the best mean silhouette.
 
-    Features are L2-normalized internally. The sweep works on one fixed
-    uniform sample of at most SILHOUETTE_SUBSAMPLE rows: the candidates are
-    clamped to its size, each candidate's k-means clusters it on a split
-    sub-stream of the rng, and every candidate's silhouette reads its one
-    distance matrix. Up to SILHOUETTE_SUBSAMPLE rows the sample is every row,
-    so results equal those of the full sweep. Ties choose the smallest
+    Features are unit rows, in adaptation the memory bank's. The sweep works on
+    one fixed uniform sample of at most SILHOUETTE_SUBSAMPLE rows: the
+    candidates are clamped to its size, each candidate's k-means clusters it on
+    a split sub-stream of the rng, and every candidate's silhouette reads its
+    one distance matrix. Up to SILHOUETTE_SUBSAMPLE rows the sample is every
+    row, so results equal those of the full sweep. Ties choose the smallest
     candidate. Done once per adaptation run and held fixed afterwards.
     """
-    features = np.asarray(features, dtype=np.float64)
-    n = features.shape[0]
+    sample = np.asarray(features, dtype=np.float64)
+    n = sample.shape[0]
     if n < 4:
         raise ValueError("cluster-count estimation needs at least 4 points")
-    sample = l2_normalize_rows(features)  # every row, so a degenerate one fails here
     if n > SILHOUETTE_SUBSAMPLE:
         sample = sample[rng.sample_without_replacement(n, SILHOUETTE_SUBSAMPLE)]
     cands = candidate_counts(n_source_classes, sample.shape[0])

@@ -1,9 +1,10 @@
 """Memory bank over the target set and local k-NN consensus targets.
 
 The bank stores one (unit-norm feature, probability row) snapshot per target
-sample, indexed by dataset position, and is refreshed during adaptation. Local
-targets average the probability rows of each query's cosine nearest neighbors,
-always excluding the query's own bank slot.
+sample, indexed by dataset position; the ct sweep clusters the rows bank_init
+stores, which adaptation then refreshes. Local targets average the probability
+rows of each unit query row's cosine nearest neighbors, always excluding the
+query's own bank slot.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ def nearest_bank_indices(
     k: int,
     self_indices: np.ndarray,
 ) -> np.ndarray:
-    """(B, k) bank indices of each query's cosine nearest neighbors.
+    """(B, k) bank indices of each unit query row's cosine nearest neighbors.
 
     self_indices[i] is query i's own bank slot, always excluded; it must be a
     (B,) integer array of valid slots, and the queries must be finite. Row i
@@ -66,14 +67,13 @@ def nearest_bank_indices(
     queries = np.asarray(query_features, dtype=np.float64)
     if not np.all(np.isfinite(queries)):
         raise ValueError("query features must be finite")
-    q_unit = l2_normalize_rows(queries)
     self_indices = np.asarray(self_indices)
-    b = q_unit.shape[0]
+    b = queries.shape[0]
     if self_indices.shape != (b,) or not np.issubdtype(self_indices.dtype, np.integer):
         raise ValueError(f"self_indices must be a ({b},) integer array")
     if b and (self_indices.min() < 0 or self_indices.max() >= len(bank)):
         raise ValueError(f"self_indices out of range [0, {len(bank) - 1}]")
-    sims = q_unit @ bank.features.T
+    sims = queries @ bank.features.T
     rows = np.arange(b)
     sims[rows, self_indices] = -np.inf
     neighbors = np.empty((b, k), dtype=np.intp)
@@ -89,6 +89,6 @@ def local_targets(
     k: int,
     self_indices: np.ndarray,
 ) -> np.ndarray:
-    """Consensus rows l^i: mean probability row of each query's k neighbors."""
+    """Consensus rows l^i: mean probability row of each unit query row's k neighbors."""
     neighbors = nearest_bank_indices(bank, query_features, k, self_indices)
     return bank.probs[neighbors].mean(axis=1)

@@ -39,7 +39,7 @@ def mine_pairs(
     ct: int,
 ) -> PairSet:
     """Positives and negatives of every anchor in the batch, row i for the
-    anchor at batch position i.
+    anchor at batch position i; batch_features are the batch's unit rows.
 
     Positives are the anchor's n_pairs nearest bank entries (self slot
     excluded), identical to the local-consensus neighbor rule. Negatives rank
@@ -47,18 +47,15 @@ def mine_pairs(
     the smaller position), skip the first e-1, then take n_pairs entries,
     wrapping around the ranking when it is shorter than e-1+n_pairs.
     """
-    batch_features = np.asarray(batch_features, dtype=np.float64)
-    b = batch_features.shape[0]
-    if b < 2:
-        raise ValueError("batch too small for negative mining")
+    unit = np.asarray(batch_features, dtype=np.float64)
+    b = unit.shape[0]
     if n_pairs < 1:
         raise ValueError("need at least one pair")
     if b - 1 < n_pairs:
         raise ValueError("batch too small for negative mining")
 
-    positives = nearest_bank_indices(bank, batch_features, n_pairs, np.asarray(batch_indices))
+    positives = nearest_bank_indices(bank, unit, n_pairs, batch_indices)
 
-    unit = l2_normalize_rows(batch_features)
     sims = unit @ unit.T
     np.fill_diagonal(sims, -np.inf)
     ranking = np.argsort(-sims, axis=1, kind="stable")[:, : b - 1]
@@ -75,7 +72,8 @@ def loss_contrastive(
 ) -> tuple[float, np.ndarray]:
     """Mean over anchors of sum(neg cosines) - sum(pos cosines).
 
-    Positive features are bank rows (stored unit-norm), negative features
+    batch_features are the raw live rows: the gradient divides by each anchor's
+    norm. Positive features are bank rows (stored unit-norm), negative features
     live batch rows; both sides are stop-gradient constants, so the returned
     per-anchor gradient (w.r.t. the anchor's live feature, not divided by the
     batch size) is the only gradient path.

@@ -52,13 +52,13 @@ def _min_assignment_cost(cost: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def hungarian(cost: np.ndarray) -> np.ndarray:
-    """Minimum-cost row-to-column assignment; lexicographically smallest
-    permutation among optima. Two totals tie when they differ by at most
-    4(n+1)·eps·n·(largest row sum of |cost|), a bound on how differently sums
-    of n entries round that scales with the costs and has no absolute term.
-    Each row takes the first free column that completes an optimum; a column
-    whose reduced cost under the first solve's potentials exceeds that
-    tolerance is in no optimum and gets no tail solve."""
+    """Minimum-cost row-to-column assignment up to rounding: the
+    lexicographically smallest permutation whose total is within tol =
+    4(n+1)·eps·n·(largest row sum of |cost|) of the optimum, which it may
+    exceed by that much. tol bounds how differently sums of n entries round;
+    it scales with the costs and has no absolute term. Each row takes the first
+    free column that completes such a total; a column whose reduced cost under
+    the first solve's potentials exceeds tol is in none and gets no tail solve."""
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
         raise ValueError("cost matrix must be square")

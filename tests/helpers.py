@@ -18,7 +18,7 @@ from scipy.optimize import linear_sum_assignment
 from ufda.clustering import KMeansResult, kmeans
 from ufda.consensus import MemoryBank
 from ufda.model import AdaptModel, forward_batch
-from ufda.numerics import Rng, l2_normalize_rows
+from ufda.numerics import Rng
 
 
 class ScriptedRng(Rng):
@@ -301,10 +301,10 @@ def knn_direct(bank_features: np.ndarray, query: np.ndarray, k: int, exclude: in
 def reference_nearest_bank_indices(
     bank: MemoryBank, query_features: np.ndarray, k: int, self_indices: np.ndarray
 ) -> np.ndarray:
-    """(B, k) nearest bank slots as the k-prefix of a full stable descending sort."""
-    q_unit = l2_normalize_rows(np.asarray(query_features, dtype=np.float64))
-    b = q_unit.shape[0]
-    sims = q_unit @ bank.features.T
+    """(B, k) nearest bank slots of unit query rows as the k-prefix of a full
+    stable descending sort."""
+    b = query_features.shape[0]
+    sims = query_features @ bank.features.T
     sims[np.arange(b), self_indices] = -np.inf
     order = np.argsort(-sims, axis=1, kind="stable")
     return order[:, :k]

@@ -1,9 +1,11 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from helpers import flatten_params
+from ufda import adaptation, clustering, consensus, contrastive
 from ufda.adaptation import AdaptConfig, adapt, pretrain_source
 from ufda.datagen import FeatureSet, generate, preset
 from ufda.evaluation import evaluate
@@ -202,6 +204,41 @@ class TestAdapt:
         for bs in (32, 59):
             _, trace = adapt(model, target, AdaptConfig(seed=9, epochs=1, batch_size=bs))
             assert len(trace.epochs) == 1
+
+    def test_glcpp_forwards_and_normalizes_once(self, monkeypatch):
+        # Every forward_batch and l2_normalize_rows call, where the engine's
+        # modules look them up: each forward, with how often its features are
+        # normalized.
+        model, target = pretrained_toy()
+        forwards = []
+
+        def counted_forward(original):
+            def forward(model, x):
+                fwd = original(model, x)
+                forwards.append([len(x), fwd.features, 0])
+                return fwd
+            return forward
+
+        def counted_normalize(original):
+            def normalize(m):
+                for entry in forwards:
+                    entry[2] += m is entry[1]
+                return original(m)
+            return normalize
+
+        for module in (adaptation, consensus, contrastive, clustering):
+            for name, counted in (("forward_batch", counted_forward), ("l2_normalize_rows", counted_normalize)):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(getattr(module, name)))
+        n, epochs, batch_size = len(target), 2, 16
+        adapt(model, target, AdaptConfig(seed=4, epochs=epochs, batch_size=batch_size, variant="glcpp"))
+
+        full = [normalized for rows, _, normalized in forwards if rows == n]
+        assert full == [1] * (epochs + 1)  # the bank's forward, then one per epoch
+        # Per batch: the live forward, normalized once for the bank k-NN and
+        # pair mining and once in the contrastive loss, then the bank refresh.
+        batch = [normalized for rows, _, normalized in forwards if rows < n]
+        assert batch == [2, 1] * (epochs * math.ceil(n / batch_size))
 
 
 class TestAdaptConfig:

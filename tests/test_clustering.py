@@ -573,8 +573,8 @@ class TestEstimateCt:
 
     def test_agrees_with_direct_silhouette_oracle(self):
         pts = self.three_blobs(seed=3)
-        est = estimate_ct(pts, 6, Rng(1))
         normed = l2_normalize_rows(pts)
+        est = estimate_ct(normed, 6, Rng(1))
         # recompute each candidate's mean silhouette with the direct oracle
         rng = Rng(1)
         for k, mean_s in zip(est.candidates, est.mean_silhouettes):
@@ -591,8 +591,8 @@ class TestEstimateCt:
         # would choose 12.
         repeated = np.repeat(rng.normal(size=(5, 32)), 9, axis=0)[rng.permutation(45)]
         for pts in (self.three_blobs(seed=4), repeated):
-            est = estimate_ct(pts, 6, Rng(2))
             normed = l2_normalize_rows(pts)
+            est = estimate_ct(normed, 6, Rng(2))
             rng = Rng(2)
             sub = rng.sample_without_replacement(len(pts), subsample) if len(pts) > subsample else np.arange(len(pts))
             want = []
@@ -614,7 +614,7 @@ class TestEstimateCt:
             return original(points, k, rng)
 
         monkeypatch.setattr(clustering, "kmeans", recorded)
-        est = estimate_ct(pts, 6, Rng(3))
+        est = estimate_ct(l2_normalize_rows(pts), 6, Rng(3))
         assert est.candidates == [2, 3, 6, 9]  # clamped to the 10-row sample
         assert [k for _, k in seen] == est.candidates
         for points, _ in seen:

@@ -206,14 +206,14 @@ def tied_knn_cases(draw):
             self_idx.append(draw(st.integers(0, n - 1)))
     k = draw(st.integers(1, n - 1))
     bank = MemoryBank(features=l2_normalize_rows(np.array(rows, dtype=float)), probs=np.zeros((n, 1)))
-    return bank, np.array(queries, dtype=float), k, np.array(self_idx)
+    return bank, l2_normalize_rows(np.array(queries, dtype=float)), k, np.array(self_idx)
 
 
 # four equal bank rows, the query's own slot among them
 FOUR_TIED_ROWS = (
     MemoryBank(features=l2_normalize_rows(np.array([[1.0, 0.0]] * 4 + [[0.0, 1.0]])),
                probs=np.zeros((5, 1))),
-    np.array([[2.0, 0.0]]), 4, np.array([1]),
+    np.array([[1.0, 0.0]]), 4, np.array([1]),
 )
 
 

@@ -25,8 +25,8 @@ class TestMinePairs:
         # B=4, Ct=4 -> e=1: negatives are simply the most similar others
         bank = make_bank(0)
         feats = np.random.default_rng(1).normal(size=(4, 3))
-        pairs = mine_pairs(bank, feats, np.arange(4), 2, 4)
         unit = l2_normalize_rows(feats)
+        pairs = mine_pairs(bank, unit, np.arange(4), 2, 4)
         sims = unit @ unit.T
         assert pairs.negatives.shape == (4, 2)
         for i, negatives in enumerate(pairs.negatives):
@@ -37,8 +37,8 @@ class TestMinePairs:
         # B=8, Ct=4 -> e=2: the single most similar sample is skipped
         bank = make_bank(2)
         feats = np.random.default_rng(3).normal(size=(8, 3))
-        pairs = mine_pairs(bank, feats, np.arange(8), 3, 4)
         unit = l2_normalize_rows(feats)
+        pairs = mine_pairs(bank, unit, np.arange(8), 3, 4)
         sims = unit @ unit.T
         for i, negatives in enumerate(pairs.negatives):
             order = sorted((j for j in range(8) if j != i), key=lambda j: (-sims[i, j], j))
@@ -60,8 +60,8 @@ class TestMinePairs:
         # B=4, Ct=1 -> e=4, skip 3 of only 3 others: wraps to the top
         bank = make_bank(5)
         feats = np.random.default_rng(6).normal(size=(4, 3))
-        pairs = mine_pairs(bank, feats, np.arange(4), 3, 1)
         unit = l2_normalize_rows(feats)
+        pairs = mine_pairs(bank, unit, np.arange(4), 3, 1)
         sims = unit @ unit.T
         for i, negatives in enumerate(pairs.negatives):
             order = sorted((j for j in range(4) if j != i), key=lambda j: (-sims[i, j], j))

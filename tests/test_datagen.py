@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from ufda.adaptation import pretrain_source
+from ufda.adaptation import adapt, pretrain_source
 from ufda.config import load_run_config
 from ufda.datagen import (
     FeatureSet,
@@ -134,14 +134,20 @@ PINNED_DATASETS = {
     "pda-toy": "a827e6c945960857294507e9f94f936ec24929b1edda550e7686df3b418d7450",
 }
 PINNED_PRETRAIN = "f2a62db9e041df5a9df364d4ebe0d72b70f00d0b69101e129f0402c7d2f3c649"
+# sha256 of opda-toy seed 1's adapted w1 b1 w2 b2 and its per-epoch
+# (total, glb, loc, con, ct) rows, per variant, at the default config.
+PINNED_ADAPT = {
+    "glc": "5b3ab6c4a2076c070c870e01895c01ec00a9799c75f86b81dbc8ba9ece741376",
+    "glcpp": "2dd2f2b6d27e7fdab0da323681bf7064df2496620c7b83891830f17c775d89fb",
+}
 
 
 class TestStreamPins:
     """The pins hold on one platform, not across machines. The raw xoshiro
     stream is portable, but the class means come from LAPACK's QR and a BLAS
     GEMM, the normals from libm, and pretraining from BLAS and NumPy's SIMD
-    kernels. With OPENBLAS_CORETYPE=Haswell set on the test process, all five
-    pins fail while run_benchmark's PINNED_ROWS still pass."""
+    kernels. With OPENBLAS_CORETYPE=Haswell set on the test process, every
+    pin fails while run_benchmark's PINNED_ROWS still pass."""
 
     @pytest.mark.parametrize("name", sorted(PINNED_DATASETS))
     def test_seed_one_dataset_is_pinned(self, name):
@@ -155,6 +161,20 @@ class TestStreamPins:
         model = pretrain_source(source, cfg.model_dims(spec.d_in, spec.n_source_classes), cfg.adapt_config())
         assert model.trainable_names() == ("w1", "b1", "w2", "b2")
         assert sha256_of(*(getattr(model, n) for n in model.trainable_names())) == PINNED_PRETRAIN
+
+    @pytest.mark.parametrize("variant", sorted(PINNED_ADAPT))
+    def test_seed_one_adaptation_is_pinned(self, variant):
+        cfg = load_run_config({}, {"seed": 1, "variant": variant}, preset="opda-toy")
+        spec = cfg.scenario()
+        source, target = generate(spec)
+        model = pretrain_source(source, cfg.model_dims(spec.d_in, spec.n_source_classes), cfg.adapt_config())
+        adapted, trace = adapt(model, target, cfg.adapt_config())
+        losses = np.array([(r.total, r.glb, r.loc, r.con, r.ct) for r in trace.epochs])
+        got = sha256_of(*(getattr(adapted, n) for n in adapted.trainable_names()), losses)
+        assert got == PINNED_ADAPT[variant], (
+            f"{variant} adaptation changed: if on purpose, state the change and its quality delta in "
+            f"CHANGES.md, then re-record PINNED_ADAPT[{variant!r}] as {got}"
+        )
 
 
 class TestFeatureFiles:
