@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clustering import estimate_ct
+from .clustering import CtEstimate, estimate_ct
 from .consensus import bank_init, bank_update, local_targets
 from .contrastive import loss_contrastive, mine_pairs
 from .datagen import FeatureSet
@@ -94,6 +94,7 @@ class EpochRecord:
 
 @dataclass
 class AdaptTrace:
+    ct_sweep: CtEstimate  # the target cluster-count sweep, made once per run
     epochs: list[EpochRecord] = field(default_factory=list)
 
     def lines(self) -> list[str]:
@@ -178,13 +179,13 @@ def adapt(model: AdaptModel, target: FeatureSet, config: AdaptConfig) -> tuple[A
     n_classes = model.wc.shape[1]
     rng = Rng(config.seed)
 
-    trace = AdaptTrace()
     epoch = batch_no = None
     phase = "bank init"
     try:
         bank = bank_init(model, inputs)
         phase = "ct estimation"
-        ct = estimate_ct(bank.features, n_classes, rng.split()).chosen
+        trace = AdaptTrace(ct_sweep=estimate_ct(bank.features, n_classes, rng.split()))
+        ct = trace.ct_sweep.chosen
         opt = Optimizer.for_model(model, config.lr, config.momentum)
         k_top = topk_count(n, ct)
         con_weight = config.effective_con_weight

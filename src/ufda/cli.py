@@ -139,7 +139,8 @@ def cmd_pretrain(cfg, out: Path):
 def cmd_adapt(cfg, out: Path):
     model, target = _read_model_and_target(cfg)
     adapted, trace = adapt(model, target, cfg.adapt_config())
-    files = {"adapted.ufdmodel": checkpoint_lines(adapted), "trace.tsv": trace.lines()}
+    files = {"adapted.ufdmodel": checkpoint_lines(adapted), "trace.tsv": trace.lines(),
+             "ct_sweep.tsv": trace.ct_sweep.lines()}
     return files, f"wrote {out / 'adapted.ufdmodel'} after {len(trace.epochs)} epochs (variant={cfg.variant})"
 
 

@@ -3,21 +3,22 @@
 Distances are plain Euclidean; pipeline callers pass unit rows, so this is
 monotone with cosine distance.
 
-K-means runs all restarts of a call as one batched Lloyd loop. Points are
-ranked against centroids by the Gram form of the squared distance,
-|x|^2 - 2 x.c + |c|^2, from one matmul. A row whose best two Gram values lie
-within a rounding bound is re-ranked with the exact difference formula
-|x - c|^2, so every assignment, ties included, is the one that formula gives.
-The check that inertia does not increase sums the best Gram values and uses
-the difference formula only where their rounding slack leaves it open; so
-does the choice of the best restart, after the loop. Centroid updates are
-SciPy's compiled row-order update, bit for bit a per-cluster mean for d > 1;
-_cluster_means turns the (r, n) assignment into the flat labels it takes.
+K-means runs every restart of a call as one batched Lloyd loop, also those
+of a (g, n, d) stack of point sets, each with its own rng and the bits of its
+own call. Points are ranked against centroids by the Gram form of the squared
+distance, |x|^2 - 2 x.c + |c|^2, from one matmul per set. A row whose best two
+Gram values lie within a rounding bound is re-ranked with the exact
+difference formula |x - c|^2, so every assignment, ties included, is the one
+that formula gives. The check that inertia does not increase sums the best
+Gram values and uses the difference formula only where their rounding slack
+leaves it open; so does the choice of the best restart, after the loop.
+Centroid updates are SciPy's compiled row-order update, bit for bit a
+per-cluster mean for d > 1, one call per restart on its set's rows, untiled.
 d = 1 is summed per cluster, as NumPy sums one column pairwise.
 
-k-means++ seeding runs all restarts in lock-step on n_init * k raw draws,
+k-means++ seeding runs a set's restarts in lock-step on n_init * k raw draws,
 taken up front in the order that seeding one restart at a time reads them.
-Its D^2 comes from Gram products over the points centred once per call, whose
+Its D^2 comes from Gram products over the set's points centred once, whose
 rounding scales with their spread. A draw that randint rejects is dropped, one
 more is read, and the picks are made again.
 
@@ -37,7 +38,7 @@ import numpy as np
 from scipy.cluster._vq import update_cluster_means
 from scipy.spatial.distance import cdist
 
-from .numerics import Rng, bounded_draws, units
+from .numerics import Rng, bounded_draws, scratch, units
 
 SILHOUETTE_SUBSAMPLE = 2048
 KMEANS_MAX_ITER = 100
@@ -84,10 +85,18 @@ def _own_sq_dists(points: np.ndarray, centroids: np.ndarray, assignment: np.ndar
     return np.einsum("rnd,rnd->rn", diff, diff)
 
 
-def _nearest(points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, ...]:
+def _runs(points: np.ndarray, sets: np.ndarray) -> list[tuple[np.ndarray, slice]]:
+    """Each set's (n, d) points and the slice of its restarts in the sorted
+    (r,) set indices of r restarts, for every set that has one."""
+    bounds = np.searchsorted(sets, np.arange(points.shape[0] + 1)).tolist()
+    return [(points[s], slice(a, b)) for s, (a, b) in enumerate(zip(bounds, bounds[1:])) if a < b]
+
+
+def _nearest(points: np.ndarray, sq_norms: np.ndarray, sets: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, ...]:
     """Index of the nearest centroid, ties to the smaller index, for every
-    restart: (r, k, d) centroids give an (r, n) assignment, (r,) Gram inertia
-    and (r,) slack, within which that is the exact inertia (see _TIE_RTOL).
+    restart: (r, k, d) centroids of restarts on the (r,) sets give an (r, n)
+    assignment, (r,) Gram inertia and (r,) slack, within which that is the
+    exact inertia (see _TIE_RTOL).
 
     Rows are ranked by |c|^2 - 2 x.c, the Gram form without |x|^2, which is
     common to a row. A row with one value within the rounding bound of its
@@ -95,20 +104,22 @@ def _nearest(points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) ->
     the exact difference formula.
     """
     r, k, d = centroids.shape
-    n = points.shape[0]
+    n = points.shape[1]
     c_sq = np.einsum("rkd,rkd->rk", centroids, centroids)
-    gram = ((-2.0 * centroids).reshape(r * k, d) @ points.T).reshape(r, k, n)
+    gram, scaled = scratch(r * k * n).reshape(r, k, n), -2.0 * centroids  # every row is written below
+    for rows, run in _runs(points, sets):
+        np.matmul(scaled[run].reshape(-1, d), rows.T, out=gram[run].reshape(-1, n))
     gram += c_sq[:, :, None]
     best = gram.min(axis=1)
     c_max = c_sq.max(axis=1)
-    within = (gram <= (best + _TIE_RTOL * (sq_norms + c_max[:, None]))[:, None, :]).view(np.uint8)
+    within = (gram <= (best + _TIE_RTOL * (sq_norms[sets] + c_max[:, None]))[:, None, :]).view(np.uint8)
     labels = np.arange(k, dtype=np.min_scalar_type(k))  # a count up to k fits too
     assignment = np.einsum("rkn,k->rn", within, labels).astype(np.intp)  # right where one is within
     near = within.sum(axis=1, dtype=labels.dtype) != 1  # NaN rows count 0
     for ri in np.flatnonzero(near.any(axis=1)):
         rows = np.flatnonzero(near[ri])
-        assignment[ri, rows] = np.argmin(_sq_dists(points[rows], centroids[ri]), axis=1)
-    sq_total = sq_norms.sum()
+        assignment[ri, rows] = np.argmin(_sq_dists(points[sets[ri], rows], centroids[ri]), axis=1)
+    sq_total = sq_norms.sum(axis=1)[sets]
     return assignment, best.sum(axis=1) + sq_total, 3.0 * _TIE_RTOL * (sq_total + n * c_max)
 
 
@@ -168,30 +179,32 @@ def _repair_empty(points: np.ndarray, centroids: np.ndarray, assignment: np.ndar
             own[far] = -np.inf
 
 
-def _assign(points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, ...]:
+def _assign(points: np.ndarray, sq_norms: np.ndarray, sets: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, ...]:
     """Assign every restart's points and repair its empty clusters (centroids
     are updated in place). Returns the (r, n) assignment, _nearest's inertia
     and slack (exact, and 0, where repaired) and the repairs."""
     r, k, _ = centroids.shape
-    assignment, inertia, slack = _nearest(points, sq_norms, centroids)
+    assignment, inertia, slack = _nearest(points, sq_norms, sets, centroids)
     repaired = (np.bincount(_flat_clusters(assignment, k).ravel(), minlength=r * k).reshape(r, k) == 0).any(axis=1)
     for ri in np.flatnonzero(repaired):
-        _repair_empty(points, centroids[ri], assignment[ri])
-        inertia[ri], slack[ri] = _own_sq_dists(points, centroids[ri : ri + 1], assignment[ri : ri + 1]).sum(), 0.0
+        rows = points[sets[ri]]
+        _repair_empty(rows, centroids[ri], assignment[ri])
+        inertia[ri], slack[ri] = _own_sq_dists(rows, centroids[ri : ri + 1], assignment[ri : ri + 1]).sum(), 0.0
     return assignment, inertia, slack, repaired
 
 
-def _check_inertia(points: np.ndarray, current: np.ndarray, assignment: np.ndarray, upper: np.ndarray,
-                   prior: np.ndarray, previous: np.ndarray, lower: np.ndarray) -> None:
+def _check_inertia(points: np.ndarray, sets: np.ndarray, current: np.ndarray, assignment: np.ndarray,
+                   upper: np.ndarray, prior: np.ndarray, previous: np.ndarray, lower: np.ndarray) -> None:
     """Raise if a restart's exact inertia under (current, assignment) passes
-    (1 + 1e-12) times that under (prior, previous), plus 1e-12. They are
-    computed only where upper, above the first, and lower, below the second,
-    leave that open."""
+    (1 + 1e-12) times that under (prior, previous), plus 1e-12; of several,
+    the first restart of the lowest set. They are computed only where upper,
+    above the first, and lower, below the second, leave that open."""
     bound = lower * (1.0 + 1e-12) + 1e-12
     unsure = np.flatnonzero(~((upper <= bound) & (bound < np.inf)))  # NaN or inf is never sure
-    if unsure.size:
-        now = _own_sq_dists(points, current[unsure], assignment[unsure]).sum(axis=1)
-        last = _own_sq_dists(points, prior[unsure], previous[unsure]).sum(axis=1)
+    for rows, run in _runs(points, sets[unsure]):
+        at = unsure[run]
+        now = _own_sq_dists(rows, current[at], assignment[at]).sum(axis=1)
+        last = _own_sq_dists(rows, prior[at], previous[at]).sum(axis=1)
         grew = np.flatnonzero(now > last * (1.0 + 1e-12) + 1e-12)
         if grew.size:
             raise RuntimeError(f"k-means inertia increased: {float(last[grew[0]])!r} -> {float(now[grew[0]])!r}")
@@ -203,83 +216,92 @@ def _settled(assignment: np.ndarray, previous: np.ndarray, repaired: np.ndarray)
     return ~repaired & np.all(assignment == previous, axis=1)
 
 
-def _cluster_means(rows: np.ndarray, assignment: np.ndarray, k: int) -> np.ndarray:
-    """Every restart's centroid update: the (r, n) assignment gives (r, k, d)
-    means with the bits of points[assignment[ri] == c].mean(axis=0); rows holds
-    points once per restart, for at least r restarts. For d > 1 SciPy's compiled
+def _cluster_means(points: np.ndarray, sets: np.ndarray, assignment: np.ndarray, k: int) -> np.ndarray:
+    """Every restart's centroid update: the (r, n) assignment of restarts on
+    the (r,) sets gives (r, k, d) means with the bits of
+    points[set][assignment[ri] == c].mean(axis=0). For d > 1 SciPy's compiled
     update sums each cluster's rows in order from 0.0, as NumPy sums an (m, d > 1)
-    block; its labels, flat across restarts (ri * k + c), are made here. One
-    column NumPy sums pairwise, so d = 1 sums each cluster by itself. The
-    compiled routine trusts its labels (one below 0 writes outside its buffers),
-    so the assignment is checked first; an empty cluster raises instead of giving NaN.
+    block, one call per restart on its set's rows. One column NumPy sums
+    pairwise, so d = 1 sums each cluster by itself. The compiled routine trusts
+    its labels (one below 0 writes outside its buffers), so the assignment is
+    checked first; an empty cluster raises instead of giving NaN.
     """
-    r, n = assignment.shape
-    d = rows.shape[1]
+    r = assignment.shape[0]
+    d = points.shape[2]
     if not (assignment.min() >= 0 and assignment.max() < k):
         raise RuntimeError(f"k-means labels outside [0, {k})")
-    flat = _flat_clusters(assignment, k).ravel()
-    if d > 1:
-        means, has_members = update_cluster_means(rows[: r * n], flat, r * k)
-    else:
-        counts = np.bincount(flat, minlength=r * k)
-        sums = np.array([rows[:n][assignment[ri] == c].sum(axis=0) for ri in range(r) for c in range(k)])
-        means, has_members = sums / np.maximum(counts, 1)[:, None], counts > 0
-    if not np.all(has_members):
+    means, has_members = np.empty((r, k, d)), np.empty((r, k), dtype=bool)
+    for ri, (s, labels) in enumerate(zip(sets.tolist(), assignment)):
+        if d > 1:
+            means[ri], has_members[ri] = update_cluster_means(points[s], labels, k)
+        else:
+            counts = np.bincount(labels, minlength=k)
+            sums = np.array([points[s][labels == c].sum(axis=0) for c in range(k)])
+            means[ri], has_members[ri] = sums / np.maximum(counts, 1)[:, None], counts > 0
+    if not has_members.all():
         raise RuntimeError("k-means update on an empty cluster")
-    return means.reshape(r, k, d)
+    return means
 
 
-def kmeans(points: np.ndarray, k: int, rng: Rng, n_init: int = 10) -> KMeansResult:
+def kmeans(points: np.ndarray, k: int, rng: Rng | list[Rng], n_init: int = 10) -> KMeansResult | list[KMeansResult]:
     """Best of n_init k-means++ restarts of any finite points (unit rows in
     the pipeline), deterministic given the rng.
 
+    points is one (n, d) set with one Rng, giving a KMeansResult, or a (g, n, d)
+    stack with a list of g Rngs, giving a list of g, each set's result and
+    rng end bit for bit those of clustering it alone.
+
     Assignment ties go to the smaller cluster index; empty clusters are
     repaired by farthest-point re-seeding. Inertia must not increase across a
-    run's iterations (RuntimeError otherwise); the restart with the lowest
+    run's iterations (RuntimeError otherwise, with its set's message; of sets
+    failing in one Lloyd step, the lowest set's); the restart with the lowest
     final inertia wins (first on ties).
 
-    All seeds are picked first, in lock-step, by k-means++ over centred Gram
-    D^2, with each draw randint rejects dropped. Lloyd steps draw nothing, so
-    the rng stream is that of seeding and running the restarts one after
-    another. The restarts then run as one batch of at most KMEANS_MAX_ITER
-    Lloyd steps, each leaving it once its largest centroid shift is below
-    KMEANS_TOL or its assignment repeats. Assignments and the inertia check
-    read the Gram values, exact only where their rounding leaves the outcome
-    open (see the module docstring), so from the same seeds, results and
-    raised checks are bit for bit those of running each restart alone with
-    exact distances.
+    Each set's seeds are picked first, in lock-step, by k-means++ over centred
+    Gram D^2, with each draw randint rejects dropped. Lloyd steps draw nothing,
+    so an rng stream is that of seeding and running its set's restarts one
+    after another. All restarts then run as one batch of at most
+    KMEANS_MAX_ITER Lloyd steps, each leaving it once its largest centroid
+    shift is below KMEANS_TOL or its assignment repeats. Assignments and the
+    inertia check read the Gram values, exact only where their rounding leaves
+    the outcome open (see the module docstring), so from the same seeds,
+    results and raised checks are bit for bit those of each restart alone on exact distances.
     """
     points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2:
-        raise ValueError("points must be an (n, d) matrix")
-    n = points.shape[0]
+    stack, rngs = (points, list(rng)) if points.ndim == 3 else (points[None], [rng])
+    if stack.ndim != 3:
+        raise ValueError("points must be an (n, d) matrix or a (g, n, d) stack of them")
+    g, n, d = stack.shape
+    if g < 1 or len(rngs) != g:
+        raise ValueError(f"need at least one point set and one rng per set: got {len(rngs)} rngs for {g} point sets")
     if k < 1:
         raise ValueError("k must be at least 1")
     if k > n:
         raise ValueError(f"k={k} exceeds the number of points n={n}")
     if n_init < 1:
         raise ValueError("n_init must be positive")
-    if not np.all(np.isfinite(points)):
+    if not np.all(np.isfinite(stack)):
         raise ValueError("points must be finite")
     # Every square, Gram value and inertia sum is at most n * d * (2 max |x|)^2,
     # up to rounding; where that overflows, reject the points before any of it.
-    top = float(np.abs(points).max(initial=0.0))
-    if not 4.0 * n * points.shape[1] * top * top * (1.0 + 1e-6) <= sys.float_info.max:
+    top = float(np.abs(stack).max(initial=0.0))
+    if not 4.0 * n * d * top * top * (1.0 + 1e-6) <= sys.float_info.max:
         raise ValueError("points too large: their squared distances overflow float64")
 
-    sq_norms = np.einsum("nd,nd->n", points, points)
-    centroids = points[rng.accepted(n_init * k, lambda d: _lockstep_picks(points, d.reshape(n_init, k)))]
-    rows = np.tile(points, (n_init, 1))
-    lower, upper = np.empty(n_init), np.empty(n_init)  # around each restart's last exact inertia, where finite
-    assignment_of = np.empty((n_init, n), dtype=np.int64)
-    retired = np.zeros(n_init, dtype=bool)
-    active = np.arange(n_init)
+    sq_norms = np.einsum("gnd,gnd->gn", stack, stack)
+    sets = np.repeat(np.arange(g), n_init)  # the set of each restart
+    picks = [r.accepted(n_init * k, lambda w: _lockstep_picks(x, w.reshape(n_init, k))) for x, r in zip(stack, rngs)]
+    centroids = stack[sets[:, None], np.concatenate(picks)]
+    lower, upper = np.empty(g * n_init), np.empty(g * n_init)  # around each restart's last exact inertia, where finite
+    assignment_of = np.empty((g * n_init, n), dtype=np.int64)
+    retired = np.zeros(g * n_init, dtype=bool)
+    active = np.arange(g * n_init)
     previous = prior = None  # the active restarts' last assignment and centroids; seeds are means of none
     for _ in range(KMEANS_MAX_ITER):
         current = centroids[active]
-        assignment, inertia, slack, repaired = _assign(points, sq_norms, current)
+        assignment, inertia, slack, repaired = _assign(stack, sq_norms, sets[active], current)
         if previous is not None:
-            _check_inertia(points, current, assignment, inertia + slack, prior, previous, lower[active])
+            _check_inertia(stack, sets[active], current, assignment, inertia + slack, prior, previous, lower[active])
             done = _settled(assignment, previous, repaired)
         lower[active], upper[active] = inertia - slack, inertia + slack
         if previous is not None and done.any():
@@ -288,7 +310,7 @@ def kmeans(points: np.ndarray, k: int, rng: Rng, n_init: int = 10) -> KMeansResu
             if active.size == 0:
                 break
 
-        updated = _cluster_means(rows, assignment, k)
+        updated = _cluster_means(stack, sets[active], assignment, k)
         shift = np.max(np.linalg.norm(updated - current, axis=2), axis=1)
         centroids[active] = updated
         moving = ~(shift < KMEANS_TOL)
@@ -299,17 +321,18 @@ def kmeans(points: np.ndarray, k: int, rng: Rng, n_init: int = 10) -> KMeansResu
     rest = np.flatnonzero(~retired)
     if rest.size:
         final = centroids[rest]
-        assignment_of[rest], inertia, slack, _ = _assign(points, sq_norms, final)
+        assignment_of[rest], inertia, slack, _ = _assign(stack, sq_norms, sets[rest], final)
         lower[rest], upper[rest] = inertia - slack, inertia + slack
         centroids[rest] = final  # keep the repairs
-    # The winner's exact inertia is at most every upper bound, so only restarts
-    # whose lower bound is not above the smallest can win.
-    open_ = np.flatnonzero(~(lower > upper.min()))  # NaN leaves a restart open
-    inertia_of = _own_sq_dists(points, centroids[open_], assignment_of[open_]).sum(axis=1)
-    best = open_[np.argmin(inertia_of)]  # first restart on ties
-    return KMeansResult(
-        centroids=centroids[best].copy(), assignment=assignment_of[best].copy(), inertia=float(inertia_of.min())
-    )
+    results = []
+    for rows, run in _runs(stack, sets):
+        # The winner's exact inertia is at most every upper bound, so only
+        # restarts whose lower bound is not above the smallest can win.
+        open_ = run.start + np.flatnonzero(~(lower[run] > upper[run].min()))  # NaN leaves a restart open
+        inertia_of = _own_sq_dists(rows, centroids[open_], assignment_of[open_]).sum(axis=1)
+        best = open_[np.argmin(inertia_of)]  # first restart on ties
+        results.append(KMeansResult(centroids[best].copy(), assignment_of[best].copy(), float(inertia_of.min())))
+    return results if points.ndim == 3 else results[0]
 
 
 def silhouette(dist: np.ndarray, assignment: np.ndarray) -> np.ndarray:
@@ -341,6 +364,12 @@ class CtEstimate:
     candidates: list[int]
     mean_silhouettes: list[float]
     chosen: int
+
+    def lines(self) -> list[str]:
+        """The sweep as text: a header, one candidate<TAB>mean_silhouette line
+        per candidate, then chosen<TAB>count."""
+        rows = [f"{c}\t{s!r}" for c, s in zip(self.candidates, self.mean_silhouettes)]
+        return ["candidate\tmean_silhouette", *rows, f"chosen\t{self.chosen}"]
 
 
 def candidate_counts(n_source_classes: int, n_points: int) -> list[int]:

@@ -8,11 +8,12 @@ suppressed positive similarity beats every negative similarity. Samples that
 fire for no class get a uniform row; multi-class firings keep the class with
 the best suppressed score.
 
-K is the same for every class, so every negative set has N - K rows and the
-prototypes of all classes are three arrays: positives (C, d), negatives
-(C, M, d) and suppression weights (C,). The pipeline sets M = C_t and
-K = floor(N / C_t) with 2 <= C_t < N, so 1 <= M <= N - K always holds. Both
-functions take L2-normalized feature rows.
+K is the same for every class, so every negative set has N - K rows, one
+k-means call clusters their (C, N - K, d) stack with the bits of a call per
+class, and the prototypes of all classes are three arrays: positives (C, d),
+negatives (C, M, d) and suppression weights (C,). The pipeline sets M = C_t
+and K = floor(N / C_t) with 2 <= C_t < N, so 1 <= M <= N - K always holds.
+Both functions take L2-normalized feature rows.
 """
 
 from __future__ import annotations
@@ -56,9 +57,9 @@ def build_all_prototypes(
 
     features must be L2-normalized rows. Class c's positive set is the k
     largest column-c probabilities (ties: smaller index); the rest, in
-    dataset order, is clustered into m negative prototypes by one k-means
-    call per class, in class order, each on its own rng sub-stream; m must
-    lie in [1, N - k].
+    dataset order, is clustered into m negative prototypes by one stacked
+    k-means call, bit for bit one call per class on its own rng sub-stream,
+    split in class order; m must lie in [1, N - k].
     """
     if not 0.0 < rho <= 1.0:
         raise ValueError("rho must be in (0, 1]")
@@ -77,9 +78,8 @@ def build_all_prototypes(
     confidence = probs[top, np.arange(n_classes)[:, None]].mean(axis=1)
     epsilon = rho + (1.0 - rho) * confidence
 
-    negatives = np.empty((n_classes, m, features.shape[1]))
-    for c in range(n_classes):
-        negatives[c] = kmeans(features[rest[c]], m, rng.split()).centroids
+    clusterings = kmeans(features[rest], m, [rng.split() for _ in range(n_classes)])
+    negatives = np.stack([clustering.centroids for clustering in clusterings])
     return Prototypes(positives=positives, negatives=negatives, epsilon=epsilon)
 
 

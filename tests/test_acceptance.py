@@ -87,7 +87,7 @@ def test_criterion_3_knn_and_kmeans_oracles():
             probs=np.full((n, 2), 0.5),
         )
         k = int(rng.integers(1, 6))
-        queries = rng.normal(size=(4, 4))
+        queries = l2_normalize_rows(rng.normal(size=(4, 4)))
         self_idx = rng.integers(0, n, size=4)
         got = nearest_bank_indices(bank, queries, k, self_idx)
         for i in range(4):

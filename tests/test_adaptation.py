@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import flatten_params
-from ufda import adaptation, clustering, consensus, contrastive
+from ufda import adaptation, clustering, consensus, contrastive, pseudolabel
 from ufda.adaptation import AdaptConfig, adapt, pretrain_source
 from ufda.datagen import FeatureSet, generate, preset
 from ufda.evaluation import evaluate
@@ -239,6 +239,23 @@ class TestAdapt:
         # pair mining and once in the contrastive loss, then the bank refresh.
         batch = [normalized for rows, _, normalized in forwards if rows < n]
         assert batch == [2, 1] * (epochs * math.ceil(n / batch_size))
+
+    def test_one_stacked_prototype_kmeans_per_epoch(self, monkeypatch):
+        # Each epoch clusters every class's negative set in one call: a stack
+        # of C sets of N - K rows, with one rng per set.
+        model, target = pretrained_toy()
+        seen = []
+        original = pseudolabel.kmeans
+
+        def recorded(points, k, rng):
+            seen.append((np.shape(points), k, len(rng)))
+            return original(points, k, rng)
+
+        monkeypatch.setattr(pseudolabel, "kmeans", recorded)
+        _, trace = adapt(model, target, AdaptConfig(seed=4, epochs=2, batch_size=16))
+        n, n_classes, ct = len(target), model.dims.n_classes, trace.ct_sweep.chosen
+        rest = n - pseudolabel.topk_count(n, ct)
+        assert seen == [((n_classes, rest, model.dims.d_feat), ct, n_classes)] * 2
 
 
 class TestAdaptConfig:

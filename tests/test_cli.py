@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from ufda.cli import build_parser, main
+from ufda.clustering import estimate_ct
 from ufda.config import RunConfig
+from ufda.consensus import bank_init
 from ufda.datagen import parse_featureset
 from ufda.evaluation import evaluate
 from ufda.model import ModelDims, checkpoint_lines, init_model, parse_checkpoint
@@ -165,6 +167,25 @@ class TestPipeline:
             reports.append((base / "ev" / "report.tsv").read_bytes())
 
         assert reports[0] == reports[1]
+
+    def test_adapt_records_the_ct_sweep(self, tmp_path, capsys):
+        # ct_sweep.tsv is the sweep of estimate_ct over the bank rows of the
+        # pretrained model, on adapt's first rng split.
+        cfg = pipeline_cfg(tmp_path)
+        data = gen_small(tmp_path, capsys)
+        pre, ad = tmp_path / "pre", tmp_path / "ad"
+        assert run(capsys, "pretrain", str(data / "source.ufd"), "--config", str(cfg), "--out", str(pre))[0] == 0
+        code, _, err = run(capsys, "adapt", str(pre / "model.ufdmodel"), str(data / "target.ufd"),
+                           "--config", str(cfg), "--seed", "6", "--out", str(ad))
+        assert code == 0, err
+        model = parse_checkpoint(read_lines(pre / "model.ufdmodel"))
+        target = parse_featureset(read_lines(data / "target.ufd"))
+        want = estimate_ct(bank_init(model, target.features).features, model.dims.n_classes, Rng(6).split())
+        lines = read_lines(ad / "ct_sweep.tsv")
+        assert lines[0] == "candidate\tmean_silhouette"
+        assert lines[1:-1] == [f"{c}\t{s!r}" for c, s in zip(want.candidates, want.mean_silhouettes)]
+        assert lines[-1] == f"chosen\t{want.chosen}"
+        assert [line.split("\t")[5] for line in read_lines(ad / "trace.tsv")[1:]] == [str(want.chosen)] * 2
 
     def test_machine_report_is_parseable(self, tmp_path, capsys):
         cfg = pipeline_cfg(tmp_path)
@@ -523,7 +544,7 @@ class TestFailedWrites:
     @pytest.mark.parametrize("command, name", [
         ("gen", "source.ufd"), ("gen", "target.ufd"), ("gen", "config.resolved"),
         ("pretrain", "model.ufdmodel"), ("pretrain", "train.log"),
-        ("adapt", "adapted.ufdmodel"), ("adapt", "trace.tsv"), ("adapt", "config.resolved"),
+        ("adapt", "adapted.ufdmodel"), ("adapt", "trace.tsv"), ("adapt", "ct_sweep.tsv"), ("adapt", "config.resolved"),
         ("eval", "report.tsv"), ("report", "summary.tsv"),
     ])
     def test_a_directory_in_the_place_of_an_output(self, tmp_path, capsys, command, name):

@@ -17,7 +17,7 @@ from helpers import (
 )
 from ufda import clustering
 from ufda.clustering import candidate_counts, estimate_ct, kmeans, silhouette
-from ufda.numerics import Rng, bounded_draws, l2_normalize_rows
+from ufda.numerics import Rng, bounded_draws, l2_normalize_rows, scratch
 
 
 def line_points(values):
@@ -31,17 +31,33 @@ def kmeans_with(points, k, rng, n_init=10, max_iter=clustering.KMEANS_MAX_ITER):
         return kmeans(points, k, rng, n_init=n_init)
 
 
-def assert_matches_reference(points, k, seed, make_rng=Rng, **kwargs):
+def assert_same_as_reference(got, got_rng, points, k, want_rng, **kwargs):
     """Same assignment and centroids, inertia within 1e-12 relative, and the
-    rng left at the same place as the per-restart reference k-means; kwargs
-    are n_init and max_iter."""
-    want_rng, got_rng = make_rng(seed), make_rng(seed)
+    rng left at the same place as the per-restart reference k-means on the
+    points; kwargs are n_init and max_iter."""
     want = reference_kmeans(points, k, want_rng, **kwargs)
-    got = kmeans_with(points, k, got_rng, **kwargs)
     assert np.array_equal(got.assignment, want.assignment)
     assert np.array_equal(got.centroids, want.centroids)
     assert got.inertia == want.inertia or abs(got.inertia - want.inertia) <= 1e-12 * abs(want.inertia)
     assert got_rng.next_u64() == want_rng.next_u64()
+
+
+def assert_matches_reference(points, k, seed, make_rng=Rng, **kwargs):
+    """kmeans on one (n, d) set matches the reference (assert_same_as_reference)."""
+    got_rng = make_rng(seed)
+    got = kmeans_with(points, k, got_rng, **kwargs)
+    assert isinstance(got, clustering.KMeansResult)
+    assert_same_as_reference(got, got_rng, points, k, make_rng(seed), **kwargs)
+
+
+def assert_stack_matches_reference(stack, k, seeds, make_rng=Rng, **kwargs):
+    """kmeans on a (g, n, d) stack, set i on make_rng(seeds[i]), gives g results,
+    each matching the reference on its set alone (assert_same_as_reference)."""
+    got_rngs = [make_rng(seed) for seed in seeds]
+    got = kmeans_with(np.array(stack), k, got_rngs, **kwargs)
+    assert len(got) == len(stack)
+    for points, result, got_rng, seed in zip(stack, got, got_rngs, seeds):
+        assert_same_as_reference(result, got_rng, points, k, make_rng(seed), **kwargs)
 
 
 @pytest.fixture()
@@ -169,6 +185,15 @@ class TestKMeansMatchesReference:
         points = lattice_points(data, range(1, 17))
         k = data.draw(st.integers(1, points.shape[0]))
         assert_matches_reference(points, k, data.draw(st.integers(0, 2**32 - 1)))
+
+    @pytest.mark.parametrize("left", [np.nan, np.inf, 0.0, 1e300])
+    def test_leftover_scratch_contents_change_nothing(self, left):
+        # The Gram values live in the thread's scratch buffer; whatever an
+        # earlier user left there, every entry is written before it is read.
+        rng = np.random.default_rng(5)
+        stack = rng.normal(size=(3, 40, 4))
+        scratch(3 * 10 * 5 * 40).fill(left)
+        assert_stack_matches_reference(stack, 5, [7, 8, 9])
 
     def test_duplicated_points_force_repair_and_rerank(self, calls):
         points = np.repeat(np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 0.0]]), 4, axis=0)
@@ -303,14 +328,14 @@ class TestKMeansMatchesReference:
         checks = []
         check_inertia, own_sq_dists = clustering._check_inertia, clustering._own_sq_dists
 
-        def recorded(points, current, assignment, upper, prior, previous, lower):
+        def recorded(points, sets, current, assignment, upper, prior, previous, lower):
             before = calls["exact_inertia"]
-            check_inertia(points, current, assignment, upper, prior, previous, lower)
+            check_inertia(points, sets, current, assignment, upper, prior, previous, lower)
             bound = lower * (1.0 + 1e-12) + 1e-12
             certified = (upper <= bound) & (bound < np.inf)
             assert calls["exact_inertia"] - before == 2 * np.count_nonzero(~certified)
-            now = own_sq_dists(points, current, assignment).sum(axis=1)
-            last = own_sq_dists(points, prior, previous).sum(axis=1)
+            now = own_sq_dists(points[sets], current, assignment).sum(axis=1)
+            last = own_sq_dists(points[sets], prior, previous).sum(axis=1)
             checks.append((certified, ~(now > last * (1.0 + 1e-12) + 1e-12), now, upper, last, lower))
 
         monkeypatch.setattr(clustering, "_check_inertia", recorded)
@@ -324,21 +349,48 @@ class TestKMeansMatchesReference:
         assert np.all(last[certified] >= lower[certified])
         assert certified.any() and not certified.all()  # the exact fallback fired
 
-    def test_an_inertia_increase_raises_with_the_exact_values(self, monkeypatch):
-        # Three blobs 100 apart; every update moves each centroid by 1, which
-        # keeps the assignment and raises the inertia by about n.
+    @staticmethod
+    def blobs_whose_inertia_increases(seed, rng):
+        """Three blobs 100 apart, and the message that a run on them with
+        n_init = 1 on the rng raises at its first check when every update
+        moves each centroid by 1, which keeps the assignment and raises the
+        inertia by about n."""
         centers = np.array([[0.0, 0.0], [100.0, 0.0], [0.0, 100.0]])
-        points = np.repeat(centers, 10, axis=0) + 0.1 * np.random.default_rng(3).normal(size=(30, 2))
-        seeds = points[Rng(0).accepted(3, lambda d: clustering._lockstep_picks(points, d.reshape(1, 3)))]
+        points = np.repeat(centers, 10, axis=0) + 0.1 * np.random.default_rng(seed).normal(size=(30, 2))
+        seeds = points[rng.accepted(3, lambda d: clustering._lockstep_picks(points, d.reshape(1, 3)))]
         assignment = np.argmin(clustering._sq_dists(points, seeds[0]), axis=1)[None]
-        moved = clustering._cluster_means(points, assignment, 3) + 1.0
+        moved = clustering._cluster_means(points[None], np.zeros(1, dtype=int), assignment, 3) + 1.0
         assert np.array_equal(np.argmin(clustering._sq_dists(points, moved[0]), axis=1), assignment[0])
         last, now = (float(clustering._own_sq_dists(points, c, assignment).sum()) for c in (seeds, moved))
+        return points, f"k-means inertia increased: {last!r} -> {now!r}"
+
+    @staticmethod
+    def shift_updates(monkeypatch, of_set=None):
+        """Move every centroid update by 1, or only those of restarts on of_set."""
         cluster_means = clustering._cluster_means
-        monkeypatch.setattr(clustering, "_cluster_means", lambda rows, flat, k: cluster_means(rows, flat, k) + 1.0)
+
+        def shifted(points, sets, assignment, k):
+            shift = 1.0 if of_set is None else (sets == of_set)[:, None, None] * 1.0
+            return cluster_means(points, sets, assignment, k) + shift
+
+        monkeypatch.setattr(clustering, "_cluster_means", shifted)
+
+    def test_an_inertia_increase_raises_with_the_exact_values(self, monkeypatch):
+        points, message = self.blobs_whose_inertia_increases(3, Rng(0))
+        self.shift_updates(monkeypatch)
         with pytest.raises(RuntimeError) as raised:
             kmeans(points, 3, Rng(0), n_init=1)
-        assert str(raised.value) == f"k-means inertia increased: {last!r} -> {now!r}"
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("failing", [None, 1, 2])
+    def test_a_stack_raises_the_lowest_failing_sets_message(self, monkeypatch, failing):
+        # Every set fails in the first check when all updates move (None), or
+        # only the given one: the lowest failing set's own message is raised.
+        sets = [self.blobs_whose_inertia_increases(seed, Rng(seed)) for seed in (3, 4, 5)]
+        self.shift_updates(monkeypatch, failing)
+        with pytest.raises(RuntimeError) as raised:
+            kmeans(np.stack([points for points, _ in sets]), 3, [Rng(seed) for seed in (3, 4, 5)], n_init=1)
+        assert str(raised.value) == sets[failing or 0][1]
 
     @pytest.mark.parametrize("lower", [np.inf, np.nan])
     def test_bounds_that_are_not_finite_settle_nothing(self, lower):
@@ -348,7 +400,8 @@ class TestKMeansMatchesReference:
         assignment = np.array([[0, 0, 1]])
         prior, current = np.array([[[0.5], [3.0]]]), np.array([[[0.0], [3.0]]])
         with pytest.raises(RuntimeError, match=r"k-means inertia increased: 0\.5 -> 1\.0$"):
-            clustering._check_inertia(points, current, assignment, np.zeros(1), prior, assignment, np.array([lower]))
+            clustering._check_inertia(points[None], np.zeros(1, dtype=int), current, assignment, np.zeros(1), prior,
+                                      assignment, np.array([lower]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_rejected(self, bad):
@@ -356,6 +409,83 @@ class TestKMeansMatchesReference:
         points[3, 1] = bad
         with pytest.raises(ValueError, match="points must be finite"):
             kmeans(points, 2, Rng(0))
+
+
+def lattice_stack(data, g):
+    """g lattices of one shape (lattice_points)."""
+    first = lattice_points(data, range(1, 17))
+    rows = st.lists(st.integers(-2, 2), min_size=first.shape[1], max_size=first.shape[1])
+    sets = st.lists(rows, min_size=first.shape[0], max_size=first.shape[0])
+    return np.array([first] + [data.draw(sets) for _ in range(g - 1)], dtype=float)
+
+
+class TestKMeansStacks:
+    """A (g, n, d) stack gives each set the result of clustering it alone, and
+    leaves each rng where that leaves it."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4))
+    def test_random_inputs(self, seed, g):
+        points, k, kwargs = random_case(seed)
+        rng = np.random.default_rng(seed + 1)
+        stack = [points] + [rng.normal(size=points.shape) * float(rng.choice([1e-3, 1.0, 1e3])) for _ in range(g - 1)]
+        assert_stack_matches_reference(stack, k, [seed + i for i in range(g)], **kwargs)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.data())
+    def test_small_integer_lattices(self, data):
+        stack = lattice_stack(data, data.draw(st.integers(2, 4)))
+        k = data.draw(st.integers(1, stack.shape[1]))
+        assert_stack_matches_reference(stack, k, data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=len(stack),
+                                                                    max_size=len(stack), unique=True)))
+
+    def test_duplicated_points_force_repair_and_rerank(self, calls):
+        points = np.repeat(np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 0.0]]), 4, axis=0)
+        stack = [points, points[::-1], 2.0 * points, np.roll(points, 5, axis=0)]
+        for seed in range(0, 12, 4):
+            assert_stack_matches_reference(stack, 4, range(seed, seed + 4))
+        assert calls["_repair_empty"] > 0
+        assert calls["_sq_dists"] > 0
+
+    def test_lattice_points_equidistant_from_two_centroids(self, calls):
+        grid = np.array([[x, y] for x in range(5) for y in range(5)], dtype=float)
+        for k in (2, 3, 4, 5):
+            assert_stack_matches_reference([grid, grid[::-1], grid.T.reshape(25, 2)], k, [k, k + 10, k + 20])
+        line = line_points(range(9))  # d = 1
+        for seed in range(0, 9, 3):
+            assert_stack_matches_reference([line, line[::-1], line[[4, 0, 8, 1, 7, 2, 6, 3, 5]]], 2,
+                                           range(seed, seed + 3))
+        assert calls["_sq_dists"] > 0
+
+    def test_k_equals_n(self):
+        rng = np.random.default_rng(2)
+        for n in (1, 2, 7):
+            assert_stack_matches_reference(rng.normal(size=(3, n, 3)), n, [n, n + 1, n + 2])
+
+    def test_randint_rejected_draws(self, calls):
+        # The scripts of test_first_draw_of_a_restart_rejected_by_randint and
+        # test_two_rejected_draws_in_one_call, one per set: each set drops
+        # its own draws.
+        rng = Rng(0)
+        scripts = [[2**64 - 1], [rng.next_u64() for _ in range(3)] + [2**64 - 1], [2**64 - 1, 0, 1, 2, 3, 2**64 - 1]]
+        stack = [np.random.default_rng(8).normal(size=(7, 2)), np.random.default_rng(9).normal(size=(7, 2)),
+                 np.zeros((7, 2))]
+        by_seed = dict(zip((5, 6, 7), scripts))
+        assert_stack_matches_reference(stack, 3, [5, 6, 7], make_rng=lambda seed: ScriptedRng(seed, by_seed[seed]),
+                                       n_init=2)
+        assert calls["_lockstep_picks"] == 3 + 1 + 1 + 2  # one pass per set, one more per dropped draw
+
+    def test_one_non_finite_set_is_rejected(self):
+        stack = np.random.default_rng(0).normal(size=(3, 6, 2))
+        stack[1, 3, 1] = np.nan
+        with pytest.raises(ValueError, match="points must be finite"):
+            kmeans(stack, 2, [Rng(i) for i in range(3)])
+
+    @pytest.mark.parametrize("count", [0, 2, 4])
+    def test_one_rng_per_set(self, count):
+        stack = np.random.default_rng(0).normal(size=(3, 6, 2))
+        with pytest.raises(ValueError, match=f"{count} rngs for 3 point sets"):
+            kmeans(stack, 2, [Rng(i) for i in range(count)])
 
 
 class TestSeeding:
@@ -435,11 +565,16 @@ def covering_assignment(rng, r, n, k):
     return labels
 
 
-def assert_means_match_bincount(points, assignment, k, n_init):
-    """_cluster_means over rows tiled for n_init restarts gives the bincount
-    update's bits, signed zeros included."""
-    got = clustering._cluster_means(np.tile(points, (n_init, 1)), assignment, k)
-    want = bincount_cluster_means(points, assignment, k)
+def restart_sets(rng, g, r):
+    """The sorted (r,) sets of r restarts on g sets, as kmeans orders them."""
+    return np.sort(rng.integers(0, g, size=r))
+
+
+def assert_means_match_bincount(stack, sets, assignment, k):
+    """_cluster_means of restarts on the sets of a stack gives each restart
+    the bincount update's bits on its own set, signed zeros included."""
+    got = clustering._cluster_means(stack, sets, assignment, k)
+    want = np.concatenate([bincount_cluster_means(stack[s], assignment[ri : ri + 1], k) for ri, s in enumerate(sets)])
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
@@ -451,59 +586,59 @@ class TestClusterMeansMatchesBincount:
         n = int(rng.integers(1, 60))
         d = int(rng.choice([1, 2, 3, 8, 32]))
         k = int(rng.integers(1, n + 1))
-        n_init = int(rng.integers(1, 11))
-        r = int(rng.integers(1, n_init + 1))  # the restarts still active
-        points = rng.normal(size=(n, d)) * float(rng.choice([1e-3, 1.0, 1e3]))
-        assert_means_match_bincount(points, covering_assignment(rng, r, n, k), k, n_init)
+        g = int(rng.integers(1, 5))
+        r = int(rng.integers(1, 11))  # the restarts still active
+        stack = rng.normal(size=(g, n, d)) * float(rng.choice([1e-3, 1.0, 1e3]))
+        assert_means_match_bincount(stack, restart_sets(rng, g, r), covering_assignment(rng, r, n, k), k)
 
     def test_k_equals_n_and_ten_restarts(self):
         rng = np.random.default_rng(1)
         for d in (1, 4):
-            points = rng.normal(size=(9, d))
-            assert_means_match_bincount(points, covering_assignment(rng, 10, 9, 9), 9, 10)
+            stack = rng.normal(size=(3, 9, d))
+            assert_means_match_bincount(stack, np.repeat(np.arange(3), 10), covering_assignment(rng, 30, 9, 9), 9)
 
     @pytest.mark.parametrize("d", [1, 5])
     def test_magnitudes_from_1e_minus_150_to_1e150(self, d):
         rng = np.random.default_rng(d)
         for _ in range(10):
-            points = rng.normal(size=(40, d)) * 10.0 ** rng.uniform(-150, 150, size=(40, d))
+            stack = rng.normal(size=(2, 40, d)) * 10.0 ** rng.uniform(-150, 150, size=(2, 40, d))
             k = int(rng.integers(1, 8))
-            assert_means_match_bincount(points, covering_assignment(rng, 3, 40, k), k, 4)
+            assert_means_match_bincount(stack, restart_sets(rng, 2, 3), covering_assignment(rng, 3, 40, k), k)
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_duplicated_rows(self, d):
         rng = np.random.default_rng(7)
-        points = np.repeat(rng.normal(size=(4, d)), 6, axis=0)
+        stack = np.repeat(rng.normal(size=(2, 4, d)), 6, axis=1)
         for k in (1, 3, 4, 8):
-            assert_means_match_bincount(points, covering_assignment(rng, 5, 24, k), k, 5)
+            assert_means_match_bincount(stack, restart_sets(rng, 2, 5), covering_assignment(rng, 5, 24, k), k)
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_columns_of_negative_zero(self, d):
         rng = np.random.default_rng(3)
-        points = rng.normal(size=(20, d))
-        points[:, 0] = -0.0
+        stack = rng.normal(size=(2, 20, d))
+        stack[:, :, 0] = -0.0
         for k in (1, 4):
-            assert_means_match_bincount(points, covering_assignment(rng, 2, 20, k), k, 3)
+            assert_means_match_bincount(stack, np.array([0, 1]), covering_assignment(rng, 2, 20, k), k)
 
     @pytest.mark.parametrize("d", [1, 3])
     @pytest.mark.parametrize("bad", [-1, 4])
     def test_labels_outside_the_clusters_raise(self, d, bad):
-        # Each restart's labels are checked, not only the flat range: -1 in
-        # restart 1 and 4 in restart 0 are flat indices of the other restart.
+        # The compiled update would write outside its buffers; the check
+        # raises first, whichever restart holds the label.
         rng = np.random.default_rng(0)
-        points = rng.normal(size=(12, d))
+        stack = rng.normal(size=(2, 12, d))
         for restart in (1, 0):
             assignment = covering_assignment(rng, 2, 12, 4)
             assignment[restart, 5] = bad
             with pytest.raises(RuntimeError, match=r"labels outside \[0, 4\)"):
-                clustering._cluster_means(np.tile(points, (2, 1)), assignment, 4)
+                clustering._cluster_means(stack, np.array([0, 1]), assignment, 4)
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_an_empty_cluster_raises(self, d):
-        points = np.random.default_rng(0).normal(size=(6, d))
-        assignment = np.array([[0, 1, 0, 1, 0, 1]])
+        stack = np.random.default_rng(0).normal(size=(2, 6, d))
+        assignment = np.array([[0, 1, 2, 0, 1, 2], [0, 1, 0, 1, 0, 1]])
         with pytest.raises(RuntimeError, match="empty cluster"):
-            clustering._cluster_means(points, assignment, 3)
+            clustering._cluster_means(stack, np.array([0, 1]), assignment, 3)
 
 
 class TestSilhouette:

@@ -102,7 +102,7 @@ class TestLocalTargets:
             probs=np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
         )
         # query near bank[0]; its own slot is 2 so neighbors are {0, 1}
-        targets = local_targets(bank, np.array([[1.0, 0.05]]), 2, np.array([2]))
+        targets = local_targets(bank, l2_normalize_rows(np.array([[1.0, 0.05]])), 2, np.array([2]))
         assert np.allclose(targets[0], [1.0, 0.0])
 
     def test_k2_mean_is_half_half(self):
@@ -110,14 +110,14 @@ class TestLocalTargets:
             features=l2_normalize_rows(np.array([[1.0, 0.0], [0.9, 0.1], [0.8, 0.3], [-1.0, 0.0]])),
             probs=np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]),
         )
-        targets = local_targets(bank, np.array([[1.0, 0.02]]), 2, np.array([0]))
+        targets = local_targets(bank, l2_normalize_rows(np.array([[1.0, 0.02]])), 2, np.array([0]))
         # neighbors are rows 1 and 2 -> mean of (1,0) and (0,1)
         assert np.allclose(targets[0], [0.5, 0.5])
 
     def test_constant_bank_gives_constant_row(self):
         bank = toy_bank()
         bank.probs[:] = np.array([0.2, 0.3, 0.4, 0.1])
-        q = np.random.default_rng(3).normal(size=(4, 3))
+        q = l2_normalize_rows(np.random.default_rng(3).normal(size=(4, 3)))
         targets = local_targets(bank, q, 3, np.arange(4))
         assert np.allclose(targets, [0.2, 0.3, 0.4, 0.1])
 
@@ -139,7 +139,7 @@ class TestLocalTargets:
             probs=rng.dirichlet(np.ones(3), size=n),
         )
         k = int(rng.integers(1, min(5, n - 1) + 1))
-        queries = rng.normal(size=(3, 3))
+        queries = l2_normalize_rows(rng.normal(size=(3, 3)))
         self_idx = rng.integers(0, n, size=3)
         got = nearest_bank_indices(bank, queries, k, self_idx)
         for i in range(3):

@@ -70,7 +70,7 @@ class TestMinePairs:
 
     def test_anchor_never_in_negatives(self):
         bank = make_bank(7)
-        feats = np.random.default_rng(8).normal(size=(10, 3))
+        feats = l2_normalize_rows(np.random.default_rng(8).normal(size=(10, 3)))
         pairs = mine_pairs(bank, feats, np.arange(10), 4, 3)
         assert len(pairs) == 10
         for i, negatives in enumerate(pairs.negatives):
@@ -82,8 +82,9 @@ class TestMinePairs:
         bank = bank_init(model, x)
         batch_idx = np.array([2, 5, 7, 11, 0, 13])
         fwd = forward_batch(model, x[batch_idx])
-        pairs = mine_pairs(bank, fwd.features, batch_idx, 4, 3)
-        want = nearest_bank_indices(bank, fwd.features, 4, batch_idx)
+        unit = l2_normalize_rows(fwd.features)
+        pairs = mine_pairs(bank, unit, batch_idx, 4, 3)
+        want = nearest_bank_indices(bank, unit, 4, batch_idx)
         assert np.array_equal(pairs.positives, want)
         for i, positives in enumerate(pairs.positives):
             assert batch_idx[i] not in positives.tolist()
@@ -119,7 +120,7 @@ class TestLossContrastive:
         b, n_bank = 5, 12
         bank = make_bank(seed, n=n_bank)
         feats = rng.normal(size=(b, 3)) + 0.1
-        pairs = mine_pairs(bank, feats, rng.integers(0, n_bank, size=b), 2, 3)
+        pairs = mine_pairs(bank, l2_normalize_rows(feats), rng.integers(0, n_bank, size=b), 2, 3)
 
         def cos(a, v):
             return float(a @ v / (np.linalg.norm(a) * np.linalg.norm(v)))
@@ -140,7 +141,7 @@ class TestLossContrastive:
         rng = np.random.default_rng(seed)
         bank = make_bank(seed)
         feats = rng.normal(size=(6, 3)) + 0.05
-        pairs = mine_pairs(bank, feats, rng.integers(0, 20, size=6), 3, 4)
+        pairs = mine_pairs(bank, l2_normalize_rows(feats), rng.integers(0, 20, size=6), 3, 4)
         value, _ = loss_contrastive(feats, pairs, bank)
         assert -6.0 - 1e-9 <= value <= 6.0 + 1e-9
 
@@ -155,7 +156,7 @@ class TestLossContrastive:
             probs=rng.dirichlet(np.ones(3), size=10),
         )
         feats = rng.random((6, 3)) + 0.05
-        pairs = mine_pairs(bank, feats, rng.integers(0, 10, size=6), 3, 4)
+        pairs = mine_pairs(bank, l2_normalize_rows(feats), rng.integers(0, 10, size=6), 3, 4)
         value, _ = loss_contrastive(feats, pairs, bank)
         assert -3.0 - 1e-9 <= value <= 3.0 + 1e-9
 
@@ -167,7 +168,7 @@ class TestLossContrastive:
             bank = bank_init(model, rng.normal(size=(9, 4)))
             batch_idx = np.arange(5)
             fwd0 = forward_batch(model, x)
-            pairs = mine_pairs(bank, fwd0.features, batch_idx, 2, 3)
+            pairs = mine_pairs(bank, l2_normalize_rows(fwd0.features), batch_idx, 2, 3)
             names = ("w1", "b1", "w2", "b2")
 
             def loss_fn(m):
@@ -193,7 +194,7 @@ class TestStopGradient:
         x = rng.normal(size=(4, 4))
         bank = bank_init(model, rng.normal(size=(8, 4)))
         fwd = forward_batch(model, x)
-        pairs = mine_pairs(bank, fwd.features, np.arange(4), 2, 2)
+        pairs = mine_pairs(bank, l2_normalize_rows(fwd.features), np.arange(4), 2, 2)
 
         base_value, base_grad = loss_contrastive(fwd.features, pairs, bank)
         # perturb a positive's stored bank feature: the loss value must move
@@ -210,7 +211,7 @@ class TestStopGradient:
         x = rng.normal(size=(4, 4))
         bank = bank_init(model, rng.normal(size=(8, 4)))
         fwd0 = forward_batch(model, x)
-        pairs = mine_pairs(bank, fwd0.features, np.arange(4), 2, 2)
+        pairs = mine_pairs(bank, l2_normalize_rows(fwd0.features), np.arange(4), 2, 2)
         names = ("w1", "b1", "w2", "b2")
         from ufda.model import backward
 

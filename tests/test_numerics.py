@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -15,10 +16,12 @@ from helpers import (
     uniform_array_scalar,
 )
 from ufda.numerics import (
+    _SCRATCH_MAX,
     Rng,
     bounded_draws,
     l2_normalize_rows,
     normalized_entropy_rows,
+    scratch,
     softmax_rows,
 )
 
@@ -201,6 +204,42 @@ def _xoshiro_reference(words, n):
             s[2] ^= t
             s[3] = rotl(s[3], 45)
     return out
+
+
+def in_new_thread(fn):
+    """fn's result, called in a thread of its own: it starts with no scratch buffer."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(fn()))
+    worker.start()
+    worker.join()
+    return out[0]
+
+
+class TestScratch:
+    def test_one_buffer_reused_until_a_larger_one_is_asked_for(self):
+        def views():
+            first = scratch(64)
+            return first, scratch(16), scratch(1 << 16), scratch(64)
+
+        first, smaller, grown, again = in_new_thread(views)
+        assert first.shape == (64,) and first.dtype == np.float64
+        assert smaller.shape == (16,) and np.shares_memory(smaller, first)
+        assert grown.shape == (1 << 16,) and not np.shares_memory(grown, first)
+        assert np.shares_memory(again, grown)
+
+    def test_a_size_past_the_cap_gets_a_buffer_of_its_own(self):
+        def views():
+            kept = scratch(64)
+            return kept, scratch(_SCRATCH_MAX + 1), scratch(_SCRATCH_MAX + 1), scratch(64)
+
+        kept, large, other, again = in_new_thread(views)
+        assert large.shape == (_SCRATCH_MAX + 1,)
+        assert not np.shares_memory(large, other) and not np.shares_memory(large, kept)
+        assert np.shares_memory(again, kept)
+
+    def test_each_thread_has_its_own(self):
+        mine = scratch(32)
+        assert not np.shares_memory(in_new_thread(lambda: scratch(32)), mine)
 
 
 class TestRng:
