@@ -3,7 +3,8 @@
 
 For every preset (or a chosen one) this pretrains a source model, evaluates
 it directly on the target (source-only baseline), adapts it with each
-requested variant, and prints one row per (preset, seed, model). H-score is
+requested variant, and prints one row per (preset, seed, model), then each
+metric's mean and std over seeds by `ufda report`'s rule. H-score is
 the headline metric for the open-set regimes (OPDA/OSDA), closed accuracy
 for PDA/CLDA; NCD accuracy is reported where `novel_class_count` defines it.
 Settings come from an optional `ufda` config file, read once, whose `epochs`
@@ -22,10 +23,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from ufda.adaptation import VARIANTS, adapt, pretrain_source
-from ufda.cli import CliError, read_config, write_files
+from ufda.cli import CliError, mean_std, read_config, write_files
 from ufda.config import PATH_KEYS, ConfigError, load_run_config
 from ufda.datagen import PRESETS, generate
 from ufda.evaluation import evaluate, novel_class_count
@@ -96,12 +95,13 @@ def main():
     for name, seed, tag, h, closed, ncd in all_rows:
         print(f"{name:<10} {seed:>4} {tag:<12} {h:>8.4f} {closed:>8.4f} {ncd:>8.4f}")
 
-    print(f"\nmeans over seeds ({time.time() - t0:.0f}s total):")
+    print(f"\nmean +- std over seeds ({time.time() - t0:.0f}s total):")
     for name in names:
         for tag in ["source-only"] + args.variants:
-            hs, cs, ns = np.array([r[3:] for r in all_rows if r[0] == name and r[2] == tag]).T
-            with np.errstate(invalid="ignore"):
-                print(f"  {name:<10} {tag:<12} H={np.mean(hs):.4f} closed={np.mean(cs):.4f} ncd={np.mean(ns):.4f}")
+            columns = zip(*[row[3:] for row in all_rows if row[0] == name and row[2] == tag])
+            cells = [f"{metric}={mean:6.4f} +- {std:6.4f}"
+                     for metric, (mean, std, _) in zip(("H", "closed", "ncd"), map(mean_std, columns))]
+            print(f"  {name:<10} {tag:<12} {'  '.join(cells)}")
 
     if args.out:
         out = Path(args.out)

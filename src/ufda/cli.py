@@ -152,8 +152,10 @@ def cmd_eval(cfg, out: Path):
 
 
 def _parse_report(lines: list[str]) -> list[tuple[str, float]]:
-    """The (metric, value) pairs of a report.tsv's `metric<TAB>value` lines."""
-    pairs = []
+    """The (metric, value) pairs of a report.tsv's `metric<TAB>value` lines:
+    each metric once, each value a number or nan (eval's value for a metric
+    that does not apply), never infinite."""
+    pairs, first_line = [], {}
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -161,13 +163,28 @@ def _parse_report(lines: list[str]) -> list[tuple[str, float]]:
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'metric<TAB>value'")
         name, value = parts
+        if name in first_line:
+            raise ValueError(f"line {lineno}: metric {name} repeated from line {first_line[name]}")
         try:
-            pairs.append((name, float(value)))
+            number = float(value)
         except ValueError:
             raise ValueError(f"line {lineno}: non-numeric value {value!r} for {name}") from None
+        if np.isinf(number):
+            raise ValueError(f"line {lineno}: infinite value {value!r} for {name}")
+        pairs.append((name, number))
+        first_line[name] = lineno
     if not pairs:
         raise ValueError("file has no metrics")
     return pairs
+
+
+def mean_std(values: list[float]) -> tuple[float, float, int]:
+    """The mean, the sample standard deviation (0.0 for one value) and the
+    count of finite or nan values, as `ufda report` and
+    scripts/run_benchmark.py print them; a nan makes the mean nan."""
+    vals = np.array(values)
+    std = float(vals.std(ddof=1)) if vals.shape[0] > 1 else 0.0
+    return float(vals.mean()), std, vals.shape[0]
 
 
 def cmd_report(reports: list[str]):
@@ -181,12 +198,10 @@ def cmd_report(reports: list[str]):
     width = max(len(name) for name in metrics)
     human = ["metric".ljust(width) + "  mean      std       n"]
     machine = ["metric\tmean\tstd\tn"]
-    for name in metrics:
-        vals = np.array(metrics[name])
-        mean = float(vals.mean())
-        std = float(vals.std(ddof=1)) if vals.shape[0] > 1 else 0.0
-        human.append(f"{name.ljust(width)}  {mean:<8.4f}  {std:<8.4f}  {vals.shape[0]}")
-        machine.append(f"{name}\t{mean!r}\t{std!r}\t{vals.shape[0]}")
+    for name, values in metrics.items():
+        mean, std, count = mean_std(values)
+        human.append(f"{name.ljust(width)}  {mean:<8.4f}  {std:<8.4f}  {count}")
+        machine.append(f"{name}\t{mean!r}\t{std!r}\t{count}")
     return {"summary.tsv": machine}, "\n".join(human)
 
 

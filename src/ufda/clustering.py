@@ -22,11 +22,13 @@ Its D^2 comes from Gram products over the set's points centred once, whose
 rounding scales with their spread. A draw that randint rejects is dropped, one
 more is read, and the picks are made again.
 
-A restart is retired once an assignment needs no empty-cluster repair and
-equals the one before it: its centroids are the means of that assignment, so
-another update would return them bit for bit and the final re-assignment would
-return the same assignment and inertia. Only the other restarts, stopped by the
-centroid shift or by KMEANS_MAX_ITER, are re-assigned after the loop.
+Step 0 assigns each restart's seeds; a Lloyd step updates the centroids of
+the restarts still running to the means of their last assignment and assigns
+again. A restart ends in one of three ways. Its largest centroid shift is below
+KMEANS_TOL, or the step is the last: that final assignment is not checked, as
+in the per-restart reference (tests/helpers.py). Or an assignment that needs no
+empty-cluster repair repeats the one before it, whose means its centroids are:
+further steps would return both bit for bit.
 """
 
 from __future__ import annotations
@@ -260,12 +262,14 @@ def kmeans(points: np.ndarray, k: int, rng: Rng | list[Rng], n_init: int = 10) -
     Each set's seeds are picked first, in lock-step, by k-means++ over centred
     Gram D^2, with each draw randint rejects dropped. Lloyd steps draw nothing,
     so an rng stream is that of seeding and running its set's restarts one
-    after another. All restarts then run as one batch of at most
-    KMEANS_MAX_ITER Lloyd steps, each leaving it once its largest centroid
-    shift is below KMEANS_TOL or its assignment repeats. Assignments and the
-    inertia check read the Gram values, exact only where their rounding leaves
-    the outcome open (see the module docstring), so from the same seeds,
-    results and raised checks are bit for bit those of each restart alone on exact distances.
+    after another. Step 0 assigns all restarts' seeds as one batch; each of at
+    most KMEANS_MAX_ITER Lloyd steps updates and assigns those still running.
+    A restart ends at a largest shift below KMEANS_TOL or at the last step,
+    whose assignment is not checked, as in the reference, or at a repeat.
+    Assignments and the inertia check read the Gram values, exact only where
+    their rounding leaves the outcome open (see the module docstring), so from
+    the same seeds, results and raised checks are bit for bit those of each
+    restart alone on exact distances.
     """
     points = np.asarray(points, dtype=np.float64)
     stack, rngs = (points, list(rng)) if points.ndim == 3 else (points[None], [rng])
@@ -292,38 +296,25 @@ def kmeans(points: np.ndarray, k: int, rng: Rng | list[Rng], n_init: int = 10) -
     sets = np.repeat(np.arange(g), n_init)  # the set of each restart
     picks = [r.accepted(n_init * k, lambda w: _lockstep_picks(x, w.reshape(n_init, k))) for x, r in zip(stack, rngs)]
     centroids = stack[sets[:, None], np.concatenate(picks)]
-    lower, upper = np.empty(g * n_init), np.empty(g * n_init)  # around each restart's last exact inertia, where finite
-    assignment_of = np.empty((g * n_init, n), dtype=np.int64)
-    retired = np.zeros(g * n_init, dtype=bool)
+    assignment_of, inertia, slack, _ = _assign(stack, sq_norms, sets, centroids)  # step 0: the seeds'
+    lower, upper = inertia - slack, inertia + slack  # around each restart's last exact inertia, where finite
     active = np.arange(g * n_init)
-    previous = prior = None  # the active restarts' last assignment and centroids; seeds are means of none
-    for _ in range(KMEANS_MAX_ITER):
+    for step in range(1, KMEANS_MAX_ITER + 1):
         current = centroids[active]
-        assignment, inertia, slack, repaired = _assign(stack, sq_norms, sets[active], current)
-        if previous is not None:
-            _check_inertia(stack, sets[active], current, assignment, inertia + slack, prior, previous, lower[active])
-            done = _settled(assignment, previous, repaired)
+        updated = _cluster_means(stack, sets[active], assignment_of[active], k)
+        ended = (np.max(np.linalg.norm(updated - current, axis=2), axis=1) < KMEANS_TOL) | (step == KMEANS_MAX_ITER)
+        assignment, inertia, slack, repaired = _assign(stack, sq_norms, sets[active], updated)
+        checked = np.flatnonzero(~ended)  # a final assignment is not checked
+        at = active[checked]
+        _check_inertia(stack, sets[at], updated[checked], assignment[checked], (inertia + slack)[checked],
+                       current[checked], assignment_of[at], lower[at])
+        ended[checked] = _settled(assignment[checked], assignment_of[at], repaired[checked])
+        centroids[active], assignment_of[active] = updated, assignment  # with the repairs
         lower[active], upper[active] = inertia - slack, inertia + slack
-        if previous is not None and done.any():
-            assignment_of[active[done]], retired[active[done]] = assignment[done], True
-            active, current, assignment = active[~done], current[~done], assignment[~done]
-            if active.size == 0:
-                break
-
-        updated = _cluster_means(stack, sets[active], assignment, k)
-        shift = np.max(np.linalg.norm(updated - current, axis=2), axis=1)
-        centroids[active] = updated
-        moving = ~(shift < KMEANS_TOL)
-        active, previous, prior = active[moving], assignment[moving], current[moving]
+        active = active[~ended]
         if active.size == 0:
             break
 
-    rest = np.flatnonzero(~retired)
-    if rest.size:
-        final = centroids[rest]
-        assignment_of[rest], inertia, slack, _ = _assign(stack, sq_norms, sets[rest], final)
-        lower[rest], upper[rest] = inertia - slack, inertia + slack
-        centroids[rest] = final  # keep the repairs
     results = []
     for rows, run in _runs(stack, sets):
         # The winner's exact inertia is at most every upper bound, so only

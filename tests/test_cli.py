@@ -681,6 +681,27 @@ class TestCorruptInputs:
         assert err == f"error: {bad}: no newline at end of file; it may be truncated\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("corruption", ["repeated metric", "inf", "-inf"])
+    def test_a_report_with_a_repeated_metric_or_an_infinite_value_is_rejected(self, valid_inputs, tmp_path, capsys,
+                                                                              corruption):
+        # Beside a valid report: a repeat would count its metric twice, and an
+        # infinite value would make the std warn (an error under -W error).
+        lines = valid_inputs["report"].read_text(encoding="utf-8").splitlines()
+        name, _ = lines[1].split("\t")
+        if corruption == "repeated metric":
+            lines.append(lines[1])
+            reason = f"line {len(lines)}: metric {name} repeated from line 2"
+        else:
+            lines[1] = f"{name}\t{corruption}"
+            reason = f"line 2: infinite value {corruption!r} for {name}"
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "o"
+        code, stdout, err = run(capsys, "report", str(valid_inputs["report"]), str(bad), "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err == f"error: {bad}: {reason}\n"
+        assert not out.exists()
+
     def test_a_config_cut_inside_its_last_line_is_rejected(self, valid_inputs, tmp_path, capsys):
         # Cut inside its out_dir, config.resolved would still parse, and re-run
         # into a directory of the cut name.
@@ -711,6 +732,15 @@ class TestReport:
         assert float(summary["h_score"][0]) == pytest.approx(0.6)
         assert float(summary["h_score"][1]) == pytest.approx(np.std([0.5, 0.7], ddof=1))
         assert summary["ncd_acc"][2] == "2"
+
+    def test_nan_values_are_valid(self, tmp_path, capsys):
+        # eval writes nan for a metric that does not apply; its mean is nan.
+        for i in range(2):
+            (tmp_path / f"rep{i}.tsv").write_text("h_score\t0.5\nncd_acc\tnan\n")
+        code, out, err = run(capsys, "report", str(tmp_path / "rep0.tsv"), str(tmp_path / "rep1.tsv"),
+                             "--out", str(tmp_path / "sum"))
+        assert (code, err) == (0, "")
+        assert read_lines(tmp_path / "sum" / "summary.tsv")[1:] == ["h_score\t0.5\t0.0\t2", "ncd_acc\tnan\tnan\t2"]
 
     def test_empty_report_exits_1(self, tmp_path, capsys):
         (tmp_path / "empty.tsv").write_text("")

@@ -1,5 +1,7 @@
+import copy
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,8 +17,11 @@ from helpers import (
     reference_kmeans,
     silhouette_direct,
 )
-from ufda import clustering
+from ufda import clustering, pseudolabel
+from ufda.adaptation import AdaptConfig, adapt, pretrain_source
 from ufda.clustering import candidate_counts, estimate_ct, kmeans, silhouette
+from ufda.datagen import generate, preset
+from ufda.model import ModelDims
 from ufda.numerics import Rng, bounded_draws, l2_normalize_rows, scratch
 
 
@@ -91,6 +96,47 @@ def calls(monkeypatch):
         return own_sq_dists(points, centroids, assignment)
 
     monkeypatch.setattr(clustering, "_own_sq_dists", counted_own_sq_dists)
+    return counts
+
+
+@pytest.fixture()
+def exits(monkeypatch):
+    """Count how kmeans' restarts end, keyed (set, route, step): "repeat", an
+    assignment equal to the one before it; "shift", a largest centroid shift
+    below KMEANS_TOL; "last", step KMEANS_MAX_ITER (step 0 when that is 0),
+    also where a shift ends a restart there. Read from the restarts each step
+    assigns, those it checks (the others end by shift or as the last) and
+    those of them that settle; a call's step 0 is the first assignment after
+    a step that ends every restart."""
+    counts = Counter()
+    now = {"step": 0, "running": 0}
+    assign, check, settled = clustering._assign, clustering._check_inertia, clustering._settled
+
+    def assigning(points, sq_norms, sets, centroids):
+        now["step"] = now["step"] + 1 if now["running"] else 0
+        now["running"], now["sets"] = sets.size, sets.tolist()
+        if clustering.KMEANS_MAX_ITER == 0:  # the seeds' assignment is final
+            counts.update((s, "last", 0) for s in now["sets"])
+            now["running"] = 0
+        return assign(points, sq_norms, sets, centroids)
+
+    def checking(points, sets, *args):
+        now["checked"] = sets.tolist()
+        return check(points, sets, *args)
+
+    def settling(assignment, previous, repaired):
+        done = settled(assignment, previous, repaired)
+        step = now["step"]
+        route = "last" if step == clustering.KMEANS_MAX_ITER else "shift"
+        unchecked = Counter(now["sets"]) - Counter(now["checked"])
+        counts.update({(s, route, step): c for s, c in unchecked.items()})
+        counts.update((s, "repeat", step) for s, ended in zip(now["checked"], done.tolist()) if ended)
+        now["running"] = int((~done).sum())
+        return done
+
+    monkeypatch.setattr(clustering, "_assign", assigning)
+    monkeypatch.setattr(clustering, "_check_inertia", checking)
+    monkeypatch.setattr(clustering, "_settled", settling)
     return counts
 
 
@@ -475,6 +521,27 @@ class TestKMeansStacks:
                                        n_init=2)
         assert calls["_lockstep_picks"] == 3 + 1 + 1 + 2  # one pass per set, one more per dropped draw
 
+    def test_the_prototype_stacks_of_a_glcpp_run(self, monkeypatch):
+        # What adapt clusters each epoch: unit rows, one set per source class,
+        # each on its own rng sub-stream.
+        calls = []
+
+        def recorded(points, k, rngs):
+            starts = copy.deepcopy(rngs)
+            results = kmeans(points, k, rngs)
+            calls.append((points, k, starts, results, copy.deepcopy(rngs)))
+            return results
+
+        monkeypatch.setattr(pseudolabel, "kmeans", recorded)
+        source, target = generate(preset("opda-toy", seed=2, source_per_class=10, target_per_class=10))
+        model = pretrain_source(source, ModelDims(16, 16, 8, 6), AdaptConfig(seed=2, epochs=10, lr=0.02, batch_size=32))
+        adapt(model, target, AdaptConfig(seed=4, epochs=2, batch_size=16, variant="glcpp"))
+        assert len(calls) == 2
+        for points, k, starts, results, ends in calls:
+            assert points.shape[0] == 6 and np.allclose(np.linalg.norm(points, axis=2), 1.0)
+            for rows, result, start, end in zip(points, results, starts, ends):
+                assert_same_as_reference(result, end, rows, k, start)
+
     def test_one_non_finite_set_is_rejected(self):
         stack = np.random.default_rng(0).normal(size=(3, 6, 2))
         stack[1, 3, 1] = np.nan
@@ -486,6 +553,31 @@ class TestKMeansStacks:
         stack = np.random.default_rng(0).normal(size=(3, 6, 2))
         with pytest.raises(ValueError, match=f"{count} rngs for 3 point sets"):
             kmeans(stack, 2, [Rng(i) for i in range(count)])
+
+
+class TestKMeansExits:
+    """Every way a restart ends, in stacks that match the reference set by set."""
+
+    def test_each_route_in_one_stack(self, exits):
+        # Set 0, at 1e-8, shifts less than KMEANS_TOL at its first update, and
+        # set 1, at 1.5e-6, at its second; set 2 repeats an assignment, and
+        # set 3 still moves at the last step.
+        base = np.random.default_rng(4).normal(size=(20, 3))
+        stack = [base * 1e-8, base * 1.5e-6, base, base[::-1] ** 3]
+        assert_stack_matches_reference(stack, 3, range(4), n_init=1, max_iter=3)
+        assert exits == {(0, "shift", 1): 1, (1, "shift", 2): 1, (2, "repeat", 2): 1, (3, "last", 3): 1}
+        # Set 1's final assignment, which is not checked, is not that of its
+        # first step: a run that stops there ends with another.
+        first, final = (kmeans_with(stack[1], 3, Rng(1), n_init=1, max_iter=m).assignment for m in (1, 2))
+        assert not np.array_equal(first, final)
+
+    @pytest.mark.parametrize("max_iter", [0, 1])
+    def test_every_restart_ends_at_the_last_step(self, exits, max_iter):
+        # Also one whose first update shifts less than KMEANS_TOL or whose
+        # assignment repeats: the last step ends it unchecked.
+        stack = [np.random.default_rng(4).normal(size=(20, 3)) * scale for scale in (1e-8, 1.0)]
+        assert_stack_matches_reference(stack, 3, [5, 6], n_init=3, max_iter=max_iter)
+        assert exits == {(0, "last", max_iter): 3, (1, "last", max_iter): 3}
 
 
 class TestSeeding:

@@ -180,3 +180,18 @@ def test_rows_equal_the_pinned_text():
     assert "".join(script.tsv_row(row) + "\n" for row in rows) == PINNED_ROWS, (
         "run_benchmark.py rows changed: state the change and its quality delta in CHANGES.md, then re-pin PINNED_ROWS"
     )
+
+
+def test_means_over_seeds_are_those_of_ufda_report(monkeypatch, capsys):
+    # Canned rows, H 0.5 and 0.7 over two seeds: the block prints the mean and
+    # sample std that `ufda report` gives, and nan for a metric that does not apply.
+    script = load_run_benchmark()
+    h_of = {1: 0.5, 2: 0.7}
+    monkeypatch.setattr(script, "run_one", lambda name, seed, variants, file_keys: [
+        (name, seed, tag, h_of[seed], 1.0, float("nan")) for tag in ["source-only", *variants]
+    ])
+    monkeypatch.setattr(sys, "argv", ["run_benchmark.py", "--preset", "opda-toy", "--seeds", "1", "2", "--variants", "glc"])
+    assert script.main() == 0
+    block = capsys.readouterr().out.split("mean +- std over seeds")[1].splitlines()[1:]
+    cells = "H=0.6000 +- 0.1414  closed=1.0000 +- 0.0000  ncd=   nan +-    nan"
+    assert block == [f"  opda-toy   source-only  {cells}", f"  opda-toy   glc          {cells}"]
