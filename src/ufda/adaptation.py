@@ -29,8 +29,8 @@ from .model import (
     cross_entropy_rows,
     forward_batch,
     init_model,
-    loss_source_batch,
     sgd_step,
+    smoothed_targets,
 )
 from .numerics import Rng, l2_normalize_rows
 from .pseudolabel import assign_pseudo_labels, build_all_prototypes, topk_count
@@ -122,15 +122,18 @@ def pretrain_source(
 ) -> AdaptModel:
     """Mini-batch SGD on the label-smoothed source loss; the classifier is
     frozen afterwards. Deterministic given the config seed. A failure is
-    raised naming the epoch, the batch and the phase."""
+    raised naming the epoch, the batch and the phase.
+
+    The smoothed target rows are built once per run. A step's logit gradient
+    is probs - targets, which needs no loss value, so the per-batch loss is
+    computed only when log_fn will print the epoch's mean; the weights are
+    the same with or without log_fn."""
     if len(source) == 0:
         raise ValueError("source set is empty")
-    labels = np.asarray(source.labels)
-    if labels.min() < 0 or labels.max() >= dims.n_classes:
-        raise ValueError("source label out of range for the classifier")
     if source.features.shape[1] != dims.d_in:
         raise ValueError("source feature dimension does not match d_in")
 
+    targets = smoothed_targets(source.labels, dims.n_classes, config.alpha)
     rng = Rng(config.seed)
     model = init_model(dims, rng)
     opt = Optimizer.for_model(model, config.lr, config.momentum)
@@ -143,11 +146,12 @@ def pretrain_source(
             for batch_no, batch in enumerate(_batches(perm, config.batch_size)):
                 phase = "forward"
                 fwd = forward_batch(model, source.features[batch])
-                loss, d_logits = loss_source_batch(fwd.probs, labels[batch], config.alpha)
+                batch_targets = targets[batch]
+                if log_fn is not None:
+                    epoch_loss += cross_entropy_rows(fwd.probs, batch_targets)[0] * batch.shape[0]
                 phase = "backward+SGD"
-                grads = backward(model, fwd, d_logits=d_logits)
+                grads = backward(model, fwd, d_logits=fwd.probs - batch_targets)
                 sgd_step(opt, model, grads)
-                epoch_loss += loss * batch.shape[0]
             if log_fn is not None:
                 log_fn(f"epoch {epoch} loss {epoch_loss / n:.6f}")
         # No forward pass follows the last step to catch a weight it overflowed.

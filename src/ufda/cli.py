@@ -8,9 +8,10 @@ is one `error: <path>: <reason>` line, a parse error's reason starting with
 `line N:`. Each command returns its files as lines, and main writes them all
 together once the command has succeeded, so a failed command leaves --out as
 it was. Exit codes: 0 success, 1 runtime failure (missing, unreadable,
-truncated or malformed files, dimension mismatch, divergence, a failed write
-or a closed stdout), 2 bad configuration (unknown keys, out-of-range values,
-regime violations, bad flags, an unreadable or truncated config file).
+truncated or malformed files, dimension mismatch, divergence, a report
+metric whose mean or std overflows, a failed write or a closed stdout), 2 bad
+configuration (unknown keys, out-of-range values, regime violations, bad
+flags, an unreadable or truncated config file).
 """
 
 from __future__ import annotations
@@ -199,7 +200,11 @@ def cmd_report(reports: list[str]):
     human = ["metric".ljust(width) + "  mean      std       n"]
     machine = ["metric\tmean\tstd\tn"]
     for name, values in metrics.items():
-        mean, std, count = mean_std(values)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                mean, std, count = mean_std(values)
+        except FloatingPointError:  # finite values whose mean or std is past the float range
+            raise CliError(f"metric {name}: the mean or std of its values overflows") from None
         human.append(f"{name.ljust(width)}  {mean:<8.4f}  {std:<8.4f}  {count}")
         machine.append(f"{name}\t{mean!r}\t{std!r}\t{count}")
     return {"summary.tsv": machine}, "\n".join(human)

@@ -100,24 +100,26 @@ def cross_entropy_rows(probs: np.ndarray, targets: np.ndarray) -> tuple[float, n
 
     The returned gradient rows are not divided by the batch size; backward()
     applies the 1/B averaging. Log is clamped at 1e-12 (guard only; the
-    analytic gradient assumes the unclamped region).
+    analytic gradient assumes the unclamped region). The mean is `.sum() / b`,
+    the add-reduce then divide that np.mean runs, so it keeps np.mean's bits.
     """
     probs = np.asarray(probs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    loss = float(np.mean(-np.sum(targets * np.log(np.maximum(probs, LOG_CLAMP)), axis=1)))
-    return loss, probs - targets
+    per_row = -np.sum(targets * np.log(np.maximum(probs, LOG_CLAMP)), axis=1)
+    return float(per_row.sum() / per_row.shape[0]), probs - targets
 
 
-def loss_source_batch(probs: np.ndarray, labels: np.ndarray, alpha: float) -> tuple[float, np.ndarray]:
-    """Cross entropy against label-smoothed one-hot targets: each row puts
-    alpha/C on every class plus 1 - alpha on its label."""
-    n_classes = probs.shape[1]
+def smoothed_targets(labels: np.ndarray, n_classes: int, alpha: float) -> np.ndarray:
+    """Label-smoothed one-hot rows, one per label: alpha/C on every class plus
+    1 - alpha on the label. Pretraining builds the table once per run, takes
+    each batch's rows from it as probs - rows for the logit gradient, and
+    computes the loss against them only for its log."""
     labels = np.asarray(labels)
     if labels.min() < 0 or labels.max() >= n_classes:
-        raise ValueError("label out of range")
-    targets = np.full(probs.shape, alpha / n_classes)
-    targets[np.arange(len(labels)), labels] += 1.0 - alpha
-    return cross_entropy_rows(probs, targets)
+        raise ValueError(f"label out of range for {n_classes} classes")
+    targets = np.full((labels.shape[0], n_classes), alpha / n_classes)
+    targets[np.arange(labels.shape[0]), labels] += 1.0 - alpha
+    return targets
 
 
 def backward(
@@ -129,7 +131,8 @@ def backward(
     """Reverse-mode pass. d_logits holds the per-sample loss gradients at the
     logits and d_feature, when given, those at the features. Returns the
     batch-averaged gradient of each trainable parameter, keyed by name; a
-    frozen classifier has none."""
+    frozen classifier has none. A bias gradient is `.sum(axis=0) / b`, the
+    add-reduce then divide that np.mean runs, so it keeps np.mean's bits."""
     b = fwd.x.shape[0]
     grads: dict[str, np.ndarray] = {}
 
@@ -137,16 +140,16 @@ def backward(
     d_feat = d_logits @ model.wc.T
     if not model.classifier_frozen:
         grads["wc"] = fwd.features.T @ d_logits / b
-        grads["bc"] = d_logits.mean(axis=0)
+        grads["bc"] = d_logits.sum(axis=0) / b
     if d_feature is not None:
         d_feat = d_feat + np.asarray(d_feature, dtype=np.float64)
 
     d_a1 = d_feat @ model.w2.T
     d_z1 = d_a1 * (fwd.z1 > 0.0)
     grads["w1"] = fwd.x.T @ d_z1 / b
-    grads["b1"] = d_z1.mean(axis=0)
+    grads["b1"] = d_z1.sum(axis=0) / b
     grads["w2"] = fwd.a1.T @ d_feat / b
-    grads["b2"] = d_feat.mean(axis=0)
+    grads["b2"] = d_feat.sum(axis=0) / b
     return grads
 
 

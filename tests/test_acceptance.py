@@ -28,8 +28,7 @@ from ufda.contrastive import loss_contrastive, mine_pairs
 from ufda.clustering import estimate_ct, kmeans, silhouette
 from ufda.datagen import generate, preset
 from ufda.evaluation import hungarian
-from ufda.model import ModelDims, backward, forward_batch, loss_source_batch
-from ufda.model import cross_entropy_rows
+from ufda.model import ModelDims, backward, cross_entropy_rows, forward_batch, smoothed_targets
 from ufda.numerics import Rng, l2_normalize_rows, normalized_entropy_rows
 from ufda.pseudolabel import Prototypes, assign_pseudo_labels, build_all_prototypes
 
@@ -143,13 +142,13 @@ def test_criterion_4_gradient_checks():
     for _ in range(20):
         # source loss through the full trainable model
         model, x = _fd_case(rng)
-        labels = rng.integers(0, 3, size=5)
+        targets = smoothed_targets(rng.integers(0, 3, size=5), 3, 0.1)
 
         def f_src(m):
-            return loss_source_batch(forward_batch(m, x).probs, labels, 0.1)[0]
+            return cross_entropy_rows(forward_batch(m, x).probs, targets)[0]
 
         fwd = forward_batch(model, x)
-        _, d = loss_source_batch(fwd.probs, labels, 0.1)
+        _, d = cross_entropy_rows(fwd.probs, targets)
         grads = backward(model, fwd, d_logits=d)
         analytic = np.concatenate([grads.get(n).ravel() for n in names])
         worst["source"] = max(worst["source"], rel_err(analytic, fd_gradient(model, names, f_src)))

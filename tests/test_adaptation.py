@@ -61,6 +61,18 @@ class TestPretrain:
         for name in ALL_PARAMS:
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
+    def test_log_fn_leaves_the_weights_unchanged(self):
+        # The per-batch loss is computed only for the log; a tail batch of 8 included.
+        source = two_gaussian_source()
+        config = AdaptConfig(seed=11, epochs=5, lr=0.02, batch_size=24)
+        log: list[str] = []
+        logged = pretrain_source(source, toy_dims(), config, log_fn=log.append)
+        silent = pretrain_source(source, toy_dims(), config)
+        for name in ALL_PARAMS:
+            assert np.array_equal(getattr(logged, name), getattr(silent, name))
+        assert [line.split()[:3] for line in log] == [["epoch", str(e), "loss"] for e in range(5)]
+        assert all(float(line.split()[3]) > 0.0 for line in log)
+
     def test_empty_source_rejected(self):
         empty = FeatureSet(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), role="source")
         with pytest.raises(ValueError, match="source set is empty"):

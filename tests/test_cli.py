@@ -702,6 +702,26 @@ class TestCorruptInputs:
         assert err == f"error: {bad}: {reason}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("values", [("1e308", "1e308"), ("1e200", "-1e200")])
+    def test_reports_whose_mean_or_std_overflows_are_rejected(self, valid_inputs, tmp_path, capsys, values):
+        # Finite values each: two of 1e308 overflow the mean, 1e200 and -1e200
+        # the std. Either would print warnings (an error under -W error) and write inf.
+        lines = valid_inputs["report"].read_text(encoding="utf-8").splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("h_score\t"))
+        reports = []
+        for k, value in enumerate(values):
+            lines[at] = f"h_score\t{value}"
+            reports.append(tmp_path / f"report{k}.tsv")
+            reports[-1].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "summary.tsv").write_text("keep\n")
+        before = snapshot(out)
+        code, stdout, err = run(capsys, "report", *map(str, reports), "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err == "error: metric h_score: the mean or std of its values overflows\n"
+        assert snapshot(out) == before
+
     def test_a_config_cut_inside_its_last_line_is_rejected(self, valid_inputs, tmp_path, capsys):
         # Cut inside its out_dir, config.resolved would still parse, and re-run
         # into a directory of the cut name.

@@ -125,15 +125,23 @@ def sha256_of(*arrays):
 
 
 # sha256 of the seed-1 (source, target) features and labels of each preset,
-# and of opda-toy seed 1's pretrained weights, recorded while every draw was
-# still a scalar Rng call. Array draws take the same stream, bit for bit.
+# recorded while every draw was still a scalar Rng call. Array draws take the
+# same stream, bit for bit.
 PINNED_DATASETS = {
     "clda-toy": "94490bd94d0badf86ab6283cbdbf4460e2b2b1d5647ea0c94a7825022fcd9787",
     "opda-toy": "93a8a544e007448f0a681332dd7e21a99a0f4c796b28aded5b2752040e430498",
     "osda-toy": "644909618f3a46a4960d8e01a7c184ffb43e6bb1fff846846c3bb7cf44abfce4",
     "pda-toy": "a827e6c945960857294507e9f94f936ec24929b1edda550e7686df3b418d7450",
 }
-PINNED_PRETRAIN = "f2a62db9e041df5a9df364d4ebe0d72b70f00d0b69101e129f0402c7d2f3c649"
+# sha256 of each preset's seed-1 pretrained w1 b1 w2 b2, at the default config.
+PINNED_PRETRAIN = {
+    "clda-toy": "b84b08f1d3b1236d91414807867f00e3a120871c5e0ebec76adc672d592dedaa",
+    "opda-toy": "f2a62db9e041df5a9df364d4ebe0d72b70f00d0b69101e129f0402c7d2f3c649",
+    "osda-toy": "c6719c65d0f3a0607b805cb421566845c4959a7737893ba1514625dc9e804b21",
+    "pda-toy": "481eca982609ac1dabc9c9ad366561a7b054f7a669600f848439cc1a9b4791c1",
+}
+# sha256 of the train.log that `ufda pretrain` writes for opda-toy seed 1.
+PINNED_TRAIN_LOG = "5a07bf1557e03875628f0eca74074c2595125111ffdcef15f7ba6d97c6364926"
 # sha256 of opda-toy seed 1's adapted w1 b1 w2 b2 and its per-epoch
 # (total, glb, loc, con, ct) rows, per variant, at the default config.
 PINNED_ADAPT = {
@@ -147,20 +155,32 @@ class TestStreamPins:
     stream is portable, but the class means come from LAPACK's QR and a BLAS
     GEMM, the normals from libm, and pretraining from BLAS and NumPy's SIMD
     kernels. With OPENBLAS_CORETYPE=Haswell set on the test process, every
-    pin fails while run_benchmark's PINNED_ROWS still pass."""
+    pin fails but the train.log one, whose losses are printed to six decimals,
+    while run_benchmark's PINNED_ROWS still pass."""
 
     @pytest.mark.parametrize("name", sorted(PINNED_DATASETS))
     def test_seed_one_dataset_is_pinned(self, name):
         source, target = generate(preset(name, seed=1))
         assert sha256_of(source.features, source.labels, target.features, target.labels) == PINNED_DATASETS[name]
 
-    def test_seed_one_pretrained_weights_are_pinned(self):
-        cfg = load_run_config({}, {"seed": 1}, preset="opda-toy")
+    @pytest.mark.parametrize("name", sorted(PINNED_PRETRAIN))
+    def test_seed_one_pretrained_weights_are_pinned(self, name):
+        cfg = load_run_config({}, {"seed": 1}, preset=name)
         spec = cfg.scenario()
         source, _ = generate(spec)
         model = pretrain_source(source, cfg.model_dims(spec.d_in, spec.n_source_classes), cfg.adapt_config())
         assert model.trainable_names() == ("w1", "b1", "w2", "b2")
-        assert sha256_of(*(getattr(model, n) for n in model.trainable_names())) == PINNED_PRETRAIN
+        assert sha256_of(*(getattr(model, n) for n in model.trainable_names())) == PINNED_PRETRAIN[name]
+
+    def test_seed_one_train_log_is_pinned(self):
+        cfg = load_run_config({}, {"seed": 1}, preset="opda-toy")
+        spec = cfg.scenario()
+        source, _ = generate(spec)
+        log: list[str] = []
+        pretrain_source(source, cfg.model_dims(spec.d_in, spec.n_source_classes), cfg.adapt_config(),
+                        log_fn=log.append)
+        assert len(log) == cfg.epochs
+        assert hashlib.sha256(("\n".join(log) + "\n").encode()).hexdigest() == PINNED_TRAIN_LOG
 
     @pytest.mark.parametrize("variant", sorted(PINNED_ADAPT))
     def test_seed_one_adaptation_is_pinned(self, variant):

@@ -5,16 +5,18 @@ import pytest
 
 from helpers import fd_gradient, flatten_params, random_model, rel_err
 from ufda.model import (
+    LOG_CLAMP,
     AdaptModel,
     ModelDims,
     Optimizer,
     backward,
     checkpoint_lines,
+    cross_entropy_rows,
     forward_batch,
     init_model,
-    loss_source_batch,
     parse_checkpoint,
     sgd_step,
+    smoothed_targets,
 )
 from ufda.numerics import Rng
 
@@ -27,8 +29,13 @@ def forward_one(model, x):
     return forward_batch(model, np.array([x], dtype=np.float64))
 
 
+def source_loss(probs, labels, alpha):
+    """Cross entropy against label-smoothed targets, as pretraining takes it."""
+    return cross_entropy_rows(probs, smoothed_targets(labels, probs.shape[1], alpha))
+
+
 def source_loss_one(probs, label, alpha):
-    loss, _ = loss_source_batch(np.array([probs], dtype=np.float64), np.array([label]), alpha)
+    loss, _ = source_loss(np.array([probs], dtype=np.float64), np.array([label]), alpha)
     return loss
 
 
@@ -82,9 +89,49 @@ class TestLossSource:
 
     def test_batch_matches_single(self):
         probs = np.array([[0.8, 0.2], [0.3, 0.7]])
-        loss, _ = loss_source_batch(probs, np.array([0, 1]), 0.1)
+        loss, _ = source_loss(probs, np.array([0, 1]), 0.1)
         singles = (source_loss_one(probs[0], 0, 0.1) + source_loss_one(probs[1], 1, 0.1)) / 2
         assert loss == pytest.approx(singles, abs=1e-12)
+
+    def test_smoothed_rows(self):
+        rows = smoothed_targets(np.array([2, 0, 2]), 4, 0.2)
+        expected = np.full((3, 4), 0.05)
+        expected[[0, 1, 2], [2, 0, 2]] += 0.8
+        assert np.array_equal(rows, expected)
+        assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-15)
+
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_smoothed_targets_reject_out_of_range_labels(self, label):
+        with pytest.raises(ValueError, match="label out of range"):
+            smoothed_targets(np.array([0, label]), 3, 0.1)
+
+
+class TestMeanOracle:
+    """backward's bias gradients and cross_entropy_rows' loss divide a sum by
+    the batch size; that is np.mean's own add-reduce and divide, so the
+    values equal the np.mean formulas bit for bit, tail batches included."""
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_bias_gradients_and_loss_equal_np_mean(self, frozen):
+        rng = np.random.default_rng(5)
+        for b in [1, 2, 3, 7, 8, 9, 16, 17, 31, 33, 63, 64, *rng.integers(1, 65, size=8)]:
+            model = random_model(rng, d_in=16, d_hidden=64, d_feat=32, n_classes=6, frozen=frozen)
+            fwd = forward_batch(model, rng.normal(size=(b, 16)))
+            targets = smoothed_targets(rng.integers(0, 6, size=b), 6, 0.1)
+            d_feature = rng.normal(size=(b, 32)) if b % 2 else None
+            loss, d_logits = cross_entropy_rows(fwd.probs, targets)
+            grads = backward(model, fwd, d_logits=d_logits, d_feature=d_feature)
+
+            assert loss == float(np.mean(-np.sum(targets * np.log(np.maximum(fwd.probs, LOG_CLAMP)), axis=1)))
+            d_feat = d_logits @ model.wc.T
+            if d_feature is not None:
+                d_feat = d_feat + d_feature
+            d_z1 = (d_feat @ model.w2.T) * (fwd.z1 > 0.0)
+            oracle = {"b1": np.mean(d_z1, axis=0), "b2": np.mean(d_feat, axis=0)}
+            if not frozen:
+                oracle["bc"] = np.mean(d_logits, axis=0)
+            for name, value in oracle.items():
+                assert grads[name].tobytes() == value.tobytes(), (b, name)
 
 
 class TestBackward:
@@ -100,12 +147,12 @@ class TestBackward:
         model = small_model()
         x = np.array([[0.5, -1.0, 2.0, 0.1]])
         fwd1 = forward_batch(model, x)
-        loss1, d1 = loss_source_batch(fwd1.probs, np.array([1]), 0.1)
+        loss1, d1 = source_loss(fwd1.probs, np.array([1]), 0.1)
         g1 = backward(model, fwd1, d_logits=d1)
 
         x3 = np.repeat(x, 3, axis=0)
         fwd3 = forward_batch(model, x3)
-        loss3, d3 = loss_source_batch(fwd3.probs, np.array([1, 1, 1]), 0.1)
+        loss3, d3 = source_loss(fwd3.probs, np.array([1, 1, 1]), 0.1)
         g3 = backward(model, fwd3, d_logits=d3)
         for name in ("w1", "b1", "w2", "b2", "wc", "bc"):
             assert np.allclose(g1[name], g3[name], atol=1e-14)
@@ -113,7 +160,7 @@ class TestBackward:
     def test_frozen_classifier_has_no_grads(self):
         model = small_model(frozen=True)
         fwd = forward_batch(model, np.random.default_rng(2).normal(size=(4, 4)))
-        _, d = loss_source_batch(fwd.probs, np.array([0, 1, 2, 0]), 0.0)
+        _, d = source_loss(fwd.probs, np.array([0, 1, 2, 0]), 0.0)
         assert sorted(backward(model, fwd, d_logits=d)) == ["b1", "b2", "w1", "w2"]
         feature_only = backward(model, fwd, np.zeros_like(fwd.logits), d_feature=np.ones_like(fwd.features))
         assert sorted(feature_only) == ["b1", "b2", "w1", "w2"]
@@ -128,11 +175,11 @@ class TestBackward:
 
             def loss_fn(m):
                 f = forward_batch(m, x)
-                loss, _ = loss_source_batch(f.probs, labels, 0.1)
+                loss, _ = source_loss(f.probs, labels, 0.1)
                 return loss
 
             fwd = forward_batch(model, x)
-            _, d = loss_source_batch(fwd.probs, labels, 0.1)
+            _, d = source_loss(fwd.probs, labels, 0.1)
             grads = backward(model, fwd, d_logits=d)
             analytic = np.concatenate([grads.get(n).ravel() for n in names])
             numeric = fd_gradient(model, names, loss_fn)
@@ -169,7 +216,7 @@ class TestSgd:
         rng = np.random.default_rng(4)
         for _ in range(100):
             fwd = forward_batch(model, rng.normal(size=(3, 4)))
-            _, d = loss_source_batch(fwd.probs, rng.integers(0, 3, size=3), 0.1)
+            _, d = source_loss(fwd.probs, rng.integers(0, 3, size=3), 0.1)
             sgd_step(opt, model, backward(model, fwd, d_logits=d))
         assert np.array_equal(wc, model.wc)
         assert np.array_equal(bc, model.bc)
