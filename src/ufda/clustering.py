@@ -43,6 +43,8 @@ from scipy.spatial.distance import cdist
 from .numerics import Rng, bounded_draws, scratch, units
 
 SILHOUETTE_SUBSAMPLE = 2048
+# Bytes of one row block of the ct sweep's distances (_row_blocks).
+SWEEP_BLOCK_BYTES = 1 << 18
 KMEANS_MAX_ITER = 100
 KMEANS_TOL = 1e-6
 
@@ -326,9 +328,10 @@ def kmeans(points: np.ndarray, k: int, rng: Rng | list[Rng], n_init: int = 10) -
     return results if points.ndim == 3 else results[0]
 
 
-def silhouette(dist: np.ndarray, assignment: np.ndarray) -> np.ndarray:
+def silhouette(sums: np.ndarray, assignment: np.ndarray) -> np.ndarray:
     """Per-point silhouette s = (b - a) / max(a, b) of an assignment, from
-    the (n, n) matrix of the points' pairwise Euclidean distances.
+    the (n, L) sums of each point's Euclidean distances to the members of the
+    assignment's L clusters, columns in ascending label order.
 
     a is the mean intra-cluster distance excluding self; b the smallest mean
     distance to another cluster. Singleton clusters and a = b = 0 give s = 0.
@@ -337,7 +340,6 @@ def silhouette(dist: np.ndarray, assignment: np.ndarray) -> np.ndarray:
     labels, own_col, counts = np.unique(assignment, return_inverse=True, return_counts=True)
     if labels.shape[0] < 2:
         raise ValueError("silhouette needs at least 2 non-empty clusters")
-    sums = np.stack([dist[:, assignment == lab].sum(axis=1) for lab in labels], axis=1)
 
     rows = np.arange(assignment.shape[0])
     own_counts = counts[own_col]
@@ -348,6 +350,48 @@ def silhouette(dist: np.ndarray, assignment: np.ndarray) -> np.ndarray:
     b = means.min(axis=1)
     denom = np.maximum(a, b)
     return np.divide(b - a, denom, out=np.zeros(rows.size), where=(own_counts > 1) & (denom != 0.0))
+
+
+def _row_blocks(n: int) -> list[tuple[int, int]]:
+    """[i, j) bounds of the equal row blocks (sizes within one) of an n-row
+    sample, n >= 4: as few as keep a block's (j - i, n) float64 distances
+    within SWEEP_BLOCK_BYTES, and never one of fewer than 2 rows, which NumPy
+    would sum pairwise (_distance_sums). So a budget below 3 rows' distances
+    gives blocks of 2 and 3 rows."""
+    count = min(-(-n // max(SWEEP_BLOCK_BYTES // (8 * n), 1)), n // 2)
+    bounds = [n * b // count for b in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _distance_sums(sample: np.ndarray, assignments: list[np.ndarray]) -> list[np.ndarray]:
+    """Each assignment's (n, L) per-cluster sums of the sample's pairwise
+    Euclidean distances, as silhouette takes them, bit for bit
+    dist[:, assignment == label].sum(axis=1) of the full cdist matrix.
+
+    The matrix is never held: one cdist call per row block (_row_blocks)
+    gives that block's rows of it. Its columns are gathered in stable label
+    order, an (n, B) C-contiguous copy, and each label's run of rows is
+    summed down, one row after another as NumPy adds the F-ordered column
+    copy of the full form, in ascending column order. B >= 2: a (m, 1) run is
+    contiguous along the sum, and NumPy would add it pairwise.
+    """
+    n = sample.shape[0]
+    runs = []
+    for assignment in assignments:
+        counts = np.unique(assignment, return_counts=True)[1]
+        ends = np.cumsum(counts).tolist()
+        runs.append((np.argsort(assignment, kind="stable"), list(zip([0, *ends], ends))))
+    sums = [np.empty((n, len(bounds))) for _, bounds in runs]
+    for i, j in _row_blocks(n):
+        # Not the Gram form: there copies of a row lie a few 1e-8 apart, not 0,
+        # which moves silhouettes by up to ~1e-8 and can break a tie between
+        # candidates the other way.
+        block = cdist(sample[i:j], sample)
+        for (order, bounds), out in zip(runs, sums):
+            gathered = block.T[order]
+            for col, (start, end) in enumerate(bounds):
+                out[i:j, col] = gathered[start:end].sum(axis=0)
+    return sums
 
 
 @dataclass
@@ -376,9 +420,11 @@ def estimate_ct(features: np.ndarray, n_source_classes: int, rng: Rng) -> CtEsti
 
     Features are unit rows, in adaptation the memory bank's. The sweep works on
     one fixed uniform sample of at most SILHOUETTE_SUBSAMPLE rows: the
-    candidates are clamped to its size, each candidate's k-means clusters it on
-    a split sub-stream of the rng, and every candidate's silhouette reads its
-    one distance matrix. Up to SILHOUETTE_SUBSAMPLE rows the sample is every
+    candidates are clamped to its size, and each candidate's k-means clusters
+    it on a split sub-stream of the rng, in candidate order. One pass over the
+    sample's distances, a bounded row block at a time, then gives every
+    candidate's per-cluster distance sums (_distance_sums), and silhouette
+    scores each from them. Up to SILHOUETTE_SUBSAMPLE rows the sample is every
     row, so results equal those of the full sweep. Ties choose the smallest
     candidate. Done once per adaptation run and held fixed afterwards.
     """
@@ -389,12 +435,10 @@ def estimate_ct(features: np.ndarray, n_source_classes: int, rng: Rng) -> CtEsti
     if n > SILHOUETTE_SUBSAMPLE:
         sample = sample[rng.sample_without_replacement(n, SILHOUETTE_SUBSAMPLE)]
     cands = candidate_counts(n_source_classes, sample.shape[0])
-    # Not the Gram form: there copies of a row lie a few 1e-8 apart, not 0, which
-    # moves silhouettes by up to ~1e-8 and can break a tie between candidates the other way.
-    dist = cdist(sample, sample)
-
+    assignments = [kmeans(sample, k, rng.split()).assignment for k in cands]
+    sums = _distance_sums(sample, assignments)
     # k-means repairs every empty cluster and k >= 2, so each silhouette sees
     # at least two clusters.
-    means = [float(silhouette(dist, kmeans(sample, k, rng.split()).assignment).mean()) for k in cands]
+    means = [float(silhouette(s, a).mean()) for s, a in zip(sums, assignments)]
     best = int(np.argmax(means))  # first max -> smallest candidate on ties
     return CtEstimate(candidates=cands, mean_silhouettes=means, chosen=cands[best])

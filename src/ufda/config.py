@@ -62,6 +62,8 @@ RunConfig = make_dataclass(
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 _PARSERS = {"int": int, "float": float, "str": str}
+# Every int key but seed sizes or indexes int64 arrays.
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
 def parse_config(lines: list[str]) -> dict:
@@ -110,6 +112,8 @@ def load_run_config(file_keys: dict, overrides: dict, preset: str | None) -> Run
     for key, kind in _FIELD_TYPES.items():
         if kind == "float" and not math.isfinite(getattr(cfg, key)):
             raise ConfigError(f"bad config value: {key} must be finite, got {getattr(cfg, key)!r}")
+        if kind == "int" and key != "seed" and not _INT64_MIN <= getattr(cfg, key) <= _INT64_MAX:
+            raise ConfigError(f"bad config value: {key} must fit in int64, got {getattr(cfg, key)!r}")
     try:
         cfg.scenario().validate()
     except ScenarioError as exc:

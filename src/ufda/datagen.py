@@ -189,6 +189,8 @@ def parse_featureset(lines: list[str]) -> FeatureSet:
             feats[i] = [float(t) for t in toks[1:]]
         except ValueError:
             raise ValueError(f"line {lineno}: non-numeric field") from None
+        except OverflowError:
+            raise ValueError(f"line {lineno}: label out of range") from None
         if not np.isfinite(feats[i]).all():
             raise ValueError(f"line {lineno}: features must be finite")
         if labels[i] < 0:

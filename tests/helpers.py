@@ -103,6 +103,14 @@ def sample_without_replacement_scalar(rng, n: int, k: int) -> np.ndarray:
     return picked
 
 
+def matrix_cluster_sums(dist: np.ndarray, assignment: np.ndarray) -> np.ndarray:
+    """The (n, L) per-cluster distance sums that silhouette takes, from the full
+    (n, n) distance matrix, labels in ascending order: the reduction the ct
+    sweep ran on the whole matrix, kept as the bit-for-bit oracle of its
+    blocked pass."""
+    return np.stack([dist[:, assignment == lab].sum(axis=1) for lab in np.unique(assignment)], axis=1)
+
+
 def silhouette_direct(points: np.ndarray, assignment: np.ndarray) -> np.ndarray:
     """Per-point silhouette computed with plain loops from the definition."""
     n = points.shape[0]

@@ -120,6 +120,19 @@ class TestGen:
         assert err == f"error: bad config value: {key} must be finite, got {float(value)!r}\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("target_per_class", "99999999999999999999"), ("d_in", "9223372036854775808"),
+         ("epochs", "-9223372036854775809")],
+    )
+    def test_int_setting_past_int64_exits_2(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        code, out, err = run(capsys, "gen", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert (code, out) == (2, "")
+        assert err == f"error: bad config value: {key} must fit in int64, got {value}\n"
+        assert not (tmp_path / "o").exists()
+
 
 def pipeline_cfg(tmp_path):
     cfg = tmp_path / "run.cfg"
@@ -464,6 +477,13 @@ class TestBadInputFiles:
             assert err == f"error: {path}: line 8: non-finite value in tensor b2\n", command
             assert not (tmp_path / command).exists()
 
+    def test_label_past_int64_names_path_and_line(self, tmp_path, capsys):
+        path = tmp_path / "source.ufd"
+        path.write_text("UFD v1\nn=2 d=2 role=source\n0 1.0 2.0\n99999999999999999999 0.5 0.5\n")
+        code, out, err = run(capsys, "pretrain", str(path), "--out", str(tmp_path / "o"))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: line 4: label out of range\n"
+        assert not (tmp_path / "o").exists()
 
     def test_negative_feature_dimension_names_path_and_line(self, tmp_path, capsys):
         path = tmp_path / "source.ufd"

@@ -1,6 +1,7 @@
 import copy
 import math
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -13,6 +14,7 @@ from helpers import (
     ScriptedRng,
     bincount_cluster_means,
     exhaustive_kmeans_optimum,
+    matrix_cluster_sums,
     randint,
     reference_kmeans,
     silhouette_direct,
@@ -733,21 +735,26 @@ class TestClusterMeansMatchesBincount:
             clustering._cluster_means(stack, np.array([0, 1]), assignment, 3)
 
 
+def matrix_silhouette(points, assignment):
+    """silhouette from the sums of the full distance matrix (the oracle)."""
+    return silhouette(matrix_cluster_sums(cdist(points, points), assignment), assignment)
+
+
 class TestSilhouette:
     def test_two_pair_line_instance(self):
         pts = line_points([0.0, 1.0, 10.0, 11.0])
-        scores = silhouette(cdist(pts, pts), np.array([0, 0, 1, 1]))
+        scores = matrix_silhouette(pts, np.array([0, 0, 1, 1]))
         # point 0: a=1, b=10.5 -> (10.5-1)/10.5
         assert scores[0] == pytest.approx(0.9047619047619048, abs=1e-6)
 
     def test_singleton_cluster_scores_zero(self):
         pts = line_points([0.0, 1.0, 50.0])
-        scores = silhouette(cdist(pts, pts), np.array([0, 0, 1]))
+        scores = matrix_silhouette(pts, np.array([0, 0, 1]))
         assert scores[2] == 0.0
 
     def test_identical_points_score_zero(self):
         pts = np.ones((6, 2))
-        scores = silhouette(cdist(pts, pts), np.array([0, 0, 0, 1, 1, 1]))
+        scores = matrix_silhouette(pts, np.array([0, 0, 0, 1, 1, 1]))
         assert np.all(scores == 0.0)
 
     def test_single_cluster_rejected(self):
@@ -765,9 +772,49 @@ class TestSilhouette:
         if len(np.unique(assignment)) < 2:
             assignment[0] = 0
             assignment[1] = 1
-        got = silhouette(cdist(pts, pts), assignment)
+        got = matrix_silhouette(pts, assignment)
         want = silhouette_direct(pts, assignment)
         assert np.max(np.abs(got - want)) < 1e-9
+
+
+class TestDistanceSums:
+    """The ct sweep's blocked pass against the sums of the full matrix."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 31, 600, 2048])
+    @pytest.mark.parametrize("budget", [1, clustering.SWEEP_BLOCK_BYTES])
+    def test_row_blocks_cover_every_row_once_within_the_budget(self, monkeypatch, n, budget):
+        monkeypatch.setattr(clustering, "SWEEP_BLOCK_BYTES", budget)
+        blocks = clustering._row_blocks(n)
+        assert [i for i, _ in blocks] == [0, *(j for _, j in blocks[:-1])] and blocks[-1][1] == n
+        sizes = [j - i for i, j in blocks]
+        assert min(sizes) >= 2 and max(sizes) - min(sizes) <= 1
+        if budget == 1:
+            assert max(sizes) <= 3  # 2-row blocks, and one of 3 where n is odd
+        else:
+            assert max(sizes) * n * 8 <= budget
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("block_rows", [2, 5])
+    def test_small_blocks_equal_the_matrix_sums_bit_for_bit(self, monkeypatch, seed, block_rows):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(4, 80)), int(rng.choice([1, 3, 32]))
+        monkeypatch.setattr(clustering, "SWEEP_BLOCK_BYTES", 8 * n * block_rows)
+        # A third of the rows repeat earlier ones, so some distances are exactly 0.
+        pts = rng.normal(size=(n, d))
+        copies = rng.choice(n, size=n // 3, replace=False)
+        pts[copies] = pts[rng.integers(0, n, size=n // 3)]
+        k = int(rng.integers(2, min(8, n - 1) + 1))
+        assignments = []
+        for _ in range(3):
+            assignment = rng.integers(0, k - 1, size=n)
+            assignment[rng.integers(0, n)] = k - 1  # a 1-member cluster
+            assignments.append(assignment)
+        got = clustering._distance_sums(pts, assignments)
+        dist = cdist(pts, pts)
+        for sums, assignment in zip(got, assignments):
+            want = matrix_cluster_sums(dist, assignment)
+            assert sums.shape == want.shape and sums.tobytes() == want.tobytes()
+            assert silhouette(sums, assignment).tobytes() == silhouette(want, assignment).tobytes()
 
 
 class TestCandidateCounts:
@@ -825,7 +872,7 @@ class TestEstimateCt:
             want = []
             for k in est.candidates:
                 assignment = kmeans(normed[sub], k, rng.split()).assignment
-                want.append(float(silhouette(cdist(normed[sub], normed[sub]), assignment).mean()))
+                want.append(float(matrix_silhouette(normed[sub], assignment).mean()))
             assert est.mean_silhouettes == want
             assert est.chosen == est.candidates[int(np.argmax(want))]
 
@@ -847,18 +894,40 @@ class TestEstimateCt:
         for points, _ in seen:
             assert np.array_equal(points, l2_normalize_rows(pts)[sub])
 
-    def test_one_distance_matrix_per_sweep(self, monkeypatch):
-        counts = {"cdist": 0, "silhouette": 0}
-        for name in counts:
-            original = getattr(clustering, name)
+    @pytest.mark.parametrize("n", [120, 600, 2048])
+    def test_distance_pass_covers_each_row_once_in_bounded_blocks(self, monkeypatch, n):
+        pts = l2_normalize_rows(np.random.default_rng(n).normal(size=(n, 32)))
+        blocks, scored = [], []
+        original_cdist, original_silhouette = clustering.cdist, clustering.silhouette
 
-            def counted(*args, _name=name, _original=original):
-                counts[_name] += 1
-                return _original(*args)
+        def recorded_cdist(xa, xb):
+            out = original_cdist(xa, xb)
+            blocks.append((np.array(xa), np.array(xb), out.nbytes))
+            return out
 
-            monkeypatch.setattr(clustering, name, counted)
-        est = estimate_ct(self.three_blobs(seed=5), 6, Rng(9))
-        assert counts == {"cdist": 1, "silhouette": len(est.candidates)}
+        def recorded_silhouette(sums, assignment):
+            scored.append(len(assignment))
+            return original_silhouette(sums, assignment)
+
+        monkeypatch.setattr(clustering, "cdist", recorded_cdist)
+        monkeypatch.setattr(clustering, "silhouette", recorded_silhouette)
+        est = estimate_ct(pts, 6, Rng(9))
+        assert np.array_equal(np.concatenate([xa for xa, _, _ in blocks]), pts)  # each row once, in order
+        assert all(np.array_equal(xb, pts) for _, xb, _ in blocks)
+        assert all(nbytes <= clustering.SWEEP_BLOCK_BYTES for _, _, nbytes in blocks)
+        assert min(len(xa) for xa, _, _ in blocks) >= 2
+        assert scored == [n] * len(est.candidates)
+
+    def test_peak_memory_stays_far_below_the_distance_matrix(self):
+        # The full 2048 x 2048 matrix alone is 32 MiB.
+        pts = l2_normalize_rows(np.random.default_rng(0).normal(size=(2048, 32)))
+        tracemalloc.start()
+        try:
+            estimate_ct(pts, 6, Rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, f"estimate_ct peaked at {peak / 2**20:.1f} MiB"
 
     def test_deterministic(self):
         pts = self.three_blobs(seed=5)
@@ -872,7 +941,7 @@ class TestEstimateCt:
             estimate_ct(np.ones((3, 2)), 4, Rng(0))
 
     def test_tie_breaks_to_smallest_candidate(self, monkeypatch):
-        monkeypatch.setattr(clustering, "silhouette", lambda dist, assignment: np.zeros(len(assignment)))
+        monkeypatch.setattr(clustering, "silhouette", lambda sums, assignment: np.zeros(len(assignment)))
         est = estimate_ct(self.three_blobs(), 6, Rng(0))
         assert est.mean_silhouettes == [0.0] * len(est.candidates)
         assert est.chosen == est.candidates[0]

@@ -54,6 +54,12 @@ class TestLoad:
         with pytest.raises(ConfigError, match="eta"):
             load_run_config({}, {"eta": -1.0}, None)
 
+    @pytest.mark.parametrize("key", [k for k, f in RunConfig.__dataclass_fields__.items() if f.type == "int" and k != "seed"])
+    @pytest.mark.parametrize("value", [1 << 63, -(1 << 63) - 1])
+    def test_int_key_past_int64_rejected_with_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"^bad config value: {key} must fit in int64, got {value}$"):
+            load_run_config({key: value}, {}, None)
+
     def test_invalid_scenario_rejected(self):
         with pytest.raises(ConfigError, match="OSDA"):
             load_run_config({}, {"regime": "OSDA", "n_source_private": 2}, None)

@@ -235,3 +235,11 @@ class TestFeatureFiles:
     def test_negative_label_rejected(self):
         with pytest.raises(ValueError, match="line 3"):
             parse_featureset(["UFD v1", "n=1 d=1 role=source", "-2 1.0"])
+
+    @pytest.mark.parametrize("label", ["9223372036854775808", "99999999999999999999", "-99999999999999999999"])
+    def test_label_past_int64_rejected(self, label):
+        with pytest.raises(ValueError, match="^line 4: label out of range$"):
+            parse_featureset(["UFD v1", "n=2 d=1 role=source", "0 1.0", f"{label} 2.0"])
+
+    def test_largest_int64_label_loads(self):
+        assert parse_featureset(["UFD v1", "n=1 d=1 role=source", "9223372036854775807 1.0"]).labels[0] == 2**63 - 1

@@ -26,7 +26,7 @@
   rules that turn raw 64-bit draws into values, appears only in
   ``numerics.py``, so that a caller uses ``units`` or ``bounded_draws``.
 - The library imports from SciPy exactly ``update_cluster_means`` (k-means'
-  centroid update) and ``cdist`` (the ct sweep's distance matrix), as README
+  centroid update) and ``cdist`` (the ct sweep's blocked distances), as README
   states, so a third SciPy call is a deliberate change to this list.
 - ``import ufda.cli``, run in a fresh interpreter, leaves ``scipy.optimize``
   out of ``sys.modules``: matching is solved in ``evaluation``, and importing
