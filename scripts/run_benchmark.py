@@ -24,7 +24,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from ufda.adaptation import VARIANTS, adapt, pretrain_source
-from ufda.cli import CliError, mean_std, read_config, write_files
+from ufda.cli import fail, mean_std, read_config, write_files
 from ufda.config import PATH_KEYS, ConfigError, load_run_config
 from ufda.datagen import PRESETS, generate
 from ufda.evaluation import evaluate, novel_class_count
@@ -72,6 +72,7 @@ def main():
     names = [args.preset] if args.preset else sorted(PRESETS)
     all_rows = []
     t0 = time.time()
+    where = ""  # the run a failure belongs to, while one runs
     try:
         file_keys = read_config(args.config)
         # --seeds and --variants set seed and variant, and no path is read from
@@ -81,37 +82,31 @@ def main():
             raise ConfigError(f"{args.config}: the script does not take {owned[0]!r} from a config")
         for name in names:
             for seed in args.seeds:
+                where = f"{name} seed {seed}: "
                 all_rows.extend(run_one(name, seed, args.variants, file_keys))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:  # raised by run_one: a diverging run, say
-        print(f"error: {name} seed {seed}: {exc}", file=sys.stderr)
-        return 1
+        where = ""
 
-    header = f"{'preset':<10} {'seed':>4} {'model':<12} {'h_score':>8} {'closed':>8} {'ncd':>8}"
-    print(header)
-    print("-" * len(header))
-    for name, seed, tag, h, closed, ncd in all_rows:
-        print(f"{name:<10} {seed:>4} {tag:<12} {h:>8.4f} {closed:>8.4f} {ncd:>8.4f}")
+        header = f"{'preset':<10} {'seed':>4} {'model':<12} {'h_score':>8} {'closed':>8} {'ncd':>8}"
+        print(header)
+        print("-" * len(header))
+        for name, seed, tag, h, closed, ncd in all_rows:
+            print(f"{name:<10} {seed:>4} {tag:<12} {h:>8.4f} {closed:>8.4f} {ncd:>8.4f}")
 
-    print(f"\nmean +- std over seeds ({time.time() - t0:.0f}s total):")
-    for name in names:
-        for tag in ["source-only"] + args.variants:
-            columns = zip(*[row[3:] for row in all_rows if row[0] == name and row[2] == tag])
-            cells = [f"{metric}={mean:6.4f} +- {std:6.4f}"
-                     for metric, (mean, std, _) in zip(("H", "closed", "ncd"), map(mean_std, columns))]
-            print(f"  {name:<10} {tag:<12} {'  '.join(cells)}")
+        print(f"\nmean +- std over seeds ({time.time() - t0:.0f}s total):")
+        for name in names:
+            for tag in ["source-only"] + args.variants:
+                columns = zip(*[row[3:] for row in all_rows if row[0] == name and row[2] == tag])
+                cells = [f"{metric}={mean:6.4f} +- {std:6.4f}"
+                         for metric, (mean, std, _) in zip(("H", "closed", "ncd"), map(mean_std, columns))]
+                print(f"  {name:<10} {tag:<12} {'  '.join(cells)}")
 
-    if args.out:
-        out = Path(args.out)
-        try:
+        if args.out:
+            out = Path(args.out)
             write_files(out.parent, {out.name: ["preset\tseed\tmodel\th_score\tclosed_acc\tncd_acc"]
                                      + [tsv_row(row) for row in all_rows]})
-        except CliError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote {args.out}")
+            print(f"wrote {args.out}")
+    except (ValueError, MemoryError) as exc:  # a bad config is the config's error, not the run's
+        return fail(exc, prefix="" if isinstance(exc, ConfigError) else where)
     return 0
 
 

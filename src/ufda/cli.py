@@ -7,11 +7,13 @@ reads every input, the config included: a file that cannot be read or parsed
 is one `error: <path>: <reason>` line, a parse error's reason starting with
 `line N:`. Each command returns its files as lines, and main writes them all
 together once the command has succeeded, so a failed command leaves --out as
-it was. Exit codes: 0 success, 1 runtime failure (missing, unreadable,
-truncated or malformed files, dimension mismatch, divergence, a report
-metric whose mean or std overflows, a failed write or a closed stdout), 2 bad
-configuration (unknown keys, out-of-range values, regime violations, bad
-flags, an unreadable or truncated config file).
+it was. Every failure is a ValueError or a MemoryError, and `fail` turns it
+into one `error:` line and the exit code its type decides: 2 for a
+ConfigError (unknown keys, out-of-range values, regime violations, bad flags,
+a missing input path or --out, an unreadable or truncated config file), 1 for
+any other (unreadable, truncated or malformed files, dimension mismatch,
+divergence, a report metric whose mean or std overflows, a failed write, a
+closed stdout, an allocation the system refuses). 0 is success.
 """
 
 from __future__ import annotations
@@ -32,12 +34,6 @@ from .model import checkpoint_lines, parse_checkpoint
 from .numerics import Rng
 
 
-class CliError(RuntimeError):
-    def __init__(self, message: str, code: int = 1):
-        super().__init__(message)
-        self.code = code
-
-
 def _reason(exc: Exception) -> str:
     """exc's message without the path, which the caller names once."""
     return getattr(exc, "strerror", None) or str(exc)
@@ -48,15 +44,15 @@ def _read(parse, path_text: str, what: str):
     parsed, or that does not end in a newline as every file ufda writes does,
     is one error naming its path."""
     if not path_text:
-        raise CliError(f"missing {what} path", code=2)
+        raise ConfigError(f"missing {what} path")
     path = Path(path_text)
     try:
         text = path.read_text(encoding="utf-8")
         if text and not text.endswith("\n"):
-            raise CliError(f"{path}: no newline at end of file; it may be truncated")
+            raise ValueError("no newline at end of file; it may be truncated")
         return parse(text.splitlines())
-    except (OSError, ValueError) as exc:  # ValueError: a bad encoding or a parse error
-        raise CliError(f"{path}: {_reason(exc)}") from None
+    except (OSError, ValueError) as exc:  # ValueError: a bad encoding, a cut file or a parse error
+        raise ValueError(f"{path}: {_reason(exc)}") from None
 
 
 def read_config(path_text: str | None) -> dict:
@@ -64,7 +60,7 @@ def read_config(path_text: str | None) -> dict:
     that cannot be read or parsed is a ConfigError naming its path."""
     try:
         return _read(parse_config, path_text, "config file") if path_text else {}
-    except CliError as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
@@ -100,7 +96,7 @@ def write_files(out: Path, files: dict[str, list[str]]) -> None:
             _aside(done, "new").unlink(missing_ok=True)
         if created and out.is_dir():
             out.rmdir()
-        raise CliError(f"{path}: {_reason(exc)}") from None
+        raise ValueError(f"{path}: {_reason(exc)}") from None
     for done in kept:
         _aside(done, "old").unlink()
 
@@ -109,7 +105,7 @@ def _read_model_and_target(cfg):
     model = _read(parse_checkpoint, cfg.model_path, "model checkpoint")
     target = _read(parse_featureset, cfg.target_path, "target file")
     if target.features.shape[1] != model.dims.d_in:
-        raise CliError(
+        raise ValueError(
             f"target dimension d={target.features.shape[1]} does not match model d_in={model.dims.d_in}"
         )
     return model, target
@@ -126,9 +122,9 @@ def cmd_gen(cfg, out: Path):
 def cmd_pretrain(cfg, out: Path):
     source = _read(parse_featureset, cfg.source_path, "source file")
     if source.role != "source":
-        raise CliError(f"expected a source-role feature file, got role={source.role!r}")
+        raise ValueError(f"expected a source-role feature file, got role={source.role!r}")
     if len(source) == 0:
-        raise CliError(f"{cfg.source_path}: source set is empty")
+        raise ValueError(f"{cfg.source_path}: source set is empty")
     n_classes = int(source.labels.max()) + 1
     dims = cfg.model_dims(d_in=source.features.shape[1], n_classes=n_classes)
     log_lines: list[str] = []
@@ -190,7 +186,7 @@ def mean_std(values: list[float]) -> tuple[float, float, int]:
 
 def cmd_report(reports: list[str]):
     if not reports:
-        raise CliError("report needs at least one eval output file", code=2)
+        raise ConfigError("report needs at least one eval output file")
     metrics: dict[str, list[float]] = {}  # in first-seen order
     for path_text in reports:
         for name, number in _read(_parse_report, path_text, "report file"):
@@ -204,10 +200,19 @@ def cmd_report(reports: list[str]):
             with np.errstate(over="raise", invalid="raise"):
                 mean, std, count = mean_std(values)
         except FloatingPointError:  # finite values whose mean or std is past the float range
-            raise CliError(f"metric {name}: the mean or std of its values overflows") from None
+            raise ValueError(f"metric {name}: the mean or std of its values overflows") from None
         human.append(f"{name.ljust(width)}  {mean:<8.4f}  {std:<8.4f}  {count}")
         machine.append(f"{name}\t{mean!r}\t{std!r}\t{count}")
     return {"summary.tsv": machine}, "\n".join(human)
+
+
+def fail(exc: ValueError | MemoryError, prefix: str = "") -> int:
+    """Print exc as one `error: <prefix><reason>` line on stderr and return its
+    exit code: 2 for a ConfigError, 1 for any other. A refused allocation
+    whose MemoryError carries no text reads `out of memory`."""
+    reason = "out of memory" if isinstance(exc, MemoryError) and not str(exc) else exc
+    print(f"error: {prefix}{reason}", file=sys.stderr)
+    return 2 if isinstance(exc, ConfigError) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,7 +271,7 @@ def main(argv=None) -> int:
             cfg = load_run_config(read_config(args.config), overrides, preset=getattr(args, "preset", None))
             out_dir = cfg.out_dir  # as given, so stdout names it as typed
             if not out_dir:
-                raise CliError("an output directory is required (--out)", code=2)
+                raise ConfigError("an output directory is required (--out)")
             # Absolute paths let config.resolved re-run the command from any directory.
             cfg = replace(cfg, **{k: os.path.abspath(getattr(cfg, k)) for k in PATH_KEYS if getattr(cfg, k)})
             files, message = args.fn(cfg, Path(out_dir))
@@ -277,17 +282,10 @@ def main(argv=None) -> int:
             print(message, flush=True)
         except BrokenPipeError as exc:  # the reader closed stdout; the files are written
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the flush at exit passes
-            raise CliError(f"stdout: {_reason(exc)}") from None
+            raise ValueError(f"stdout: {_reason(exc)}") from None
         return 0
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (ValueError, MemoryError) as exc:
+        return fail(exc)
 
 
 if __name__ == "__main__":

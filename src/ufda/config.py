@@ -14,7 +14,7 @@ import math
 from dataclasses import field, fields, make_dataclass
 
 from .adaptation import AdaptConfig
-from .datagen import PRESETS, ScenarioError, ScenarioSpec
+from .datagen import PRESETS, ScenarioSpec
 from .model import ModelDims
 
 
@@ -116,7 +116,7 @@ def load_run_config(file_keys: dict, overrides: dict, preset: str | None) -> Run
             raise ConfigError(f"bad config value: {key} must fit in int64, got {getattr(cfg, key)!r}")
     try:
         cfg.scenario().validate()
-    except ScenarioError as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad scenario: {exc}") from None
     try:
         cfg.model_dims(d_in=1, n_classes=1)

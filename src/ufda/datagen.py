@@ -21,10 +21,6 @@ FILE_MAGIC = "UFD v1"
 REGIMES = ("OPDA", "OSDA", "PDA", "CLDA")
 
 
-class ScenarioError(ValueError):
-    """Raised when a scenario violates its regime's split rule."""
-
-
 @dataclass
 class ScenarioSpec:
     regime: str
@@ -49,12 +45,13 @@ class ScenarioSpec:
         return self.n_shared + self.n_source_private
 
     def validate(self) -> None:
+        """Raise ValueError if the scenario violates its regime's split rule or a range."""
         if self.regime not in REGIMES:
-            raise ScenarioError(f"unknown regime {self.regime!r}; expected one of {REGIMES}")
+            raise ValueError(f"unknown regime {self.regime!r}; expected one of {REGIMES}")
         if self.n_shared < 1:
-            raise ScenarioError("every regime needs at least one shared class")
+            raise ValueError("every regime needs at least one shared class")
         if min(self.n_source_private, self.n_target_private) < 0:
-            raise ScenarioError("private class counts must be non-negative")
+            raise ValueError("private class counts must be non-negative")
         src, tgt = self.n_source_private, self.n_target_private
         holds, requirement = {
             "OPDA": (src > 0 and tgt > 0, "private classes on both sides"),
@@ -63,15 +60,15 @@ class ScenarioSpec:
             "CLDA": (src == 0 and tgt == 0, "no private classes on either side"),
         }[self.regime]
         if not holds:
-            raise ScenarioError(f"regime {self.regime} requires {requirement}")
+            raise ValueError(f"regime {self.regime} requires {requirement}")
         if self.d_in < self.n_classes:
-            raise ScenarioError(
+            raise ValueError(
                 f"d_in={self.d_in} too small for {self.n_classes} orthonormal class directions"
             )
         if min(self.source_per_class, self.target_per_class) < 1:
-            raise ScenarioError("samples per class must be positive")
+            raise ValueError("samples per class must be positive")
         if self.noise_sigma < 0 or self.separation < 0:
-            raise ScenarioError("separation and noise_sigma must be non-negative")
+            raise ValueError("separation and noise_sigma must be non-negative")
 
 
 @dataclass
@@ -177,13 +174,15 @@ def parse_featureset(lines: list[str]) -> FeatureSet:
     n_body = len([ln for ln in body if ln.strip()])
     if n_body != n or any(ln.strip() for ln in body[n:]):
         raise ValueError(f"line 2: header declares n={n} rows but body has {n_body}")
-    feats = np.empty((n, d))
-    labels = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        lineno = i + 3
-        toks = body[i].split()
+    rows = [line.split() for line in body[:n]]
+    # Every row has d + 1 fields before n and d size an array, so the file bounds it.
+    for lineno, toks in enumerate(rows, start=3):
         if len(toks) != d + 1:
             raise ValueError(f"line {lineno}: expected 1 label + {d} values, got {len(toks)} fields")
+    feats = np.empty((n, d))
+    labels = np.empty(n, dtype=np.int64)
+    for i, toks in enumerate(rows):
+        lineno = i + 3
         try:
             labels[i] = int(toks[0])
             feats[i] = [float(t) for t in toks[1:]]

@@ -78,7 +78,8 @@ def _box_muller_units(draws: np.ndarray) -> tuple[np.ndarray, int | None]:
 
 
 class Rng:
-    """Deterministic xoshiro256** stream, seeded by splitmix64 expansion.
+    """Deterministic xoshiro256** stream, seeded by splitmix64 expansion of
+    the seed modulo 2**64, so a negative seed or one past 64 bits is valid.
 
     Sub-streams: ``split()`` derives an independent child generator from the
     parent stream (one parent draw per child). Instances are single-owner

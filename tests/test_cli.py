@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ufda import cli
 from ufda.cli import build_parser, main
 from ufda.clustering import estimate_ct
 from ufda.config import RunConfig
@@ -75,6 +76,14 @@ class TestGen:
         b = gen_small(tmp_path / "b", capsys)
         assert (a / "source.ufd").read_bytes() == (b / "source.ufd").read_bytes()
         assert (a / "target.ufd").read_bytes() == (b / "target.ufd").read_bytes()
+
+    @pytest.mark.parametrize("seed, same_as", [("18446744073709551623", "7"), ("18446744073709551615", "-1")])
+    def test_seeds_are_taken_modulo_2_64(self, tmp_path, capsys, seed, same_as):
+        for s in (seed, same_as):
+            code, _, err = run(capsys, "gen", "--preset", "opda-toy", "--seed", s, "--out", str(tmp_path / s))
+            assert code == 0, err
+        for name in ("source.ufd", "target.ufd"):
+            assert (tmp_path / seed / name).read_bytes() == (tmp_path / same_as / name).read_bytes(), name
 
     def test_bad_regime_combo_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -485,6 +494,15 @@ class TestBadInputFiles:
         assert err == f"error: {path}: line 4: label out of range\n"
         assert not (tmp_path / "o").exists()
 
+    def test_a_header_d_is_checked_against_the_rows_before_it_sizes_an_array(self, tmp_path, capsys):
+        # n=1 d=99999999999 would ask for about 745 GiB before the row is read.
+        path = tmp_path / "source.ufd"
+        path.write_text("UFD v1\nn=1 d=99999999999 role=source\n0" + " 1.0" * 16 + "\n")
+        code, out, err = run(capsys, "pretrain", str(path), "--out", str(tmp_path / "o"))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: line 3: expected 1 label + 99999999999 values, got 17 fields\n"
+        assert not (tmp_path / "o").exists()
+
     def test_negative_feature_dimension_names_path_and_line(self, tmp_path, capsys):
         path = tmp_path / "source.ufd"
         path.write_text("UFD v1\nn=1 d=-1 role=source\n0\n")
@@ -624,6 +642,31 @@ class TestFailedWrites:
         assert code == 1
         assert err == f"error: {out / 'target.ufd'}: {os.strerror(errno.ENOSPC)}\n"
         assert not out.exists()
+
+
+class TestRefusedAllocations:
+    """A MemoryError, NumPy's refused allocation, is one 'error:' line with exit
+    1 and --out left as it was. It is raised by a patch: a test never asks
+    for a real allocation."""
+
+    @pytest.mark.parametrize("command, target", [("gen", "generate"), ("pretrain", "pretrain_source")])
+    @pytest.mark.parametrize("message, reason", [
+        ("Unable to allocate 6.55 TiB for an array", "Unable to allocate 6.55 TiB for an array"),
+        ("", "out of memory"),
+    ])
+    def test_is_one_error_line(self, valid_inputs, tmp_path, capsys, monkeypatch, command, target, message, reason):
+        def refuse(*args, **kwargs):
+            raise MemoryError(message) if message else MemoryError()
+
+        monkeypatch.setattr(cli, target, refuse)
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "keep.txt").write_text("keep\n")
+        before = snapshot(out)
+        code, stdout, err = run(capsys, *command_argv(command, valid_inputs), "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err == f"error: {reason}\n"
+        assert snapshot(out) == before
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,6 @@ from ufda.config import load_run_config
 from ufda.datagen import (
     FeatureSet,
     PRESETS,
-    ScenarioError,
     ScenarioSpec,
     featureset_lines,
     generate,
@@ -38,27 +37,27 @@ class TestRegimeRules:
         assert len(src_classes & tgt_classes) == 3
 
     def test_osda_requires_no_source_private(self):
-        with pytest.raises(ScenarioError, match="OSDA"):
+        with pytest.raises(ValueError, match="OSDA"):
             spec_for("OSDA", 3, 1, 3).validate()
 
     def test_pda_requires_no_target_private(self):
-        with pytest.raises(ScenarioError, match="PDA"):
+        with pytest.raises(ValueError, match="PDA"):
             spec_for("PDA", 3, 1, 2).validate()
 
     def test_opda_requires_both_privates(self):
-        with pytest.raises(ScenarioError, match="OPDA"):
+        with pytest.raises(ValueError, match="OPDA"):
             spec_for("OPDA", 3, 0, 3).validate()
 
     def test_clda_rejects_privates(self):
-        with pytest.raises(ScenarioError, match="CLDA"):
+        with pytest.raises(ValueError, match="CLDA"):
             spec_for("CLDA", 3, 0, 1).validate()
 
     def test_unknown_regime(self):
-        with pytest.raises(ScenarioError, match="unknown regime"):
+        with pytest.raises(ValueError, match="unknown regime"):
             spec_for("FOO", 3, 0, 0).validate()
 
     def test_d_in_must_fit_class_count(self):
-        with pytest.raises(ScenarioError, match="d_in"):
+        with pytest.raises(ValueError, match="d_in"):
             spec_for("OPDA", 6, 6, 6, d_in=8).validate()
 
     def test_all_presets_are_valid(self):

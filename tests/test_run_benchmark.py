@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from helpers import load_run_benchmark
 from ufda.adaptation import VARIANTS
 from ufda.cli import main
@@ -160,6 +162,22 @@ def test_a_failed_write_is_one_error_line(tmp_path):
     assert done.stderr == f"error: {parent}: {os.strerror(errno.EEXIST)}\n"
     assert "opda-toy      1 glcpp" in done.stdout  # the rows were printed before the write
     assert parent.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("message, reason", [("Unable to allocate 6.55 TiB", "Unable to allocate 6.55 TiB"),
+                                             ("", "out of memory")])
+def test_a_refused_allocation_is_one_error_line(tmp_path, monkeypatch, capsys, message, reason):
+    # Raised by a patch, so no real allocation is asked for.
+    def refuse(*args):
+        raise MemoryError(message) if message else MemoryError()
+
+    script = load_run_benchmark()
+    monkeypatch.setattr(script, "run_one", refuse)
+    out = tmp_path / "rows.tsv"
+    monkeypatch.setattr(sys, "argv", ["run_benchmark.py", "--preset", "opda-toy", "--seeds", "1", "--out", str(out)])
+    assert script.main() == 1
+    assert capsys.readouterr() == ("", f"error: opda-toy seed 1: {reason}\n")
+    assert not out.exists()
 
 
 # run_one's rows as the --out file holds them, floats by repr, at two seeds.

@@ -28,12 +28,17 @@
 - The library imports from SciPy exactly ``update_cluster_means`` (k-means'
   centroid update) and ``cdist`` (the ct sweep's blocked distances), as README
   states, so a third SciPy call is a deliberate change to this list.
+- The library and the scripts define exactly one exception class,
+  ``config.ConfigError``. An error's type alone decides its exit code (2 for
+  a ConfigError, 1 for any other ValueError or a MemoryError), so a new
+  exception class would be a new rule beside ``cli.fail``.
 - ``import ufda.cli``, run in a fresh interpreter, leaves ``scipy.optimize``
   out of ``sys.modules``: matching is solved in ``evaluation``, and importing
   that package alone adds about 11 MiB to the peak RSS of every run.
 """
 
 import ast
+import builtins
 import os
 import re
 import subprocess
@@ -294,6 +299,26 @@ def test_raw_draws_become_values_only_in_numerics():
     assert not found, "raw-draw arithmetic outside numerics.py (use units or bounded_draws): " + ", ".join(found)
     numerics = ast.parse((LIBRARY_DIR / "numerics.py").read_text(encoding="utf-8"))
     assert any(_raw_draw_arithmetic(node) for node in ast.walk(numerics)), "the check no longer sees the rules"
+
+
+def _is_builtin_exception(name):
+    obj = getattr(builtins, name, None)
+    return isinstance(obj, type) and issubclass(obj, BaseException)
+
+
+def test_config_error_is_the_one_exception_class():
+    trees = {**_library(_trees(["src"])), **_trees(["scripts"])}
+    classes = [(path.stem, node) for path, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)]
+    found = None
+    exceptions = set()
+    while exceptions != found:  # until no class derives from one found in the last pass
+        found = exceptions
+        names = {name for _, name in found}
+        exceptions = {(module, node.name) for module, node in classes
+                      if any(isinstance(base, ast.Name) and (base.id in names or _is_builtin_exception(base.id))
+                             for base in node.bases)}
+    assert exceptions == {("config", "ConfigError")}, f"exception classes: {sorted(exceptions)}"
 
 
 def test_the_cli_does_not_import_scipy_optimize():
